@@ -16,6 +16,7 @@ from .complexes import (
     KoszulComplex,
     free_resolution,
     is_cohen_macaulay,
+    minimal_resolution,
     verify_exactness,
 )
 from .groebner import (
@@ -156,7 +157,7 @@ def cmd_member(args):
             p = ideal_codim(J, order)
             I = generic_ci(J, p, seed=args.seed)
         K = KoszulComplex(list(I.gens))
-        E = free_resolution(J, minimalize=True, order=order)
+        E = minimal_resolution(J, order)
         morphism = comparison_morphism(K, E, order)
         ap = morphism.top_entries()
         report["I"] = _gens(I)
@@ -194,7 +195,10 @@ def cmd_colon(args):
 def cmd_resolve(args):
     J = read_ideal_file(args.ideal)
     order = _order(args)
-    res = free_resolution(J, minimalize=args.minimal, order=order)
+    if args.minimal:
+        res = minimal_resolution(J, order)
+    else:
+        res = free_resolution(J, minimalize=False, order=order)
     exact = verify_exactness(res, order)
     cm, codim, length = is_cohen_macaulay(J, order)
     report = {
@@ -268,7 +272,7 @@ def _linkage_report(args, supplied=None):
             )
             return EXIT_FAIL, report
         K = KoszulComplex(list(I.gens))
-        E = free_resolution(J, minimalize=True, order=order)
+        E = minimal_resolution(J, order)
         if supplied is not None:
             morphism = ComplexMorphism(K, E, supplied, check=False)
             problem = morphism.violation()

@@ -12,9 +12,11 @@ from itertools import combinations
 
 from .groebner import GREVLEX, Ideal, ideal_codim
 from .modules import (
+    ModuleOrder,
     NotInImageError,
     PolyMatrix,
-    lift_through,
+    _kernel_generators,
+    image_lifter,
     syzygy_matrix,
 )
 from .poly import Polynomial
@@ -249,11 +251,16 @@ class ExactnessReport:
 def verify_exactness(C, order=GREVLEX):
     """Check ker(d_k) == im(d_{k+1}) for k = 1..length by double inclusion.
 
-    At the top degree the next image is zero, so the last differential must be
-    injective.  Failures are report content, not exceptions.
+    ker(d_k) is taken as the unpruned Schreyer generators of the kernel, a
+    superset of the columns `syzygy_matrix` keeps, and every one of them is
+    lifted through d_{k+1} against one module Groebner basis per
+    differential.  At the top degree the next image is zero, so the last
+    differential must be injective.  Failures are report content, not
+    exceptions.
     """
     failures = []
     diffs = C.differentials
+    morder = ModuleOrder(order)
     for k in range(1, len(diffs) + 1):
         dk = diffs[k - 1]
         nxt = diffs[k] if k < len(diffs) else None
@@ -265,22 +272,30 @@ def verify_exactness(C, order=GREVLEX):
                 failures.append((k, "composition d_k d_{k+1} != 0", nxt.column(col)))
                 continue
         # ker(d_k) subset of im(d_{k+1})
-        ker = syzygy_matrix(dk, order)
-        for j in range(ker.ncols):
-            v = ker.column(j)
-            if nxt is None:
-                failures.append((k, "kernel of the last differential is nonzero", v))
-                break
+        kernel = _kernel_generators(dk, morder)
+        if nxt is None:
+            if kernel:
+                failures.append((k, "kernel of the last differential is nonzero", kernel[0]))
+            continue
+        lift = image_lifter(nxt, order)
+        for v in kernel:
             try:
-                lift_through(v, nxt, order)
+                lift(v)
             except NotInImageError:
                 failures.append((k, "kernel vector not in the image", v))
                 break
     return ExactnessReport(failures)
 
 
+def minimal_resolution(J, order=GREVLEX):
+    """The minimal free resolution of J, built once per order and cached on J."""
+    if order not in J._resolutions:
+        J._resolutions[order] = free_resolution(J, minimalize=True, order=order)
+    return J._resolutions[order]
+
+
 def is_cohen_macaulay(J, order=GREVLEX):
     """(flag, codim, minimal resolution length)."""
     codim = ideal_codim(J, order)
-    res = free_resolution(J, minimalize=True, order=order)
+    res = minimal_resolution(J, order)
     return res.length == codim, codim, res.length

@@ -177,7 +177,12 @@ def _interreduce(basis, order):
 
 
 class Ideal:
-    """Ideal given by generators, with cached reduced Groebner bases per order."""
+    """Ideal given by generators.
+
+    Reduced Groebner bases are cached per order in `_gb`, and
+    `complexes.minimal_resolution` caches the minimal free resolution per
+    order in `_resolutions`.
+    """
 
     def __init__(self, gens, ring=None):
         gens = list(gens)
@@ -191,6 +196,7 @@ class Ideal:
         self.ring = ring
         self.gens = [g for g in gens if not g.is_zero()]
         self._gb = {}
+        self._resolutions = {}
 
     @classmethod
     def from_strings(cls, ring, texts):

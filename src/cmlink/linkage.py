@@ -22,7 +22,7 @@ from .groebner import (
     ideal_member,
     ideal_sum,
 )
-from .modules import NotInImageError, PolyMatrix, det_bareiss, lift_through
+from .modules import NotInImageError, PolyMatrix, det_bareiss, image_lifter
 
 
 class ContainmentFailureError(ValueError):
@@ -78,8 +78,9 @@ def comparison_morphism(K, E, order=GREVLEX):
     """Lift the natural surjection to a morphism from a Koszul complex to E.
 
     a_0 = [1]; each further a_k is obtained by lifting the columns of
-    a_{k-1} psi_k through phi_k.  Requires every entry of the tuple of K to
-    lie in the ideal resolved by E.
+    a_{k-1} psi_k through phi_k, all against one module Groebner basis of
+    phi_k.  Requires every entry of the tuple of K to lie in the ideal
+    resolved by E.
     """
     ring = K.ring
     J = E.ideal
@@ -98,10 +99,11 @@ def comparison_morphism(K, E, order=GREVLEX):
         psi = K.differentials[k - 1]
         phi = E.differentials[k - 1]
         target_cols = mats[k - 1] * psi
+        lift = image_lifter(phi, order)
         lifted_cols = []
         for j in range(target_cols.ncols):
             try:
-                lifted_cols.append(lift_through(target_cols.column(j), phi, order))
+                lifted_cols.append(lift(target_cols.column(j)))
             except NotInImageError as exc:
                 raise MorphismError(
                     f"lift failed at degree {k}: target resolution is not exact"

@@ -8,6 +8,7 @@ module terms are keyed by (position, exponent tuple).
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 
 from .poly import (
@@ -185,76 +186,94 @@ class ModuleOrder:
         return (-pos, self.order.key(exps))
 
 
-def _vector_terms(vec):
-    for pos, p in enumerate(vec):
-        for exps, c in p.terms.items():
-            yield pos, exps, c
-
-
 def _leading(vec, morder):
-    best = None
-    for pos, exps, c in _vector_terms(vec):
-        k = morder.key(pos, exps)
-        if best is None or k > best[0]:
-            best = (k, pos, exps, c)
-    if best is None:
-        raise ValueError("zero vector has no leading term")
-    return best[1], best[2], best[3]
+    """(position, exponents, coefficient) of the leading term of a nonzero vector.
+
+    Under position-over-term the leading term is the ring-order maximum of
+    the first nonzero entry.
+    """
+    for pos, p in enumerate(vec):
+        if p.terms:
+            exps = max(p.terms, key=morder.order.key)
+            return pos, exps, p.terms[exps]
+    raise ValueError("zero vector has no leading term")
 
 
 def _vec_is_zero(vec):
     return all(p.is_zero() for p in vec)
 
 
-def _vec_sub_term(vec, w, pos_shift_unused, t_exps, t_coeff):
-    """vec - (t_coeff * x^t_exps) * w, componentwise."""
-    return [
-        p - q.term_mul(t_exps, t_coeff) if not q.is_zero() else p
-        for p, q in zip(vec, w)
-    ]
-
-
 def _vec_scale(vec, c):
     return [p.scale(c) for p in vec]
 
 
-def module_normal_form(vec, basis, morder):
-    """Divide a vector by module basis vectors; returns (quotients, remainder)."""
-    ring = vec[0].ring
-    leads = [_leading(w, morder) for w in basis]
-    quotients = [ring.zero() for _ in basis]
-    remainder = [ring.zero() for _ in vec]
-    work = [Polynomial(ring, dict(p.terms)) for p in vec]
-    while not _vec_is_zero(work):
-        pos, exps, coeff = _leading(work, morder)
-        hit = False
-        for i, (lpos, lexps, lcoeff) in enumerate(leads):
-            if lpos == pos and monomial_divides(lexps, exps):
-                t_exps = monomial_div(exps, lexps)
-                t_coeff = ring.coeff_div(coeff, lcoeff)
-                quotients[i] = quotients[i] + Polynomial(ring, {t_exps: t_coeff})
-                work = _vec_sub_term(work, basis[i], None, t_exps, t_coeff)
-                hit = True
-                break
-        if not hit:
-            remainder[pos] = remainder[pos] + Polynomial(ring, {exps: coeff})
-            newterms = dict(work[pos].terms)
-            del newterms[exps]
-            work[pos] = Polynomial(ring, newterms)
-    return quotients, remainder
+def _combine(vec, coeffs, vectors):
+    """vec - sum(coeffs[k] * vectors[k]) over the nonzero coeffs[k]."""
+    for ck, wk in zip(coeffs, vectors):
+        if not ck.is_zero():
+            vec = [a - ck * b for a, b in zip(vec, wk)]
+    return vec
 
 
-def _vec_monic(vec, morder):
+def module_normal_form(vec, basis, morder, leads=None):
+    """Divide a vector by module basis vectors; returns (quotients, remainder).
+
+    `leads` are the leading terms of `basis` as `_leading` gives them;
+    callers that divide many vectors by one basis pass them in once.
+    """
     ring = vec[0].ring
-    _, _, lc = _leading(vec, morder)
-    return _vec_scale(vec, ring.coeff_div(ring.coeff(1), lc))
+    if leads is None:
+        leads = [_leading(w, morder) for w in basis]
+    key = morder.order.key
+    quotients = [{} for _ in basis]
+    remainder = [{} for _ in vec]
+    work = [dict(p.terms) for p in vec]
+    # a basis vector leading at `pos` is zero above `pos`, so once an entry
+    # is reduced no later step touches it again
+    for pos, terms in enumerate(work):
+        while terms:
+            exps = max(terms, key=key)
+            coeff = terms.pop(exps)
+            for i, (lpos, lexps, lcoeff) in enumerate(leads):
+                if lpos == pos and monomial_divides(lexps, exps):
+                    t_exps = monomial_div(exps, lexps)
+                    t_coeff = ring.coeff_div(coeff, lcoeff)
+                    # the leading exponents at `pos` strictly decrease, so t_exps is new
+                    quotients[i][t_exps] = t_coeff
+                    for r in range(pos, len(work)):
+                        _dict_sub_term(work[r], basis[i][r], t_exps, t_coeff,
+                                       exps if r == pos else None)
+                    break
+            else:
+                remainder[pos][exps] = coeff
+    return ([Polynomial(ring, q) for q in quotients],
+            [Polynomial(ring, r) for r in remainder])
+
+
+def _dict_sub_term(terms, q, t_exps, t_coeff, skip):
+    """terms -= (t_coeff * x^t_exps) * q in place, leaving out the product term `skip`."""
+    ring = q.ring
+    for e, v in q.terms.items():
+        m = monomial_mul(e, t_exps)
+        if m == skip:
+            continue
+        c = ring.coeff_neg(ring.coeff_mul(v, t_coeff))
+        if m in terms:
+            s = ring.coeff_add(terms[m], c)
+            if ring.coeff_is_zero(s):
+                del terms[m]
+            else:
+                terms[m] = s
+        else:
+            terms[m] = c
 
 
 def module_groebner(columns, morder=None, order=GREVLEX):
     """Module Groebner basis of the given vectors, with representations.
 
     Returns (basis, reps) where each basis vector equals
-    sum(reps[k][j] * columns[j]).
+    sum(reps[k][j] * columns[j]).  S-pairs are taken by lcm degree, then the
+    lcm, then the pair's indices.
     """
     if morder is None:
         morder = ModuleOrder(order)
@@ -262,120 +281,98 @@ def module_groebner(columns, morder=None, order=GREVLEX):
     ncols = len(columns)
     basis = []
     reps = []
+    leads = []
+    pairs = []  # heap of (sum(lcm), lcm, i, j) over same-position i < j
+
+    def add(vec, rep):
+        lead = _leading(vec, morder)
+        inv = ring.coeff_div(ring.coeff(1), lead[2])
+        j = len(basis)
+        basis.append(_vec_scale(vec, inv))
+        reps.append([p.scale(inv) for p in rep])
+        leads.append(_leading(basis[j], morder))
+        for i in range(j):
+            if leads[i][0] == lead[0]:
+                lcm = monomial_lcm(leads[i][1], lead[1])
+                heapq.heappush(pairs, (sum(lcm), lcm, i, j))
+
     for j, col in enumerate(columns):
-        if _vec_is_zero(col):
-            continue
-        _, _, lc = _leading(col, morder)
-        inv = ring.coeff_div(ring.coeff(1), lc)
-        basis.append(_vec_scale(col, inv))
-        rep = [ring.zero()] * ncols
-        rep[j] = ring.constant(inv)
-        reps.append(rep)
-
-    def pair_key(i, j):
-        pi, ei, _ = _leading(basis[i], morder)
-        pj, ej, _ = _leading(basis[j], morder)
-        lcm = monomial_lcm(ei, ej)
-        return (sum(lcm), lcm, i, j)
-
-    pairs = {
-        (i, j)
-        for i, j in combinations(range(len(basis)), 2)
-        if _leading(basis[i], morder)[0] == _leading(basis[j], morder)[0]
-    }
+        if not _vec_is_zero(col):
+            rep = [ring.zero()] * ncols
+            rep[j] = ring.one()
+            add(col, rep)
     while pairs:
-        i, j = min(pairs, key=lambda p: pair_key(*p))
-        pairs.discard((i, j))
-        svec, srep = _module_spair(basis, reps, i, j, morder, ring)
-        q, rem = module_normal_form(svec, basis, morder)
-        if _vec_is_zero(rem):
-            continue
-        rrep = list(srep)
-        for k, qk in enumerate(q):
-            if not qk.is_zero():
-                rrep = [a - qk * b for a, b in zip(rrep, reps[k])]
-        _, _, lc = _leading(rem, morder)
-        inv = ring.coeff_div(ring.coeff(1), lc)
-        basis.append(_vec_scale(rem, inv))
-        reps.append([p.scale(inv) for p in rrep])
-        knew = len(basis) - 1
-        pnew, _, _ = _leading(basis[knew], morder)
-        pairs.update(
-            (m, knew)
-            for m in range(knew)
-            if _leading(basis[m], morder)[0] == pnew
-        )
+        _, _, i, j = heapq.heappop(pairs)
+        svec, srep = _module_spair(basis, reps, leads, i, j, ring)
+        q, rem = module_normal_form(svec, basis, morder, leads)
+        if not _vec_is_zero(rem):
+            add(rem, _combine(srep, q, reps))
     return basis, reps
 
 
-def _module_spair(basis, reps, i, j, morder, ring):
+def _module_spair(basis, reps, leads, i, j, ring):
     """S-vector of basis[i], basis[j] (same leading position) and its rep."""
-    pi, ei, ci = _leading(basis[i], morder)
-    pj, ej, cj = _leading(basis[j], morder)
+    pi, ei, ci = leads[i]
+    pj, ej, cj = leads[j]
     assert pi == pj
     lcm = monomial_lcm(ei, ej)
     ti = monomial_div(lcm, ei)
     tj = monomial_div(lcm, ej)
-    mi = Polynomial(ring, {ti: ring.coeff_div(ring.coeff(1), ci)})
-    mj = Polynomial(ring, {tj: ring.coeff_div(ring.coeff(1), cj)})
-    svec = [mi * a - mj * b for a, b in zip(basis[i], basis[j])]
-    srep = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
-    return svec, srep
+    ci = ring.coeff_div(ring.coeff(1), ci)
+    cj = ring.coeff_div(ring.coeff(1), cj)
+
+    def sub(a, b):
+        if b.is_zero():
+            return a.term_mul(ti, ci)
+        if a.is_zero():
+            return -b.term_mul(tj, cj)
+        return a.term_mul(ti, ci) - b.term_mul(tj, cj)
+
+    return ([sub(a, b) for a, b in zip(basis[i], basis[j])],
+            [sub(a, b) for a, b in zip(reps[i], reps[j])])
 
 
-def syzygy_matrix(M, order=GREVLEX):
-    """Matrix whose columns generate the kernel of M (as column combinations).
+def _kernel_generators(M, morder):
+    """Columns generating the kernel of M, before pruning.
 
     Schreyer's construction: syzygies of the module GB from all same-position
     S-pair reductions, mapped back through the GB representations, together
     with the columns of I - P*Q expressing the redundancy of the input
     columns.  Zero and duplicate columns are dropped.
     """
-    if M.is_zero():
-        return PolyMatrix.identity(M.ring, M.ncols)
     ring = M.ring
-    morder = ModuleOrder(order)
+    if M.is_zero():
+        return PolyMatrix.identity(ring, M.ncols).columns()
     cols = M.columns()
     basis, reps = module_groebner(cols, morder)
-    s = len(basis)
+    leads = [_leading(w, morder) for w in basis]
     m = len(cols)
 
     syz_cols = []
     # Schreyer: every same-position S-pair of the final GB reduces to zero
-    for i, j in combinations(range(s), 2):
-        pi, _, _ = _leading(basis[i], morder)
-        pj, _, _ = _leading(basis[j], morder)
-        if pi != pj:
+    for i, j in combinations(range(len(basis)), 2):
+        if leads[i][0] != leads[j][0]:
             continue
-        svec, srep = _module_spair(basis, reps, i, j, morder, ring)
-        q, rem = module_normal_form(svec, basis, morder)
+        svec, srep = _module_spair(basis, reps, leads, i, j, ring)
+        q, rem = module_normal_form(svec, basis, morder, leads)
         if not _vec_is_zero(rem):
             raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
-        syz = list(srep)
-        for k, qk in enumerate(q):
-            if not qk.is_zero():
-                syz = [a - qk * b for a, b in zip(syz, reps[k])]
-        syz_cols.append(syz)
+        syz_cols.append(_combine(srep, q, reps))
 
     # columns of I - P*Q: each input column re-expressed through the GB
     for j, col in enumerate(cols):
+        unit = [ring.zero()] * m
+        unit[j] = ring.one()
         if _vec_is_zero(col):
-            unit = [ring.zero()] * m
-            unit[j] = ring.one()
             syz_cols.append(unit)
             continue
-        q, rem = module_normal_form(col, basis, morder)
+        q, rem = module_normal_form(col, basis, morder, leads)
         if not _vec_is_zero(rem):
             raise AssertionError("input column failed to reduce against its own GB")
-        syz = [ring.zero()] * m
-        syz[j] = ring.one()
-        for k, qk in enumerate(q):
-            if not qk.is_zero():
-                syz = [a - qk * b for a, b in zip(syz, reps[k])]
-        syz_cols.append(syz)
+        syz_cols.append(_combine(unit, q, reps))
 
     # drop zero columns and duplicates, deterministically
-    seen = []
+    seen = set()
     kept = []
     for col in syz_cols:
         if _vec_is_zero(col):
@@ -383,12 +380,24 @@ def syzygy_matrix(M, order=GREVLEX):
         key = tuple(str(p) for p in col)
         if key in seen:
             continue
-        seen.append(key)
+        seen.add(key)
         kept.append(col)
-    kept = prune_redundant_columns(kept, morder)
+    return kept
+
+
+def syzygy_matrix(M, order=GREVLEX):
+    """Matrix whose columns generate the kernel of M (as column combinations).
+
+    The generators of `_kernel_generators`, with every column that lies in
+    the submodule spanned by the others pruned away.
+    """
+    if M.is_zero():
+        return PolyMatrix.identity(M.ring, M.ncols)
+    morder = ModuleOrder(order)
+    kept = prune_redundant_columns(_kernel_generators(M, morder), morder)
     if not kept:
-        return PolyMatrix.zero(ring, M.ncols, 0)
-    return PolyMatrix.from_columns(kept, ring)
+        return PolyMatrix.zero(M.ring, M.ncols, 0)
+    return PolyMatrix.from_columns(kept, M.ring)
 
 
 def prune_redundant_columns(columns, morder=None, order=GREVLEX):
@@ -409,21 +418,42 @@ def prune_redundant_columns(columns, morder=None, order=GREVLEX):
     return cols
 
 
-def lift_through(b, M, order=GREVLEX):
-    """Solve M x = b exactly; raises NotInImageError with the remainder if unsolvable."""
-    if len(b) != M.nrows:
-        raise ValueError("vector length must equal the row count")
+def image_lifter(M, order=GREVLEX):
+    """A function lift(b) that solves M x = b exactly.
+
+    lift(b) raises NotInImageError with the remainder if b is not in the
+    image.  All calls divide by one module Groebner basis of the columns of
+    M, built at the first nonzero b, so lifting every column of a matrix
+    through one differential costs one basis.
+    """
     ring = M.ring
-    if _vec_is_zero(b):
-        return [ring.zero()] * M.ncols
     morder = ModuleOrder(order)
-    cols = [c for c in M.columns()]
-    basis, reps = module_groebner(cols, morder)
-    q, rem = module_normal_form(b, basis, morder)
-    if not _vec_is_zero(rem):
-        raise NotInImageError(rem)
-    x = [ring.zero()] * M.ncols
-    for k, qk in enumerate(q):
-        if not qk.is_zero():
-            x = [a + qk * b2 for a, b2 in zip(x, reps[k])]
-    return x
+    built = []  # [(basis, reps, leads)] once the basis exists
+
+    def lift(b):
+        if len(b) != M.nrows:
+            raise ValueError("vector length must equal the row count")
+        if _vec_is_zero(b):
+            return [ring.zero()] * M.ncols
+        if not built:
+            basis, reps = module_groebner(M.columns(), morder)
+            built.append((basis, reps, [_leading(w, morder) for w in basis]))
+        basis, reps, leads = built[0]
+        q, rem = module_normal_form(b, basis, morder, leads)
+        if not _vec_is_zero(rem):
+            raise NotInImageError(rem)
+        x = [ring.zero()] * M.ncols
+        for qk, rk in zip(q, reps):
+            if not qk.is_zero():
+                x = [a + qk * c for a, c in zip(x, rk)]
+        return x
+
+    return lift
+
+
+def lift_through(b, M, order=GREVLEX):
+    """Solve M x = b exactly; raises NotInImageError with the remainder if unsolvable.
+
+    The one-vector case of `image_lifter`.
+    """
+    return image_lifter(M, order)(b)

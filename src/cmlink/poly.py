@@ -416,6 +416,10 @@ class Polynomial:
 
     def __hash__(self):
         ring = self.ring
+        if ring.has_params:
+            # coefficients have no canonical text, but equal polynomials
+            # have the same support
+            return hash((ring, frozenset(self.terms)))
         return hash(
             (ring, frozenset((e, ring.coeff_str(c)) for e, c in self.terms.items()))
         )

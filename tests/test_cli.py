@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cmlink import complexes
 from cmlink.cli import run
 
 CURVE = "ring x,y,z over QQ\ny^2 - x*z\nx^3 - y*z\nx^2*y - z^2\n"
@@ -281,3 +282,85 @@ def test_reports_byte_deterministic(files, tmp_path):
             == 0
         )
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# reports of the twisted cubic and the complete intersection linked to it,
+# as the CLI printed them before the module layer reused bases and
+# resolutions; both must stay byte-identical
+GOLDEN_RESOLVE_CURVE = r"""{
+  "command": "resolve",
+  "ring": "ring x,y,z over QQ",
+  "order": "grevlex",
+  "generators": [
+    "y^2 - x*z",
+    "x^3 - y*z",
+    "x^2*y - z^2"
+  ],
+  "minimal": true,
+  "ranks": [
+    1,
+    3,
+    2
+  ],
+  "differentials": [
+    "matrix 1 3\ny^2 - x*z; x^3 - y*z; x^2*y - z^2",
+    "matrix 3 2\nx^2; z\nz; y\n-y; -x"
+  ],
+  "exact": true,
+  "cohen_macaulay": true,
+  "codim": 2,
+  "minimal_length": 2
+}
+"""
+
+GOLDEN_LINK_CI_CURVE = r"""{
+  "command": "link",
+  "ring": "ring x,y,z over QQ",
+  "order": "grevlex",
+  "I": [
+    "-x^2*y + z^2",
+    "x^4 + y^3 - 2*x*y*z"
+  ],
+  "J": [
+    "y^2 - x*z",
+    "x^3 - y*z",
+    "x^2*y - z^2"
+  ],
+  "K_colon": [
+    "x^3 - y*z",
+    "x^2*y - z^2",
+    "y^2 - x*z"
+  ],
+  "L_top_entries": [
+    "-y^2 + x*z",
+    "-x^3 + y*z"
+  ],
+  "double_link_holds": true,
+  "decomposition_holds": true,
+  "witnesses": [],
+  "ok": true
+}
+"""
+
+
+def test_resolve_and_link_reports_match_golden(files, capsys):
+    run(["resolve", "--ideal", files["curve.id"], "--minimal"])
+    assert capsys.readouterr().out == GOLDEN_RESOLVE_CURVE
+    run(["link", "--ideal-I", files["ci.id"], "--ideal-J", files["curve.id"]])
+    assert capsys.readouterr().out == GOLDEN_LINK_CI_CURVE
+
+
+def test_resolve_and_link_build_one_resolution(files, capsys, monkeypatch):
+    built = []
+    original = complexes.free_resolution
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "free_resolution", counting)
+    assert run(["resolve", "--ideal", files["curve.id"], "--minimal"]) == 0
+    assert len(built) == 1
+    assert run(["link", "--ideal-I", files["ci.id"], "--ideal-J", files["curve.id"]]) == 0
+    assert len(built) == 2
+    capsys.readouterr()

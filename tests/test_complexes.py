@@ -14,9 +14,12 @@ from cmlink.complexes import (
     free_resolution,
     is_cohen_macaulay,
     koszul_complex,
+    minimal_resolution,
     verify_exactness,
 )
+from cmlink import complexes
 from cmlink.groebner import Ideal
+from cmlink.poly import LEX
 from cmlink.modules import PolyMatrix
 from cmlink.poly import Polynomial, Ring
 
@@ -90,6 +93,49 @@ def test_curve_resolution_minimal_exact_cm():
     assert report.exact
     cm, codim, length = is_cohen_macaulay(J)
     assert cm and codim == 2 and length == 2
+
+
+def test_rational_normal_quartic_resolution():
+    names = tuple(f"x{i}" for i in range(5))
+    S = Ring(names)
+    minors = [
+        f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(4) for j in range(i + 1, 4)
+    ]
+    J = Ideal.from_strings(S, minors)
+    res = free_resolution(J, minimalize=True)
+    assert res.ranks() == [1, 6, 8, 3]
+    assert res.minimal
+    assert verify_exactness(res).exact
+    assert is_cohen_macaulay(J) == (True, 3, 3)
+
+
+def test_exactness_catches_a_missing_syzygy():
+    res = free_resolution(Ideal.from_strings(R, CURVE), minimalize=True)
+    d1, d2 = res.differentials
+    short = PolyMatrix.from_columns([d2.column(0)], R)
+    report = verify_exactness(ChainComplex([d1, short]))
+    assert [(deg, reason) for deg, reason, _ in report.failures] == [
+        (1, "kernel vector not in the image")
+    ]
+    witness = report.failures[0][2]
+    assert (d1 * witness)[0].is_zero()
+
+
+def test_minimal_resolution_is_built_once_per_order(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return free_resolution(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "free_resolution", counting)
+    J = Ideal.from_strings(R, CURVE)
+    res = minimal_resolution(J)
+    assert is_cohen_macaulay(J) == (True, 2, 2)
+    assert minimal_resolution(J) is res
+    assert len(built) == 1
+    assert minimal_resolution(J, LEX) is not res
+    assert len(built) == 2
 
 
 def test_complete_intersection_resolution_is_koszul_shaped():

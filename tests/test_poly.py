@@ -97,6 +97,15 @@ def test_param_ring_coefficients():
     assert q.coefficient_in(0, 2) == S.one()
 
 
+def test_param_ring_hash_agrees_with_equality():
+    U = Ring(("x",), ("s",))
+    a = U.constant("(s+1)**2")
+    b = U.constant("s**2+2*s+1")
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_origin_pole_detection():
     S = Ring(("X",), ("Y",))
     c = S.coeff_div(S.coeff(1), S.coeff("Y"))
