@@ -3,6 +3,12 @@
 Koszul complexes by contraction, free resolutions by iterated syzygies with
 unit-entry pruning, degreewise exactness verification, and the
 Cohen-Macaulay test (resolution length against codimension).
+
+Each syzygy step keeps a generating set of the kernel free of redundant
+columns (`modules.syzygy_matrix`).  For a homogeneous ideal every step is
+graded, and the columns are chosen degree by degree, with one module
+Groebner basis per degree; otherwise each column is tested against a basis
+of all the others.  Both rules keep the same columns on graded input.
 """
 
 from __future__ import annotations

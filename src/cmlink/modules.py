@@ -277,7 +277,10 @@ def module_groebner(columns, morder=None, order=GREVLEX):
     """
     if morder is None:
         morder = ModuleOrder(order)
-    ring = columns[0][0].ring
+    nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
+    if not nonzero:
+        return [], []
+    ring = columns[nonzero[0]][0].ring
     ncols = len(columns)
     basis = []
     reps = []
@@ -296,11 +299,10 @@ def module_groebner(columns, morder=None, order=GREVLEX):
                 lcm = monomial_lcm(leads[i][1], lead[1])
                 heapq.heappush(pairs, (sum(lcm), lcm, i, j))
 
-    for j, col in enumerate(columns):
-        if not _vec_is_zero(col):
-            rep = [ring.zero()] * ncols
-            rep[j] = ring.one()
-            add(col, rep)
+    for j in nonzero:
+        rep = [ring.zero()] * ncols
+        rep[j] = ring.one()
+        add(columns[j], rep)
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         svec, srep = _module_spair(basis, reps, leads, i, j, ring)
@@ -389,7 +391,10 @@ def syzygy_matrix(M, order=GREVLEX):
     """Matrix whose columns generate the kernel of M (as column combinations).
 
     The generators of `_kernel_generators`, with every column that lies in
-    the submodule spanned by the others pruned away.
+    the submodule spanned by the others pruned away by
+    `prune_redundant_columns`: degree by degree when the generators are
+    homogeneous (as the Schreyer syzygies of a homogeneous matrix are), by
+    the greedy one-basis-per-column loop otherwise.
     """
     if M.is_zero():
         return PolyMatrix.identity(M.ring, M.ncols)
@@ -401,10 +406,116 @@ def syzygy_matrix(M, order=GREVLEX):
 
 
 def prune_redundant_columns(columns, morder=None, order=GREVLEX):
-    """Drop columns lying in the submodule generated by the remaining ones."""
+    """Drop columns lying in the submodule generated by the remaining ones.
+
+    Zero columns go first.  When every column is homogeneous for one choice
+    of row shifts (see `_column_degrees`), columns are pruned degree by
+    degree: a column of degree d is kept exactly when its normal form
+    modulo the columns kept below degree d lies outside the field span of
+    the normal forms of the degree-d columns before it.  That needs one
+    module Groebner basis per degree.  Otherwise `_greedy_prune` tests
+    every column against a basis of all the others.  Both keep the same
+    columns on graded input: a degree-d column can only be written with
+    columns of degree at most d, the degree-d ones with constant
+    coefficients, so removing the last redundant column first keeps exactly
+    the columns independent of the ones before them.
+    """
     if morder is None:
         morder = ModuleOrder(order)
     cols = [c for c in columns if not _vec_is_zero(c)]
+    if not cols:
+        return cols
+    degrees = _column_degrees(cols)
+    if degrees is None:
+        return _greedy_prune(cols, morder)
+    ring = cols[0][0].ring
+    keep = [False] * len(cols)
+    for d in sorted(set(degrees)):
+        below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
+        basis, _ = module_groebner(below, morder)
+        leads = [_leading(w, morder) for w in basis]
+        pivots = []  # (key, row): rows in echelon form, each zero at earlier keys
+        for j, col in enumerate(cols):
+            if degrees[j] != d:
+                continue
+            _, rem = module_normal_form(col, basis, morder, leads)
+            row = {(pos, e): c for pos, p in enumerate(rem) for e, c in p.terms.items()}
+            for key, prow in pivots:
+                if key in row:
+                    _row_sub(row, prow, ring.coeff_div(row[key], prow[key]), ring)
+            if row:
+                pivots.append((min(row), row))
+                keep[j] = True
+    return [c for c, k in zip(cols, keep) if k]
+
+
+def _row_sub(row, prow, factor, ring):
+    """row -= factor * prow in place, dropping entries that cancel."""
+    for key, c in prow.items():
+        t = ring.coeff_neg(ring.coeff_mul(factor, c))
+        if key in row:
+            s = ring.coeff_add(row[key], t)
+            if ring.coeff_is_zero(s):
+                del row[key]
+            else:
+                row[key] = s
+        else:
+            row[key] = t
+
+
+def _column_degrees(cols):
+    """Degree of each nonzero column under row shifts solved from them, or None.
+
+    Looks for shifts a_i with deg(col[i]) + a_i the same over the nonzero
+    entries of every column; that common value is the column's degree.  The
+    shifts are propagated over the rows by a depth-first search, with one
+    free offset (zero) for each set of rows that columns connect.  None when
+    an entry is not homogeneous or no such shifts exist.
+    """
+    entry_degrees = []
+    for col in cols:
+        degs = {}
+        for i, p in enumerate(col):
+            if p.terms:
+                found = {sum(e) for e in p.terms}
+                if len(found) != 1:
+                    return None
+                degs[i] = found.pop()
+        entry_degrees.append(degs)
+    nrows = len(cols[0])
+    edges = [[] for _ in range(nrows)]  # row -> [(row, a_row - a_this)]
+    for degs in entry_degrees:
+        first, *rest = degs
+        for i in rest:
+            edges[first].append((i, degs[first] - degs[i]))
+            edges[i].append((first, degs[i] - degs[first]))
+    shift = [None] * nrows
+    for root in range(nrows):
+        if shift[root] is not None:
+            continue
+        shift[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for k, diff in edges[i]:
+                if shift[k] is None:
+                    shift[k] = shift[i] + diff
+                    stack.append(k)
+                elif shift[k] != shift[i] + diff:
+                    return None
+    degrees = []
+    for degs in entry_degrees:
+        i = next(iter(degs))
+        degrees.append(degs[i] + shift[i])
+    return degrees
+
+
+def _greedy_prune(cols, morder):
+    """Drop redundant nonzero columns from the last one back, one basis per column.
+
+    The reference for `prune_redundant_columns`, and its path for columns
+    that are not homogeneous.
+    """
     idx = len(cols) - 1
     while idx >= 0 and len(cols) > 1:
         others = cols[:idx] + cols[idx + 1 :]

@@ -343,11 +343,58 @@ GOLDEN_LINK_CI_CURVE = r"""{
 """
 
 
+# the rational normal quartic, as the CLI printed it while syzygy columns
+# were still pruned one module Groebner basis per column
+RNC4 = """ring x0,x1,x2,x3,x4 over QQ
+x0*x2 - x1^2
+x0*x3 - x1*x2
+x0*x4 - x1*x3
+x1*x3 - x2^2
+x1*x4 - x2*x3
+x2*x4 - x3^2
+"""
+
+GOLDEN_RESOLVE_RNC4 = r"""{
+  "command": "resolve",
+  "ring": "ring x0,x1,x2,x3,x4 over QQ",
+  "order": "grevlex",
+  "generators": [
+    "-x1^2 + x0*x2",
+    "-x1*x2 + x0*x3",
+    "-x1*x3 + x0*x4",
+    "-x2^2 + x1*x3",
+    "-x2*x3 + x1*x4",
+    "-x3^2 + x2*x4"
+  ],
+  "minimal": true,
+  "ranks": [
+    1,
+    6,
+    8,
+    3
+  ],
+  "differentials": [
+    "matrix 1 6\n-x1^2 + x0*x2; -x1*x2 + x0*x3; -x1*x3 + x0*x4; -x2^2 + x1*x3; -x2*x3 + x1*x4; -x3^2 + x2*x4",
+    "matrix 6 8\n-x2; -x3; 0; x3; x4; 0; 0; 0\nx1; 0; -x3; -x2; -x3; x4; x4; 0\n0; x1; x2; 0; 0; -x3; -x3; 0\n-x0; 0; 0; x1; 0; 0; -x3; x4\n0; -x0; 0; 0; x1; 0; x2; -x3\n0; 0; -x0; 0; -x0; x1; 0; x2",
+    "matrix 8 3\n-x3; -x4; 0\nx2; x3; 0\n-x1; 0; x3\n0; x3; x4\n0; -x2; -x3\n-x0; 0; x2\nx0; x1; 0\n0; -x0; -x1"
+  ],
+  "exact": true,
+  "cohen_macaulay": true,
+  "codim": 3,
+  "minimal_length": 3
+}
+"""
+
+
 def test_resolve_and_link_reports_match_golden(files, capsys):
     run(["resolve", "--ideal", files["curve.id"], "--minimal"])
     assert capsys.readouterr().out == GOLDEN_RESOLVE_CURVE
     run(["link", "--ideal-I", files["ci.id"], "--ideal-J", files["curve.id"]])
     assert capsys.readouterr().out == GOLDEN_LINK_CI_CURVE
+    rnc4 = files["tmp"] / "rnc4.id"
+    rnc4.write_text(RNC4)
+    run(["resolve", "--ideal", str(rnc4), "--minimal"])
+    assert capsys.readouterr().out == GOLDEN_RESOLVE_RNC4
 
 
 def test_resolve_and_link_build_one_resolution(files, capsys, monkeypatch):

@@ -109,6 +109,20 @@ def test_rational_normal_quartic_resolution():
     assert is_cohen_macaulay(J) == (True, 3, 3)
 
 
+def test_rational_normal_quintic_resolution():
+    """Eagon-Northcott ranks; pruning by degree keeps this under a second."""
+    names = tuple(f"x{i}" for i in range(6))
+    minors = [
+        f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(5) for j in range(i + 1, 5)
+    ]
+    J = Ideal.from_strings(Ring(names), minors)
+    res = minimal_resolution(J)
+    assert res.ranks() == [1, 10, 20, 15, 4]
+    assert res.minimal
+    assert verify_exactness(res).exact
+    assert is_cohen_macaulay(J) == (True, 4, 4)
+
+
 def test_exactness_catches_a_missing_syzygy():
     res = free_resolution(Ideal.from_strings(R, CURVE), minimalize=True)
     d1, d2 = res.differentials

@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from cmlink.groebner import Ideal
 from cmlink.modules import (
     ModuleOrder,
     NotInImageError,
     PolyMatrix,
+    _column_degrees,
+    _greedy_prune,
+    _kernel_generators,
     det_bareiss,
+    image_lifter,
     lift_through,
     module_groebner,
     module_normal_form,
@@ -169,3 +174,90 @@ def test_lift_failure_reports_remainder():
 def test_lift_zero_vector():
     M = PolyMatrix.from_strings(R, [["x", "y"]])
     assert lift_through([R.zero()], M) == [R.zero(), R.zero()]
+
+
+def test_lift_through_no_columns():
+    assert module_groebner([]) == ([], [])
+    S = Ring(("x",))
+    M = PolyMatrix.zero(S, 1, 0)
+    assert lift_through([S.zero()], M) == []
+    b = [S.poly("x")]
+    with pytest.raises(NotInImageError) as exc:
+        image_lifter(M)(b)
+    assert exc.value.remainder == b
+
+
+def _as_text(columns):
+    return [[str(p) for p in col] for col in columns]
+
+
+def _prune_matches_greedy(columns):
+    """Prune `columns`; the kept columns must be exactly the greedy loop's."""
+    morder = ModuleOrder()
+    kept = prune_redundant_columns(columns, morder)
+    nonzero = [c for c in columns if not all(p.is_zero() for p in c)]
+    assert _as_text(kept) == _as_text(_greedy_prune(nonzero, morder))
+    return kept
+
+
+def _minors(top, bottom):
+    m = len(top)
+    return [f"({top[i]})*({bottom[j]}) - ({top[j]})*({bottom[i]})"
+            for i in range(m) for j in range(i + 1, m)]
+
+
+P5 = Ring(tuple(f"x{i}" for i in range(5)))
+RS = Ring(("x", "y", "z"), ("s",))
+
+
+@pytest.mark.parametrize("ring, gens, graded", [
+    (P5, _minors([f"x{i}" for i in range(4)], [f"x{i + 1}" for i in range(4)]), True),
+    (P5, _minors(["2*x0", "-x1", "3*x2", "-x3"], ["-x1", "2*x2", "x3", "-3*x4"]), True),
+    (R, ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"], True),
+    (R, ["y^2 - x*z", "x^3 - y*z", "x^2*y - z^2"], False),
+    (RS, ["x*y - s*z^2", "x*z", "y*z"], True),
+    (R, ["x^2 - x", "x*y"], False),
+])
+def test_prune_matches_greedy_on_every_differential(ring, gens, graded):
+    """Kernel generators of each differential, pruned by degree or greedily."""
+    morder = ModuleOrder()
+    d = PolyMatrix([list(Ideal.from_strings(ring, gens).gens)], ring)
+    paths = []
+    while True:
+        columns = _kernel_generators(d, morder)
+        if not columns:
+            break
+        paths.append(_column_degrees(columns) is not None)
+        d = PolyMatrix.from_columns(_prune_matches_greedy(columns), ring)
+    # homogeneous ideals take the degree-by-degree path from the first step
+    assert paths[0] == graded
+
+
+def test_prune_falls_back_on_an_inhomogeneous_entry():
+    cols = [[x, y], [y, z], [x + y, y + z], [x * y, z**2 + x], [x**2, x * y]]
+    assert _column_degrees(cols) is None
+    assert len(_prune_matches_greedy(cols)) == 3
+
+
+def test_prune_by_degree_with_two_row_blocks():
+    """Rows 0-1 and rows 2-3 are graded with different shifts."""
+    zero = R.zero()
+    a0, a1 = [x, y, zero, zero], [y, z, zero, zero]
+    b0, b1 = [zero, zero, x**2, y], [zero, zero, y**2, z]
+    cols = [
+        [x * p + y * q for p, q in zip(b0, b1)],
+        a0,
+        b0,
+        [p + 2 * q for p, q in zip(a0, a1)],
+        a1,
+        b1,
+        [x * p - z * q for p, q in zip(a0, a1)],
+        [zero, zero, x * y, x],
+        [zero, zero, x**2, zero],
+        # row 3 sits one degree above row 2, so this column has degree 2
+        [zero, zero, zero, y],
+    ]
+    assert _column_degrees(cols) == [3, 1, 2, 1, 1, 2, 2, 2, 2, 2]
+    # a1 is in the span of a0 and a0 + 2*a1 before it, so it goes instead
+    kept = [cols[j] for j in (1, 2, 3, 5, 7, 8)]
+    assert _as_text(_prune_matches_greedy(cols)) == _as_text(kept)
