@@ -28,6 +28,7 @@ from .groebner import (
 )
 from .linkage import (
     ComplexMorphism,
+    ContainmentFailureError,
     GenericCIError,
     MorphismError,
     comparison_morphism,
@@ -118,6 +119,13 @@ def _same_ring(*ideals):
     return ring
 
 
+def _failed(report, error):
+    """A computation that cannot go on: exit 1, `ok` false and the reason."""
+    report["ok"] = False
+    report["error"] = str(error)
+    return EXIT_FAIL, report
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -156,11 +164,13 @@ def cmd_member(args):
         else:
             p = ideal_codim(J, order)
             I = generic_ci(J, p, seed=args.seed)
-        K = KoszulComplex(list(I.gens))
-        E = minimal_resolution(J, order)
-        morphism = comparison_morphism(K, E, order)
-        ap = morphism.top_entries()
         report["I"] = _gens(I)
+        try:
+            K = KoszulComplex(list(I.gens))
+            E = minimal_resolution(J, order)
+            ap = comparison_morphism(K, E, order).top_entries()
+        except (ContainmentFailureError, MorphismError) as exc:
+            return _failed(report, exc)
         report["top_entries"] = [str(h) for h in ap]
         verdict = membership_via_link(g, I, ap, order)
     else:  # det
@@ -170,7 +180,10 @@ def cmd_member(args):
         _same_ring(I, J)
         A = read_matrix_file(args.matrix_A, J.ring)
         report["I"] = _gens(I)
-        verdict = det_transform_member(g, I, J, A, order)
+        try:
+            verdict = det_transform_member(g, I, J, A, order)
+        except ValueError as exc:
+            return _failed(report, exc)
     report["verdict"] = verdict
     return (EXIT_OK if verdict else EXIT_FAIL), report
 
@@ -265,28 +278,23 @@ def _linkage_report(args, supplied=None):
     try:
         cm, codim, length = is_cohen_macaulay(J, order)
         if not cm:
-            report["ok"] = False
-            report["error"] = (
+            return _failed(
+                report,
                 "target ideal is not Cohen-Macaulay: codim "
-                f"{codim}, minimal resolution length {length}"
+                f"{codim}, minimal resolution length {length}",
             )
-            return EXIT_FAIL, report
         K = KoszulComplex(list(I.gens))
         E = minimal_resolution(J, order)
         if supplied is not None:
             morphism = ComplexMorphism(K, E, supplied, check=False)
             problem = morphism.violation()
             if problem is not None:
-                report["ok"] = False
-                report["error"] = f"morphism invalid: {problem}"
-                return EXIT_FAIL, report
+                return _failed(report, f"morphism invalid: {problem}")
         else:
             morphism = comparison_morphism(K, E, order)
         link = link_decomposition_check(I, J, morphism, order)
     except (ValueError, MorphismError) as exc:
-        report["ok"] = False
-        report["error"] = str(exc)
-        return EXIT_FAIL, report
+        return _failed(report, exc)
     report.update(json.loads(link.to_json()))
     report["ok"] = link.ok
     return (EXIT_OK if link.ok else EXIT_FAIL), report
@@ -322,9 +330,7 @@ def cmd_det_member(args):
     try:
         verdict = det_transform_member(g, I, J, A, order)
     except ValueError as exc:
-        report["ok"] = False
-        report["error"] = str(exc)
-        return EXIT_FAIL, report
+        return _failed(report, exc)
     report["verdict"] = verdict
     return (EXIT_OK if verdict else EXIT_FAIL), report
 
@@ -367,11 +373,7 @@ def cmd_recipe(args):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     except RecipeError as exc:
-        return EXIT_FAIL, {
-            "command": "recipe",
-            "ok": False,
-            "error": str(exc),
-        }
+        return _failed({"command": "recipe"}, exc)
     report = {"command": "recipe", "ok": True}
     report.update(json.loads(rec.to_json()))
     return EXIT_OK, report

@@ -1,27 +1,25 @@
-"""Multivariate division, Buchberger's algorithm and the ideal toolkit.
+"""Multivariate division, reduced Groebner bases and the ideal toolkit.
 
-Everything is deterministic: S-pairs are selected by minimal lcm degree with a
-lexicographic tie-break on the lcm monomial, so the reduced basis returned for
-a given generator list and order is always the same.
+A polynomial is a vector of one entry: division is `modules.module_normal_form`
+and Buchberger's algorithm is the pair loop of `modules`, which skips pairs by
+the coprime and chain criteria at rank 1.  Everything is deterministic: S-pairs
+are selected by minimal lcm degree with a lexicographic tie-break on the lcm
+monomial, and the reduced basis is unique.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
+from .modules import ModuleOrder, _groebner, _leading, _module_spair, module_normal_form
 from .poly import (
     GREVLEX,
-    MonomialOrder,
     Polynomial,
     Ring,
     RingMismatchError,
     block_order,
-    grevlex_order,
-    monomial_div,
     monomial_divides,
-    monomial_lcm,
-    monomial_mul,
 )
 
 
@@ -37,43 +35,16 @@ def normal_form(f, basis, order=GREVLEX):
     """Divide f by the list `basis`, returning quotients and remainder.
 
     No remainder term is divisible by any divisor's leading term; against a
-    reduced Groebner basis the remainder is the canonical normal form.
+    reduced Groebner basis the remainder is the canonical normal form.  Zero
+    divisors are dropped, and the quotients follow the remaining ones.
     """
     basis = [g for g in basis if not g.is_zero()]
     if not basis:
         raise ValueError("division requires a nonempty basis")
-    ring = f.ring
-    for g in basis:
-        if g.ring != ring:
-            raise RingMismatchError("divisor in a different ring")
-    leads = [g.leading_term(order) for g in basis]
-    quotients = [ring.zero() for _ in basis]
-    remainder = {}
-    work = dict(f.terms)
-    while work:
-        exps = max(work, key=order.key)
-        coeff = work.pop(exps)
-        for i, (lm, lc) in enumerate(leads):
-            if monomial_divides(lm, exps):
-                t_exps = monomial_div(exps, lm)
-                t_coeff = ring.coeff_div(coeff, lc)
-                quotients[i] = quotients[i] + Polynomial(ring, {t_exps: t_coeff})
-                sub = basis[i].term_mul(t_exps, t_coeff)
-                for e, c in sub.terms.items():
-                    if e == exps:
-                        continue
-                    if e in work:
-                        s = ring.coeff_add(work[e], ring.coeff_neg(c))
-                        if ring.coeff_is_zero(s):
-                            del work[e]
-                        else:
-                            work[e] = s
-                    else:
-                        work[e] = ring.coeff_neg(c)
-                break
-        else:
-            remainder[exps] = coeff
-    return DivisionResult(quotients, Polynomial(ring, remainder))
+    if any(g.ring != f.ring for g in basis):
+        raise RingMismatchError("divisor in a different ring")
+    quotients, rem = module_normal_form([f], [[g] for g in basis], ModuleOrder(order))
+    return DivisionResult(quotients, rem[0])
 
 
 def reduce_poly(f, basis, order=GREVLEX):
@@ -83,96 +54,34 @@ def reduce_poly(f, basis, order=GREVLEX):
 
 
 def s_polynomial(f, g, order=GREVLEX):
-    ring = f.ring
-    lmf, lcf = f.leading_term(order)
-    lmg, lcg = g.leading_term(order)
-    lcm = monomial_lcm(lmf, lmg)
-    tf = f.term_mul(monomial_div(lcm, lmf), ring.coeff_div(ring.coeff(1), lcf))
-    tg = g.term_mul(monomial_div(lcm, lmg), ring.coeff_div(ring.coeff(1), lcg))
-    return tf - tg
-
-
-def _monic(f, order):
-    return f.scale(f.ring.coeff_div(f.ring.coeff(1), f.leading_coeff(order)))
+    vecs = [[f], [g]]
+    leads = [_leading(v, ModuleOrder(order)) for v in vecs]
+    return _module_spair(vecs, None, leads, 0, 1, f.ring)[0][0]
 
 
 def buchberger(gens, order=GREVLEX):
-    """Reduced Groebner basis of the ideal generated by `gens`.
+    """Reduced Groebner basis of the ideal generated by `gens`, in descending order.
 
-    Normal selection strategy (minimal lcm degree, lex tie-break on the lcm),
-    with Buchberger's coprimality and chain criteria.
+    The pair loop of `modules` on the generators as vectors of one entry,
+    without representations.  Its basis is made reduced in one pass: drop
+    each element whose leading monomial another's divides (the first of
+    equal ones stays), then reduce each one left by the others.
     """
-    ring = None
+    gens = list(gens)
+    if any(g.ring != gens[0].ring for g in gens):
+        raise RingMismatchError("generators in different rings")
+    morder = ModuleOrder(order)
+    vecs, _, leads = _groebner([[g] for g in gens], morder, False)
+    kept = []  # ascending, so a divisor of a leading monomial is met first
+    for i in sorted(range(len(vecs)), key=lambda k: order.key(leads[k][1])):
+        if not any(monomial_divides(leads[k][1], leads[i][1]) for k in kept):
+            kept.append(i)
     basis = []
-    for g in gens:
-        if ring is None:
-            ring = g.ring
-        elif g.ring != ring:
-            raise RingMismatchError("generators in different rings")
-        if not g.is_zero():
-            basis.append(_monic(g, order))
-    if not basis:
-        return []
-    basis = _interreduce(basis, order)
-
-    def pair_key(i, j):
-        lcm = monomial_lcm(basis[i].leading_monomial(order), basis[j].leading_monomial(order))
-        return (sum(lcm), lcm, i, j)
-
-    pairs = {(i, j) for i, j in combinations(range(len(basis)), 2)}
-    done = set()
-    while pairs:
-        i, j = min(pairs, key=lambda p: pair_key(*p))
-        pairs.discard((i, j))
-        done.add((i, j))
-        lmi = basis[i].leading_monomial(order)
-        lmj = basis[j].leading_monomial(order)
-        lcm = monomial_lcm(lmi, lmj)
-        if lcm == monomial_mul(lmi, lmj):
-            continue  # coprime leading terms
-        if _chain_criterion(i, j, lcm, basis, order, done):
-            continue
-        rem = reduce_poly(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not rem.is_zero():
-            basis.append(_monic(rem, order))
-            k = len(basis) - 1
-            pairs.update((m, k) for m in range(k))
-    return _interreduce(basis, order)
-
-
-def _chain_criterion(i, j, lcm, basis, order, done):
-    for k in range(len(basis)):
-        if k in (i, j):
-            continue
-        if not monomial_divides(basis[k].leading_monomial(order), lcm):
-            continue
-        a, b = min(i, k), max(i, k)
-        c, d = min(j, k), max(j, k)
-        if (a, b) in done and (c, d) in done:
-            return True
-    return False
-
-
-def _interreduce(basis, order):
-    """Fully reduce each element against the others, preserving the ideal."""
-    basis = [_monic(g, order) for g in basis if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
-        for idx in range(len(basis)):
-            others = basis[:idx] + basis[idx + 1 :]
-            if not others:
-                continue
-            red = reduce_poly(basis[idx], others, order)
-            if red != basis[idx]:
-                changed = True
-                if red.is_zero():
-                    basis = others
-                else:
-                    basis[idx] = _monic(red, order)
-                break
-    basis.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+    for i in reversed(kept):
+        others = [k for k in kept if k != i]
+        _, rem = module_normal_form(vecs[i], [vecs[k] for k in others], morder,
+                                    [leads[k] for k in others])
+        basis.append(rem[0])
     return basis
 
 

@@ -4,6 +4,11 @@ Matrices of polynomials, module Groebner bases under a position-over-term
 order, Schreyer-style syzygy computation, and exact lifting of a vector
 through the image of a matrix.  Vectors are lists of polynomials; internally
 module terms are keyed by (position, exponent tuple).
+
+The pair loop `_groebner` and the division `module_normal_form` are the only
+Buchberger loop and division loop of the package: `groebner` runs ideals
+through them as vectors of one entry, where the order is the ring order and
+the loop skips pairs by the coprime and chain criteria.
 """
 
 from __future__ import annotations
@@ -151,23 +156,33 @@ def det_bareiss(M):
         raise ValueError("determinant of a non-square matrix")
     from .groebner import divide_exact
 
-    n = M.nrows
-    ring = M.ring
-    a = [[M.rows[i][j] for j in range(n)] for i in range(n)]
+    return _bareiss_det(M.rows, M.ring.one(), Polynomial.is_zero, divide_exact)
+
+
+def _bareiss_det(rows, one, is_zero, divide):
+    """Determinant of a square matrix, given as rows, by Bareiss elimination.
+
+    Works over any integral domain: `is_zero` tests an entry and
+    `divide(a, b)` returns the exact quotient a/b of a nonzero a.  The empty matrix has
+    determinant `one`.  `rows` is left unchanged.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return one
     sign = 1
-    prev = ring.one()
+    prev = one
     for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
+        piv = next((i for i in range(k, n) if not is_zero(a[i][k])), None)
         if piv is None:
-            return ring.zero()
+            return a[k][k]  # a zero entry: the matrix is singular
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = divide_exact(num, prev) if not num.is_zero() else ring.zero()
-            a[i][k] = ring.zero()
+                a[i][j] = num if is_zero(num) else divide(num, prev)
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
@@ -272,27 +287,46 @@ def module_groebner(columns, morder=None, order=GREVLEX):
     """Module Groebner basis of the given vectors, with representations.
 
     Returns (basis, reps) where each basis vector equals
-    sum(reps[k][j] * columns[j]).  S-pairs are taken by lcm degree, then the
-    lcm, then the pair's indices.
+    sum(reps[k][j] * columns[j]).  The pair loop is `_groebner`, the one
+    Buchberger loop of the package; `groebner.buchberger` runs it on
+    vectors of one entry.
     """
     if morder is None:
         morder = ModuleOrder(order)
+    basis, reps, _ = _groebner(columns, morder, True)
+    return basis, reps
+
+
+def _groebner(columns, morder, track_reps):
+    """(basis, reps, leads) of the given vectors; reps is None unless tracked.
+
+    S-pairs are taken from a heap by lcm degree, then the lcm, then the
+    pair's indices.  On vectors of one entry (polynomials) a pair is skipped
+    when its leading monomials are coprime or, by the chain criterion, when
+    some basis element's leading monomial divides the lcm and both its
+    pairs with the two have been taken.  At higher rank every same-position
+    pair is reduced, so the unreduced basis, and every syzygy read from it,
+    stays as it is.
+    """
     nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
     if not nonzero:
-        return [], []
+        return [], [] if track_reps else None, []
     ring = columns[nonzero[0]][0].ring
-    ncols = len(columns)
+    units = PolyMatrix.identity(ring, len(columns)).rows if track_reps else None
+    rank1 = len(columns[nonzero[0]]) == 1
     basis = []
-    reps = []
+    reps = [] if track_reps else None
     leads = []
     pairs = []  # heap of (sum(lcm), lcm, i, j) over same-position i < j
+    taken = set()
 
     def add(vec, rep):
         lead = _leading(vec, morder)
         inv = ring.coeff_div(ring.coeff(1), lead[2])
         j = len(basis)
         basis.append(_vec_scale(vec, inv))
-        reps.append([p.scale(inv) for p in rep])
+        if track_reps:
+            reps.append([p.scale(inv) for p in rep])
         leads.append(_leading(basis[j], morder))
         for i in range(j):
             if leads[i][0] == lead[0]:
@@ -300,20 +334,35 @@ def module_groebner(columns, morder=None, order=GREVLEX):
                 heapq.heappush(pairs, (sum(lcm), lcm, i, j))
 
     for j in nonzero:
-        rep = [ring.zero()] * ncols
-        rep[j] = ring.one()
-        add(columns[j], rep)
+        add(columns[j], units[j] if track_reps else None)
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, lcm, i, j = heapq.heappop(pairs)
+        if rank1:
+            taken.add((i, j))
+            if lcm == monomial_mul(leads[i][1], leads[j][1]) or _chain_criterion(
+                    i, j, lcm, leads, taken):
+                continue
         svec, srep = _module_spair(basis, reps, leads, i, j, ring)
         q, rem = module_normal_form(svec, basis, morder, leads)
         if not _vec_is_zero(rem):
-            add(rem, _combine(srep, q, reps))
-    return basis, reps
+            add(rem, _combine(srep, q, reps) if track_reps else None)
+    return basis, reps, leads
+
+
+def _chain_criterion(i, j, lcm, leads, taken):
+    """Some k, with a leading monomial dividing lcm, has had its pairs with i and j taken."""
+    return any(
+        k not in (i, j) and monomial_divides(lk, lcm)
+        and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
+        for k, (_, lk, _) in enumerate(leads)
+    )
 
 
 def _module_spair(basis, reps, leads, i, j, ring):
-    """S-vector of basis[i], basis[j] (same leading position) and its rep."""
+    """S-vector of basis[i], basis[j] (same leading position) and its rep.
+
+    The rep is None when `reps` is.
+    """
     pi, ei, ci = leads[i]
     pj, ej, cj = leads[j]
     assert pi == pj
@@ -331,7 +380,7 @@ def _module_spair(basis, reps, leads, i, j, ring):
         return a.term_mul(ti, ci) - b.term_mul(tj, cj)
 
     return ([sub(a, b) for a, b in zip(basis[i], basis[j])],
-            [sub(a, b) for a, b in zip(reps[i], reps[j])])
+            None if reps is None else [sub(a, b) for a, b in zip(reps[i], reps[j])])
 
 
 def _kernel_generators(M, morder):
@@ -432,8 +481,7 @@ def prune_redundant_columns(columns, morder=None, order=GREVLEX):
     keep = [False] * len(cols)
     for d in sorted(set(degrees)):
         below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
-        basis, _ = module_groebner(below, morder)
-        leads = [_leading(w, morder) for w in basis]
+        basis, _, leads = _groebner(below, morder, False)
         pivots = []  # (key, row): rows in echelon form, each zero at earlier keys
         for j, col in enumerate(cols):
             if degrees[j] != d:
@@ -519,8 +567,8 @@ def _greedy_prune(cols, morder):
     idx = len(cols) - 1
     while idx >= 0 and len(cols) > 1:
         others = cols[:idx] + cols[idx + 1 :]
-        basis, _ = module_groebner(others, morder)
-        _, rem = module_normal_form(cols[idx], basis, morder)
+        basis, _, leads = _groebner(others, morder, False)
+        _, rem = module_normal_form(cols[idx], basis, morder, leads)
         if _vec_is_zero(rem):
             cols = others
             idx = min(idx, len(cols)) - 1

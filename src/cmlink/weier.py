@@ -20,6 +20,7 @@ from fractions import Fraction
 import sympy
 
 from .groebner import GREVLEX, Ideal, ideal_codim
+from .modules import _bareiss_det
 from .poly import (
     LinearChange,
     Polynomial,
@@ -321,7 +322,7 @@ def resultant_sylvester(P, Q, var):
         for k in range(n + 1):
             mat[n + j][j + k] = qc[k]
     if domain == sympy.QQ:
-        det = _det_bareiss_field(mat, domain)
+        det = _bareiss_det(mat, domain.one, lambda c: not c, lambda a, b: a / b)
         return ring.constant(Fraction(int(det.numerator), int(det.denominator)))
     # scale each row to polynomial entries, run fraction-free Bareiss over
     # the polynomial ring, and divide the scaling back out at the end
@@ -337,52 +338,9 @@ def resultant_sylvester(P, Q, var):
         pmat.append(
             [c.numer * rden.exquo(c.denom) if c else fring.zero for c in row]
         )
-    det = _det_bareiss_ring(pmat, fring)
+    det = _bareiss_det(pmat, fring.one, lambda c: not c, lambda a, b: a.exquo(b))
     result = domain.field(det) / domain.field(scale)
     return Polynomial.from_sympy(domain.to_sympy(result), ring)
-
-
-def _det_bareiss_field(mat, domain):
-    size = len(mat)
-    sign = 1
-    prev = domain.one
-    for k in range(size - 1):
-        piv = next((i for i in range(k, size) if mat[i][k] != domain.zero), None)
-        if piv is None:
-            return domain.zero
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) / prev
-            mat[i][k] = domain.zero
-        prev = mat[k][k]
-    det = mat[size - 1][size - 1]
-    return -det if sign < 0 else det
-
-
-def _det_bareiss_ring(mat, fring):
-    """Bareiss over a polynomial ring; every division is exact."""
-    size = len(mat)
-    sign = 1
-    prev = fring.one
-    for k in range(size - 1):
-        piv = next((i for i in range(k, size) if mat[i][k]), None)
-        if piv is None:
-            return fring.zero
-        if piv != k:
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]).exquo(
-                    prev
-                )
-            mat[i][k] = fring.zero
-        prev = mat[k][k]
-    det = mat[size - 1][size - 1]
-    return -det if sign < 0 else det
 
 
 def _work_ring(ring):

@@ -411,3 +411,39 @@ def test_resolve_and_link_build_one_resolution(files, capsys, monkeypatch):
     assert run(["link", "--ideal-I", files["ci.id"], "--ideal-J", files["curve.id"]]) == 0
     assert len(built) == 2
     capsys.readouterr()
+
+
+def _member_failure(capsys, argv):
+    """A member run that cannot go on: exit 1, `ok` false and an error, no traceback."""
+    code, report = capture(capsys, ["member", "--g", "x"] + argv)
+    assert code == 1
+    assert report["ok"] is False
+    assert "verdict" not in report
+    return report["error"]
+
+
+def test_member_via_link_non_cm_target(files, capsys, tmp_path):
+    J = tmp_path / "xy.id"
+    J.write_text("ring x,y over QQ\nx^2\nx*y\n")
+    error = _member_failure(capsys, ["--ideal-J", str(J), "--via", "link"])
+    assert "different lengths" in error
+
+
+def test_member_via_link_i_outside_j(files, capsys, tmp_path):
+    I = tmp_path / "outside.id"
+    I.write_text("ring x,y,z over QQ\nx\ny\n")
+    error = _member_failure(
+        capsys, ["--ideal-J", files["curve.id"], "--ideal-I", str(I), "--via", "link"]
+    )
+    assert "not in the target ideal" in error
+
+
+def test_member_via_det_broken_row_identity(files, capsys, tmp_path):
+    A = tmp_path / "identity.mat"
+    A.write_text("ring x,y over QQ\nmatrix 2 2\n1; 0\n0; 1\n")
+    error = _member_failure(
+        capsys,
+        ["--ideal-J", files["J2.id"], "--ideal-I", files["I2.id"], "--matrix-A", str(A),
+         "--via", "det"],
+    )
+    assert "row identity" in error

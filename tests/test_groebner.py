@@ -1,8 +1,10 @@
 """Division, Buchberger, ideal operations and dimension counting."""
 
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cmlink.groebner import (
@@ -174,3 +176,50 @@ def test_product_membership_property(f, g):
     assert I.contains(f * g)
     gb = I.groebner_basis(GREVLEX)
     assert reduce_poly(f * g + f, gb, GREVLEX) == reduce_poly(f, gb, GREVLEX)
+
+
+# -- differential test against sympy ------------------------------------------
+
+
+def _sympy_basis(texts, order_name, order):
+    """sympy's reduced Groebner basis over QQ, made monic and sorted like `buchberger`'s."""
+    syms = sympy.symbols(R.variables)
+    exprs = [sympy.sympify(t.replace("^", "**")) for t in texts]
+    gb = [Polynomial.from_sympy(p.as_expr(), R)
+          for p in sympy.groebner(exprs, *syms, order=order_name, domain="QQ").polys]
+    gb = [g.scale(1 / g.leading_coeff(order)) for g in gb]
+    return sorted(gb, key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+
+
+def _random_texts(rng):
+    """2-3 generators in x, y, z of 2-3 terms, exponents <= 2, coefficients in ±{1,2,3}."""
+    out = []
+    for _ in range(rng.choice((2, 3))):
+        terms = []
+        for _ in range(rng.choice((2, 3))):
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            exps = [rng.randint(0, 2) for _ in range(3)]
+            terms.append("*".join([f"({c})"] + [f"{v}^{e}" for v, e in zip("xyz", exps) if e]))
+        out.append(" + ".join(terms))
+    return out
+
+
+@pytest.mark.parametrize("order_name, order", [("lex", LEX), ("grevlex", GREVLEX)])
+def test_buchberger_matches_sympy_on_seeded_inputs(order_name, order):
+    for seed in range(40):
+        texts = _random_texts(random.Random(seed))
+        gb = buchberger([R.poly(t) for t in texts], order)
+        expected = _sympy_basis(texts, order_name, order)
+        assert [str(g) for g in gb] == [str(g) for g in expected], (seed, texts)
+
+
+def test_lex_trinomial_basis_matches_sympy():
+    texts = [
+        "-3*x^2*y^2*z^2 - x^2*y^2*z + 2*y*z^2",
+        "-2*x^2*y*z^2 - 2*x*y^2*z^2 + 3*y*z",
+        "2*x^2*y*z^2 - 2*y^2*z^2 - 2*x*z",
+    ]
+    gb = buchberger([R.poly(t) for t in texts], LEX)
+    expected = _sympy_basis(texts, "lex", LEX)
+    assert [str(g) for g in gb] == [str(g) for g in expected]
+    assert len(gb) == 3

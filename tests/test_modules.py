@@ -261,3 +261,18 @@ def test_prune_by_degree_with_two_row_blocks():
     # a1 is in the span of a0 and a0 + 2*a1 before it, so it goes instead
     kept = [cols[j] for j in (1, 2, 3, 5, 7, 8)]
     assert _as_text(_prune_matches_greedy(cols)) == _as_text(kept)
+
+
+def test_det_of_the_empty_matrix_is_one():
+    assert det_bareiss(PolyMatrix([], R)) == R.one()
+
+
+def test_lift_through_one_row_solves():
+    """One row: the pair loop skips pairs by its criteria while tracking representations."""
+    rng = random.Random(11)
+    for _ in range(10):
+        M = PolyMatrix([[random_poly(rng, 2, 3) for _ in range(rng.choice((2, 3, 4)))]], R)
+        lift = image_lifter(M)
+        for _ in range(3):
+            b = M * [random_poly(rng, 1, 2) for _ in range(M.ncols)]
+            assert M * lift(b) == b
