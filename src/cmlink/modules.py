@@ -20,6 +20,7 @@ from .poly import (
     GREVLEX,
     Polynomial,
     RingMismatchError,
+    _bareiss_det,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -157,35 +158,6 @@ def det_bareiss(M):
     from .groebner import divide_exact
 
     return _bareiss_det(M.rows, M.ring.one(), Polynomial.is_zero, divide_exact)
-
-
-def _bareiss_det(rows, one, is_zero, divide):
-    """Determinant of a square matrix, given as rows, by Bareiss elimination.
-
-    Works over any integral domain: `is_zero` tests an entry and
-    `divide(a, b)` returns the exact quotient a/b of a nonzero a.  The empty matrix has
-    determinant `one`.  `rows` is left unchanged.
-    """
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return one
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not is_zero(a[i][k])), None)
-        if piv is None:
-            return a[k][k]  # a zero entry: the matrix is singular
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if is_zero(num) else divide(num, prev)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
 
 
 # -- module term order and division -------------------------------------------

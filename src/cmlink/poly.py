@@ -1,10 +1,12 @@
 """Exact sparse multivariate polynomials.
 
-Coefficients are arbitrary-precision rationals, or elements of the fraction
-field QQ(params) when the ring designates a parameter block.  Monomials are
-exponent tuples of fixed length; term order objects provide sort keys for
-lex, graded-reverse-lex and block-elimination orders.  No floating point
-anywhere.
+Coefficients are `fractions.Fraction`s over QQ.  When the ring designates a
+parameter block they are canonical elements of sympy's fraction field
+QQ(params) (`FracElement`s, numerator and denominator coprime with the
+denominator's leading coefficient positive), printed in sympy's
+fraction-field form.  Monomials are exponent tuples of fixed length; term
+order objects provide sort keys for lex, graded-reverse-lex and
+block-elimination orders.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.polys.fields import FracElement
 
 
 class RingMismatchError(ValueError):
@@ -41,8 +44,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 class Ring:
     """Polynomial ring QQ[vars] or QQ(params)[vars].
 
-    The parameter block, when present, is inverted: coefficients are reduced
-    rational functions in the parameters.
+    Coefficients over QQ are `fractions.Fraction`s.  The parameter block,
+    when present, is inverted: each coefficient is a canonical element of
+    the fraction field `sympy.QQ.frac_field(*params)` (`self.field`), so
+    equal coefficients are equal and hash alike, and they print in sympy's
+    fraction-field form, such as `(-972*s+162)/(s+1)`.
     """
 
     def __init__(self, variables, params=()):
@@ -56,12 +62,11 @@ class Ring:
         self.variables = variables
         self.params = params
         self.nvars = len(variables)
-        self._param_syms = sympy.symbols(params) if params else ()
+        # the fraction field QQ(params), or None over QQ
+        self.field = None
+        if params:
+            self.field = sympy.QQ.frac_field(*sympy.symbols(params)).field
         self._zero_exps = (0,) * self.nvars
-
-    @property
-    def has_params(self):
-        return bool(self.params)
 
     def __eq__(self, other):
         return (
@@ -84,46 +89,46 @@ class Ring:
         return f"ring {','.join(self.variables)} over {field}"
 
     # -- coefficient field ---------------------------------------------------
+    # Only coercion, the value at the origin and the sympy conversion depend
+    # on the field; arithmetic is the native operators of Fraction and
+    # FracElement, whose results are already canonical.
 
     def coeff(self, value):
         """Canonicalize `value` into the coefficient field."""
-        if self.has_params:
+        field = self.field
+        if field is None:
             if isinstance(value, Fraction):
-                value = sympy.Rational(value.numerator, value.denominator)
-            expr = sympy.sympify(value)
-            if not (expr.is_Rational or expr.is_polynomial(*self._param_syms)):
-                expr = sympy.cancel(expr)
-            allowed = set(self._param_syms)
-            if not expr.free_symbols <= allowed:
-                bad = expr.free_symbols - allowed
-                raise ValueError(f"coefficient uses non-parameter symbols {bad}")
-            return expr
-        if isinstance(value, Fraction):
+                return value
+            if isinstance(value, int):
+                return Fraction(value)
+            if isinstance(value, str):
+                return Fraction(value)
+            if isinstance(value, sympy.Expr) and value.is_Rational:
+                return Fraction(int(value.p), int(value.q))
+            raise ValueError(f"cannot coerce {value!r} into QQ")
+        if isinstance(value, FracElement) and value.field == field:
             return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, sympy.Expr) and value.is_Rational:
-            return Fraction(int(value.p), int(value.q))
-        raise ValueError(f"cannot coerce {value!r} into QQ")
+        if isinstance(value, (int, Fraction)):
+            return field.ground_new(sympy.QQ(value.numerator, value.denominator))
+        expr = sympy.sympify(value)
+        bad = expr.free_symbols - set(field.symbols)
+        if bad:
+            raise ValueError(f"coefficient uses non-parameter symbols {bad}")
+        # from_expr can leave the signs of numerator and denominator
+        # unnormalized (1/(1-s) against -1/(s-1)); new() makes them canonical
+        element = field.from_expr(expr)
+        return field.new(element.numer, element.denom)
 
     def coeff_is_zero(self, c):
-        if self.has_params:
-            return c.is_zero is True or sympy.cancel(c) == 0
-        return c == 0
+        return not c
 
     def coeff_add(self, a, b):
-        return sympy.cancel(a + b) if self.has_params else a + b
+        return a + b
 
     def coeff_mul(self, a, b):
-        return sympy.cancel(a * b) if self.has_params else a * b
+        return a * b
 
     def coeff_div(self, a, b):
-        if self.has_params:
-            if self.coeff_is_zero(b):
-                raise ZeroDivisionError("division by zero coefficient")
-            return sympy.cancel(a / b)
         return a / b
 
     def coeff_neg(self, a):
@@ -131,20 +136,23 @@ class Ring:
 
     def coeff_at_origin(self, c):
         """Value of a coefficient at params = 0, as a Fraction."""
-        if not self.has_params:
+        if self.field is None:
             return c
-        num, den = sympy.fraction(sympy.cancel(c))
-        subs = {s: 0 for s in self._param_syms}
-        d0 = den.subs(subs)
-        if d0 == 0:
+        origin = self.field.ring.zero_monom
+        d0 = c.denom.get(origin)
+        if not d0:
             raise OriginPoleError(f"denominator of {c} vanishes at the origin")
-        val = sympy.Rational(num.subs(subs)) / sympy.Rational(d0)
-        return Fraction(int(val.p), int(val.q))
+        val = c.numer.get(origin, sympy.QQ.zero) / d0
+        return Fraction(int(val.numerator), int(val.denominator))
 
     def coeff_str(self, c):
-        if self.has_params:
-            return str(c).replace(" ", "")
-        return str(c)
+        return str(c).replace(" ", "")
+
+    def coeff_to_sympy(self, c):
+        """The coefficient as a sympy expression."""
+        if self.field is None:
+            return sympy.Rational(c.numerator, c.denominator)
+        return c.as_expr()
 
     # -- constructors --------------------------------------------------------
 
@@ -173,7 +181,7 @@ class Ring:
     def param(self, name):
         if name not in self.params:
             raise ValueError(f"{name!r} is not a parameter of {self!r}")
-        return self.constant(sympy.Symbol(name))
+        return self.constant(self.field.gens[self.params.index(name)])
 
     def poly(self, text):
         return parse_poly(text, self)
@@ -408,21 +416,10 @@ class Polynomial:
                 other = self.ring.constant(other)
             else:
                 return NotImplemented
-        if self.ring != other.ring:
-            return False
-        if not self.ring.has_params:
-            return self.terms == other.terms
-        return (self - other).is_zero()
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        ring = self.ring
-        if ring.has_params:
-            # coefficients have no canonical text, but equal polynomials
-            # have the same support
-            return hash((ring, frozenset(self.terms)))
-        return hash(
-            (ring, frozenset((e, ring.coeff_str(c)) for e, c in self.terms.items()))
-        )
+        return hash((self.ring, frozenset(self.terms.items())))
 
     # -- substitution --------------------------------------------------------
 
@@ -465,14 +462,15 @@ class Polynomial:
                 for i, e in enumerate(exps)
                 if e
             )
-            if ring.has_params and not c.is_Rational:
-                cs = f"({ring.coeff_str(c)})"
-                piece = cs if not mono else f"{cs}*{mono}"
-                pieces.append(("+", piece))
-                continue
-            frac = c if isinstance(c, Fraction) else Fraction(int(c.p), int(c.q))
-            sign = "-" if frac < 0 else "+"
-            mag = -frac if frac < 0 else frac
+            if not isinstance(c, Fraction):
+                if not (c.numer.is_ground and c.denom.is_ground):
+                    cs = f"({ring.coeff_str(c)})"
+                    pieces.append(("+", cs if not mono else f"{cs}*{mono}"))
+                    continue
+                # a rational number: its value at the origin is itself
+                c = ring.coeff_at_origin(c)
+            sign = "-" if c < 0 else "+"
+            mag = -c if c < 0 else c
             if not mono:
                 piece = str(mag)
             elif mag == 1:
@@ -501,12 +499,7 @@ class Polynomial:
             for s, e in zip(syms, exps):
                 if e:
                     mono *= s**e
-            cexpr = (
-                c
-                if self.ring.has_params
-                else sympy.Rational(c.numerator, c.denominator)
-            )
-            expr += cexpr * mono
+            expr += self.ring.coeff_to_sympy(c) * mono
         return expr
 
     @classmethod
@@ -528,37 +521,42 @@ class Polynomial:
             p = sympy.Poly(num, *syms, domain="QQ")
         terms = {}
         for exps, c in p.terms():
-            coeff = p.domain.to_sympy(c)
-            if den != 1:
-                coeff = sympy.cancel(coeff / den)
-            coeff = ring.coeff(coeff)
+            coeff = ring.coeff(p.domain.to_sympy(c) / den)
             if not ring.coeff_is_zero(coeff):
                 terms[tuple(exps)] = coeff
         return Polynomial(ring, terms)
 
 
-# -- linear changes of variables ---------------------------------------------
+# -- determinants and linear changes of variables ----------------------------
 
 
-def _mat_det(rows):
-    """Exact determinant by fraction-free elimination over QQ."""
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
+def _bareiss_det(rows, one, is_zero, divide):
+    """Determinant of a square matrix, given as rows, by Bareiss elimination.
+
+    Works over any integral domain: `is_zero` tests an entry and
+    `divide(a, b)` returns the exact quotient a/b of a nonzero a.  The empty matrix has
+    determinant `one`.  `rows` is left unchanged.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return one
     sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+    prev = one
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if not is_zero(a[i][k])), None)
         if piv is None:
-            return Fraction(0)
+            return a[k][k]  # a zero entry: the matrix is singular
         if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        det *= m[k][k]
         for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    return sign * det
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = num if is_zero(num) else divide(num, prev)
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return -det if sign < 0 else det
 
 
 def _mat_inv(rows):
@@ -586,7 +584,7 @@ class LinearChange:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        if _mat_det(rows) == 0:
+        if not _bareiss_det(rows, Fraction(1), lambda c: not c, lambda a, b: a / b):
             raise SingularMatrixError("linear change must be invertible")
         self.matrix = rows
         self.size = n

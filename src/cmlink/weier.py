@@ -20,12 +20,12 @@ from fractions import Fraction
 import sympy
 
 from .groebner import GREVLEX, Ideal, ideal_codim
-from .modules import _bareiss_det
 from .poly import (
     LinearChange,
     Polynomial,
     Ring,
     SingularMatrixError,
+    _bareiss_det,
     apply_linear_change,
 )
 
@@ -99,71 +99,65 @@ def weierstrass_ready(f, var):
 
 
 def _euclid_symbols(ring, var):
-    """Euclid variable symbol, the other symbols, and what each of those is
-    in the ring (a variable index, or None for a parameter)."""
-    xname = ring.variables[var]
-    others = [(v, i) for i, v in enumerate(ring.variables) if i != var]
-    others += [(p, None) for p in ring.params]
-    xsym = sympy.Symbol(xname)
-    osyms = tuple(sympy.Symbol(v) for v, _ in others)
-    gen_index = [i for _, i in others]
-    return xsym, osyms, gen_index
+    """Euclid variable symbol and the other symbols: the remaining ring
+    variables in order, then the parameters."""
+    names = [v for i, v in enumerate(ring.variables) if i != var] + list(ring.params)
+    return sympy.Symbol(ring.variables[var]), tuple(sympy.Symbol(n) for n in names)
 
 
-def _from_poly_coeffs(coeff_list, ring, var, gen_index, fring):
-    """Ring polynomial from descending polynomial-domain coefficients.
+def _domain_poly(p, var, xsym, dom):
+    """p as a univariate sympy Poly in `xsym` over dom = QQ[other symbols].
 
-    Exponents of domain generators that are ring variables go back into the
-    monomial; parameter exponents are grouped exactly over QQ and each
-    coefficient expression is assembled once, so no simplification runs in
-    the inner loop.
+    The coefficients of p must have constant denominators; dom is QQ when
+    there are no other symbols.
+    """
+    ring = p.ring
+    others = [i for i in range(ring.nvars) if i != var]
+    acc = {}  # (degree in var,) -> {monomial in the other symbols -> QQ}
+    for exps, c in p.terms.items():
+        head = tuple(exps[i] for i in others)
+        sub = acc.setdefault((exps[var],), {})
+        if ring.field is None:
+            sub[head] = sympy.QQ(c.numerator, c.denominator)
+            continue
+        if not c.denom.is_ground:
+            raise ValueError(f"coefficient {c} has a parameter denominator")
+        den = c.denom.LC
+        for pm, q in c.numer.items():
+            sub[head + pm] = q / den
+    if dom == sympy.QQ:
+        rep = {k: sub[()] for k, sub in acc.items()}
+    else:
+        rep = {k: dom.ring.from_dict(sub) for k, sub in acc.items()}
+    return sympy.Poly.from_dict(rep, xsym, domain=dom)
+
+
+def _from_poly_coeffs(coeff_list, ring, var):
+    """Ring polynomial from descending coefficients in QQ[other symbols].
+
+    Exponents of the other ring variables go back into the monomial; the
+    parameter exponents build each coefficient's numerator in the ring's
+    field.
     """
     deg = len(coeff_list) - 1
-    nparams = len(ring.params)
-    psyms = [sympy.Symbol(n) for n in ring.params]
-    param_pos = {
-        gi: ring.params.index(fring.symbols[gi].name)
-        for gi, idx in enumerate(gen_index)
-        if idx is None
-    }
-    acc = {}  # ring exponents -> {parameter monomial -> Fraction}
+    others = [i for i in range(ring.nvars) if i != var]
+    split = len(others)
+    acc = {}  # ring exponents -> {parameter monomial -> QQ}
     for k, c in enumerate(coeff_list):
-        if not c:
-            continue
         for mono, q in c.terms():
             exps = [0] * ring.nvars
             exps[var] = deg - k
-            pmono = [0] * nparams
-            for gi, e in enumerate(mono):
-                if not e:
-                    continue
-                idx = gen_index[gi]
-                if idx is not None:
-                    exps[idx] = e
-                else:
-                    pmono[param_pos[gi]] = e
-            sub = acc.setdefault(tuple(exps), {})
-            pm = tuple(pmono)
-            sub[pm] = sub.get(pm, Fraction(0)) + Fraction(
-                int(q.numerator), int(q.denominator)
-            )
-    terms = {}
-    for key, sub in acc.items():
-        if nparams:
-            expr = sympy.Add(
-                *[
-                    sympy.Rational(v.numerator, v.denominator)
-                    * sympy.Mul(*[s**e for s, e in zip(psyms, pm) if e])
-                    for pm, v in sub.items()
-                    if v
-                ]
-            )
-            if expr != 0:
-                terms[key] = ring.coeff(expr)
-        else:
-            v = sum(sub.values(), Fraction(0))
-            if v:
-                terms[key] = v
+            for i, e in zip(others, mono):
+                exps[i] = e
+            acc.setdefault(tuple(exps), {})[mono[split:]] = q
+    field = ring.field
+    if field is None:
+        terms = {
+            key: Fraction(int(sub[()].numerator), int(sub[()].denominator))
+            for key, sub in acc.items()
+        }
+    else:
+        terms = {key: field.new(field.ring.from_dict(sub)) for key, sub in acc.items()}
     return Polynomial(ring, terms)
 
 
@@ -179,7 +173,7 @@ def extended_euclid(P, Q, var):
         raise ValueError("operands in different rings")
     if P.is_zero() or Q.is_zero():
         raise ValueError("extended Euclid needs nonzero inputs")
-    xsym, osyms, gen_index = _euclid_symbols(ring, var)
+    xsym, osyms = _euclid_symbols(ring, var)
     if not osyms:
         return _euclid_rational(P, Q, var, xsym)
     # fraction-free pseudo-remainder sequence over QQ[other symbols]: the
@@ -192,8 +186,8 @@ def extended_euclid(P, Q, var):
     Pc = P.scale(dP) if dP != 1 else P
     Qc = Q.scale(dQ) if dQ != 1 else Q
     dom = sympy.QQ[osyms]
-    p1 = sympy.Poly(Pc.to_sympy(), xsym, domain=dom)
-    p2 = sympy.Poly(Qc.to_sympy(), xsym, domain=dom)
+    p1 = _domain_poly(Pc, var, xsym, dom)
+    p2 = _domain_poly(Qc, var, xsym, dom)
     one = sympy.Poly(1, xsym, domain=dom)
     zero = sympy.Poly(0, xsym, domain=dom)
     r0, r1 = p1, p2
@@ -202,7 +196,8 @@ def extended_euclid(P, Q, var):
     while not r1.is_zero:
         if r0.degree() >= r1.degree():
             q, r = r0.pdiv(r1)  # alpha * r0 = q * r1 + r
-            alpha = r1.LC() ** (r0.degree() - r1.degree() + 1)
+            # the leading coefficient as a domain element, not an Expr
+            alpha = r1.rep.LC() ** (r0.degree() - r1.degree() + 1)
             s_next = s0.mul_ground(alpha) - q * s1
             t_next = t0.mul_ground(alpha) - q * t1
         else:
@@ -221,13 +216,7 @@ def extended_euclid(P, Q, var):
         t0, t1 = t1, t_next
     if not (s0 * p1 + t0 * p2 - r0).is_zero:
         raise ArithmeticError("Bezout identity failed in the Euclid loop")
-    fring = dom.ring
-    g, a, b = (
-        _from_poly_coeffs(
-            p.rep.to_list() if not p.is_zero else [], ring, var, gen_index, fring
-        )
-        for p in (r0, s0, t0)
-    )
+    g, a, b = (_from_poly_coeffs(p.rep.to_list(), ring, var) for p in (r0, s0, t0))
     # g = a * (dP * P) + b * (dQ * Q), so rescale the cofactors
     if dP != 1:
         a = a.scale(dP)
@@ -237,24 +226,24 @@ def extended_euclid(P, Q, var):
 
 
 def _param_denominator_lcm(p):
-    """Least common multiple of parameter denominators over the coefficients."""
-    ring = p.ring
-    if not ring.has_params:
-        return sympy.Integer(1)
-    den = sympy.Integer(1)
-    for c in p.terms.values():
-        if not c.is_Rational:
-            d = sympy.fraction(c)[1]
-            if d != 1:
-                den = sympy.lcm(den, d)
-    return den
+    """Least common multiple over ZZ of the coefficient denominators of p,
+    as a coefficient of its ring."""
+    field = p.ring.field
+    if field is None:
+        return Fraction(1)
+    zz = field.ring.clone(domain=sympy.ZZ)
+    den = zz.one
+    for d in {c.denom for c in p.terms.values()}:
+        if d != 1:
+            den = den.lcm(d.set_ring(zz))
+    return field.new(den.set_ring(field.ring))
 
 
 def _euclid_rational(P, Q, var, xsym):
     """Euclid for univariate polynomials over plain QQ."""
     ring = P.ring
-    p1 = sympy.Poly(P.to_sympy(), xsym, domain=sympy.QQ)
-    p2 = sympy.Poly(Q.to_sympy(), xsym, domain=sympy.QQ)
+    p1 = _domain_poly(P, var, xsym, sympy.QQ)
+    p2 = _domain_poly(Q, var, xsym, sympy.QQ)
     one = sympy.Poly(1, xsym, domain=sympy.QQ)
     zero = sympy.Poly(0, xsym, domain=sympy.QQ)
     r0, r1 = p1, p2
@@ -292,9 +281,10 @@ def _euclid_rational(P, Q, var, xsym):
 def resultant_sylvester(P, Q, var):
     """Determinant of the Sylvester matrix of P, Q in `var` (P-block rows first).
 
-    Fraction-free Bareiss elimination over the coefficient field of the
-    remaining variables; the result is free of `var` and vanishes exactly
-    when P and Q share a factor of positive degree in `var`.
+    Fraction-free Bareiss elimination over QQ[remaining variables and
+    parameters], after scaling the parameter denominators out of P and Q;
+    the result is free of `var` and vanishes exactly when P and Q share a
+    factor of positive degree in `var`.
     """
     ring = P.ring
     if P.ring != Q.ring:
@@ -303,44 +293,26 @@ def resultant_sylvester(P, Q, var):
     n = Q.degree_in(var)
     if m < 1 or n < 1:
         raise ValueError("resultant needs positive degree in the variable")
-    xsym, osyms, _ = _euclid_symbols(ring, var)
-    domain = sympy.QQ.frac_field(*osyms) if osyms else sympy.QQ
-    pc = [
-        domain.from_sympy(P.coefficient_in(var, m - k).to_sympy())
-        for k in range(m + 1)
-    ]
-    qc = [
-        domain.from_sympy(Q.coefficient_in(var, n - k).to_sympy())
-        for k in range(n + 1)
-    ]
+    xsym, osyms = _euclid_symbols(ring, var)
+    dom = sympy.QQ[osyms] if osyms else sympy.QQ
+    # scaling P by dP scales its n rows, so the determinant by dP^n
+    dP = _param_denominator_lcm(P)
+    dQ = _param_denominator_lcm(Q)
+    pc = _domain_poly(P.scale(dP), var, xsym, dom).rep.to_list()
+    qc = _domain_poly(Q.scale(dQ), var, xsym, dom).rep.to_list()
     size = m + n
-    mat = [[domain.zero for _ in range(size)] for _ in range(size)]
+    mat = [[dom.zero for _ in range(size)] for _ in range(size)]
     for i in range(n):
         for k in range(m + 1):
             mat[i][i + k] = pc[k]
     for j in range(m):
         for k in range(n + 1):
             mat[n + j][j + k] = qc[k]
-    if domain == sympy.QQ:
-        det = _bareiss_det(mat, domain.one, lambda c: not c, lambda a, b: a / b)
+    det = _bareiss_det(mat, dom.one, lambda c: not c, dom.exquo)
+    if not osyms:
         return ring.constant(Fraction(int(det.numerator), int(det.denominator)))
-    # scale each row to polynomial entries, run fraction-free Bareiss over
-    # the polynomial ring, and divide the scaling back out at the end
-    fring = domain.field.ring
-    scale = fring.one
-    pmat = []
-    for row in mat:
-        rden = fring.one
-        for c in row:
-            if c:
-                rden = rden.lcm(c.denom)
-        scale = scale * rden
-        pmat.append(
-            [c.numer * rden.exquo(c.denom) if c else fring.zero for c in row]
-        )
-    det = _bareiss_det(pmat, fring.one, lambda c: not c, lambda a, b: a.exquo(b))
-    result = domain.field(det) / domain.field(scale)
-    return Polynomial.from_sympy(domain.to_sympy(result), ring)
+    res = _from_poly_coeffs([det], ring, var)
+    return res.scale(ring.coeff_div(ring.coeff(1), dP**n * dQ**m))
 
 
 def _work_ring(ring):
@@ -349,20 +321,27 @@ def _work_ring(ring):
 
 
 def _to_work(p, work):
-    """Reinterpret p with variables 3..n as parameters."""
-    ring = p.ring
-    syms = [sympy.Symbol(v) for v in ring.variables[2:]]
+    """Reinterpret p with variables 3..n as parameters.
+
+    The work ring's parameters are those variables followed by p's
+    parameters, so each coefficient is rebuilt from exponent tuples.
+    """
+    ring, field = p.ring, work.field
+    if field is None:
+        return Polynomial(work, p.terms)
+    pad = (0,) * (ring.nvars - 2)
     out = {}
     for exps, c in p.terms.items():
-        if isinstance(c, Fraction):
-            cexpr = sympy.Rational(c.numerator, c.denominator)
+        if ring.field is None:
+            numer = {(): sympy.QQ(c.numerator, c.denominator)}
+            denom = {(): sympy.QQ.one}
         else:
-            cexpr = c
-        for s, e in zip(syms, exps[2:]):
-            if e:
-                cexpr = cexpr * s**e
+            numer, denom = c.numer, c.denom
+        coeff = field.new(
+            field.ring.from_dict({exps[2:] + m: q for m, q in numer.items()}),
+            field.ring.from_dict({pad + m: q for m, q in denom.items()}),
+        )
         key = exps[:2]
-        coeff = work.coeff(cexpr)
         if key in out:
             coeff = work.coeff_add(out[key], coeff)
         if work.coeff_is_zero(coeff):

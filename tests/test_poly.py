@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cmlink.poly import (
@@ -104,6 +105,40 @@ def test_param_ring_hash_agrees_with_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_param_ring_coefficients_are_canonical():
+    """One coefficient built several ways gives one polynomial: equal, hash
+    alike, one set element and one printed form, whatever the signs."""
+    U = Ring(("x",), ("s", "t"))
+    x_ = U.var("x")
+    s_ = sympy.Symbol("s")
+    s = U.coeff(s_)
+    ways = [
+        U.coeff(1 / (1 - s_)),
+        U.coeff(-1 / (s_ - 1)),
+        U.coeff_div(U.coeff(1), U.coeff_add(U.coeff(1), U.coeff_neg(s))),
+    ]
+    half, third = U.coeff(Fraction(1, 2)), U.coeff(Fraction(1, 3))
+    ratio = U.coeff_div(
+        U.coeff_mul(s, half), U.coeff_add(U.coeff_mul(s, third), U.coeff(1))
+    )
+    for group in (ways, [ratio, U.coeff("3*s/(2*s+6)")]):
+        polys = [x_.scale(c) + U.constant(c) for c in group]
+        assert all(p == polys[0] for p in polys)
+        assert len({hash(p) for p in polys}) == 1
+        assert len(set(polys)) == 1
+        assert len({str(p) for p in polys}) == 1
+    assert str(U.constant(ways[0])) == "(-1/(s-1))"
+
+
+def test_coeff_div_by_zero_raises_in_both_fields():
+    for ring in (R, Ring(("x",), ("s", "t"))):
+        a = ring.coeff(3)
+        with pytest.raises(ZeroDivisionError):
+            ring.coeff_div(a, ring.coeff(0))
+        with pytest.raises(ZeroDivisionError):
+            ring.coeff_div(a, ring.coeff_add(a, ring.coeff_neg(a)))
 
 
 def test_origin_pole_detection():
