@@ -73,7 +73,8 @@ def buchberger(gens, order=GREVLEX):
     morder = ModuleOrder(order)
     vecs, _, leads = _groebner([[g] for g in gens], morder, False)
     kept = []  # ascending, so a divisor of a leading monomial is met first
-    for i in sorted(range(len(vecs)), key=lambda k: order.key(leads[k][1])):
+    for i in sorted(range(len(vecs)), key=lambda k: order.desc_key(leads[k][1]),
+                    reverse=True):
         if not any(monomial_divides(leads[k][1], leads[i][1]) for k in kept):
             kept.append(i)
     basis = []

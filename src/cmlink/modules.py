@@ -169,9 +169,6 @@ class ModuleOrder:
     def __init__(self, order=GREVLEX):
         self.order = order
 
-    def key(self, pos, exps):
-        return (-pos, self.order.key(exps))
-
 
 def _leading(vec, morder):
     """(position, exponents, coefficient) of the leading term of a nonzero vector.
@@ -181,7 +178,7 @@ def _leading(vec, morder):
     """
     for pos, p in enumerate(vec):
         if p.terms:
-            exps = max(p.terms, key=morder.order.key)
+            exps = min(p.terms, key=morder.order.desc_key)
             return pos, exps, p.terms[exps]
     raise ValueError("zero vector has no leading term")
 
@@ -207,20 +204,38 @@ def module_normal_form(vec, basis, morder, leads=None):
 
     `leads` are the leading terms of `basis` as `_leading` gives them;
     callers that divide many vectors by one basis pass them in once.
+
+    Each entry's pending terms sit in a dict (monomial -> coefficient) and
+    in a heap of (order.desc_key(m), m), so the greatest pending monomial is
+    popped without re-keying the others; a monomial is keyed once, when it
+    enters the dict.  A monomial that cancels leaves its heap item behind;
+    popping an item whose monomial is no longer in the dict skips it (lazy
+    deletion).  A monomial that cancels and comes back is pushed again, and
+    no duplicate guard is needed: once a monomial is processed only strictly
+    smaller ones enter its entry, so a later copy of it always finds it gone.
+    The reduction steps are those of taking the dict's maximum every time.
     """
     ring = vec[0].ring
     if leads is None:
         leads = [_leading(w, morder) for w in basis]
-    key = morder.order.key
+    key = morder.order.desc_key
     quotients = [{} for _ in basis]
     remainder = [{} for _ in vec]
     work = [dict(p.terms) for p in vec]
+    heaps = []
+    for terms in work:
+        heap = [(key(m), m) for m in terms]
+        heapq.heapify(heap)
+        heaps.append(heap)
     # a basis vector leading at `pos` is zero above `pos`, so once an entry
     # is reduced no later step touches it again
     for pos, terms in enumerate(work):
-        while terms:
-            exps = max(terms, key=key)
-            coeff = terms.pop(exps)
+        heap = heaps[pos]
+        while heap:
+            exps = heapq.heappop(heap)[1]
+            coeff = terms.pop(exps, None)
+            if coeff is None:
+                continue  # cancelled after it was pushed
             for i, (lpos, lexps, lcoeff) in enumerate(leads):
                 if lpos == pos and monomial_divides(lexps, exps):
                     t_exps = monomial_div(exps, lexps)
@@ -228,8 +243,8 @@ def module_normal_form(vec, basis, morder, leads=None):
                     # the leading exponents at `pos` strictly decrease, so t_exps is new
                     quotients[i][t_exps] = t_coeff
                     for r in range(pos, len(work)):
-                        _dict_sub_term(work[r], basis[i][r], t_exps, t_coeff,
-                                       exps if r == pos else None)
+                        _dict_sub_term(work[r], heaps[r], key, basis[i][r], t_exps,
+                                       t_coeff, exps if r == pos else None)
                     break
             else:
                 remainder[pos][exps] = coeff
@@ -237,8 +252,11 @@ def module_normal_form(vec, basis, morder, leads=None):
             [Polynomial(ring, r) for r in remainder])
 
 
-def _dict_sub_term(terms, q, t_exps, t_coeff, skip):
-    """terms -= (t_coeff * x^t_exps) * q in place, leaving out the product term `skip`."""
+def _dict_sub_term(terms, heap, key, q, t_exps, t_coeff, skip):
+    """terms -= (t_coeff * x^t_exps) * q in place, leaving out the product term `skip`.
+
+    A monomial new to `terms` is pushed onto `heap` as (key(m), m).
+    """
     ring = q.ring
     for e, v in q.terms.items():
         m = monomial_mul(e, t_exps)
@@ -253,6 +271,7 @@ def _dict_sub_term(terms, q, t_exps, t_coeff, skip):
                 terms[m] = s
         else:
             terms[m] = c
+            heapq.heappush(heap, (key(m), m))
 
 
 def module_groebner(columns, morder=None, order=GREVLEX):

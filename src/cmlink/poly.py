@@ -189,11 +189,19 @@ class Ring:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total order on monomials; `key` returns a sort key (larger = greater).
+    """Total order on monomials, given by one sort key.
 
     kind is 'lex', 'grevlex' or 'block' (block-elimination order whose first
-    block has size `block`, grevlex within each block).  `perm` optionally
-    permutes variables before comparison.
+    block has size `block`, grevlex within each block).  `perm`, when given,
+    is a permutation of range(nvars): the order compares the exponent tuple
+    (exps[perm[0]], exps[perm[1]], ...), and a tuple of any other length is
+    rejected.
+
+    `desc_key(exps)` sorts the greatest monomial first: grevlex is
+    (-deg, exps reversed), lex the negated exponents, block the pair of
+    grevlex `desc_key`s of the two blocks.  It is the one formula for each
+    kind; `key` (larger = greater) is its elementwise negation.  Sorting,
+    `min` and the division heap use `desc_key` directly.
     """
 
     kind: str
@@ -205,23 +213,36 @@ class MonomialOrder:
             raise ValueError(f"unknown order kind {self.kind!r}")
         if self.kind == "block" and self.block < 1:
             raise ValueError("block order needs a positive first-block size")
+        if self.perm is not None and sorted(self.perm) != list(range(len(self.perm))):
+            raise ValueError(f"perm {self.perm!r} is not a permutation of range(n)")
+
+    def desc_key(self, exps):
+        """Sort key of a monomial, smaller = greater in the order."""
+        if self.perm is not None:
+            if len(exps) != len(self.perm):
+                raise ValueError(f"monomial {exps!r} does not match perm {self.perm!r}")
+            exps = tuple(exps[i] for i in self.perm)
+        if self.kind == "grevlex":
+            return _grevlex_desc_key(exps)
+        if self.kind == "lex":
+            return tuple(-e for e in exps)
+        return (_grevlex_desc_key(exps[: self.block]), _grevlex_desc_key(exps[self.block :]))
 
     def key(self, exps):
-        if self.perm is not None:
-            exps = tuple(exps[i] for i in self.perm)
-        if self.kind == "lex":
-            return exps
-        if self.kind == "grevlex":
-            return _grevlex_key(exps)
-        head, tail = exps[: self.block], exps[self.block :]
-        return (_grevlex_key(head), _grevlex_key(tail))
+        """Sort key of a monomial, larger = greater in the order."""
+        return _negated(self.desc_key(exps))
 
     def greater(self, a, b):
-        return self.key(a) > self.key(b)
+        return self.desc_key(a) < self.desc_key(b)
 
 
-def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+def _grevlex_desc_key(exps):
+    return (-sum(exps), exps[::-1])
+
+
+def _negated(key):
+    """Elementwise negation of a nested tuple of integers."""
+    return tuple(_negated(k) if isinstance(k, tuple) else -k for k in key)
 
 
 def lex_order(perm=None):
@@ -309,12 +330,13 @@ class Polynomial:
 
     def sorted_terms(self, order=GREVLEX):
         """Terms in descending order."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        key = order.desc_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
     def leading_term(self, order=GREVLEX):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=order.key)
+        exps = min(self.terms, key=order.desc_key)
         return exps, self.terms[exps]
 
     def leading_monomial(self, order=GREVLEX):

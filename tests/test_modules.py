@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmlink.groebner import Ideal
+from cmlink.groebner import Ideal, buchberger
 from cmlink.modules import (
     ModuleOrder,
     NotInImageError,
@@ -21,7 +21,17 @@ from cmlink.modules import (
     prune_redundant_columns,
     syzygy_matrix,
 )
-from cmlink.poly import Polynomial, Ring
+from cmlink.poly import (
+    GREVLEX,
+    LEX,
+    Polynomial,
+    Ring,
+    block_order,
+    grevlex_order,
+    monomial_div,
+    monomial_divides,
+    monomial_mul,
+)
 
 R = Ring(("x", "y", "z"))
 x, y, z = R.gens()
@@ -91,6 +101,110 @@ def test_module_division_identity():
     for qi, b in zip(q, basis):
         rebuilt = [a + qi * c for a, c in zip(rebuilt, b)]
     assert [a + r for a, r in zip(rebuilt, rem)] == vec
+
+
+def reference_normal_form(vec, basis, morder):
+    """The division loop before the heap: `max` over the pending terms every step."""
+    ring = vec[0].ring
+    key = morder.order.key
+    leads = []
+    for w in basis:
+        pos = next(k for k, p in enumerate(w) if p.terms)
+        exps = max(w[pos].terms, key=key)
+        leads.append((pos, exps, w[pos].terms[exps]))
+    quotients = [{} for _ in basis]
+    remainder = [{} for _ in vec]
+    work = [dict(p.terms) for p in vec]
+    for pos, terms in enumerate(work):
+        while terms:
+            exps = max(terms, key=key)
+            coeff = terms.pop(exps)
+            for i, (lpos, lexps, lcoeff) in enumerate(leads):
+                if lpos == pos and monomial_divides(lexps, exps):
+                    t_exps = monomial_div(exps, lexps)
+                    t_coeff = ring.coeff_div(coeff, lcoeff)
+                    quotients[i][t_exps] = t_coeff
+                    for r in range(pos, len(work)):
+                        _reference_sub_term(work[r], basis[i][r], t_exps, t_coeff,
+                                            exps if r == pos else None)
+                    break
+            else:
+                remainder[pos][exps] = coeff
+    return ([Polynomial(ring, q) for q in quotients],
+            [Polynomial(ring, r) for r in remainder])
+
+
+def _reference_sub_term(terms, q, t_exps, t_coeff, skip):
+    ring = q.ring
+    for e, v in q.terms.items():
+        m = monomial_mul(e, t_exps)
+        if m == skip:
+            continue
+        c = ring.coeff_neg(ring.coeff_mul(v, t_coeff))
+        if m in terms:
+            s = ring.coeff_add(terms[m], c)
+            if ring.coeff_is_zero(s):
+                del terms[m]
+            else:
+                terms[m] = s
+        else:
+            terms[m] = c
+
+
+DIVISION_ORDERS = [GREVLEX, LEX, block_order(1), grevlex_order(perm=(2, 0, 1))]
+QQ_S = Ring(("x", "y", "z"), ("s",))
+
+
+def _random_field_poly(ring, rng, max_deg, max_terms):
+    """Random polynomial; over QQ(s) its coefficients involve s."""
+    choices = [1, -1, 2, -3] if ring.field is None else [1, -2, "s", "s+1", "1/(1-s)"]
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
+        terms[e] = ring.coeff(rng.choice(choices))
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=["grevlex", "lex", "block1", "perm"])
+@pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
+def test_heap_division_matches_reference_rank1(ring, order):
+    """Division against reduced bases, and against arbitrary divisors."""
+    rng = random.Random(f"rank1:{order}:{ring}")
+    morder = ModuleOrder(order)
+    for _ in range(4):
+        gens = [_random_field_poly(ring, rng, 2, 3) for _ in range(2)]
+        for divisors in (buchberger(gens, order), gens):
+            basis = [[g] for g in divisors]
+            for _ in range(5):
+                vec = [_random_field_poly(ring, rng, 3, 6)]
+                assert module_normal_form(vec, basis, morder) == \
+                    reference_normal_form(vec, basis, morder)
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=["grevlex", "lex", "block1", "perm"])
+@pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
+def test_heap_division_matches_reference_rank3(ring, order):
+    """Rank-3 vectors against a module Groebner basis."""
+    rng = random.Random(f"rank3:{order}:{ring}")
+    morder = ModuleOrder(order)
+    for _ in range(3):
+        cols = [[_random_field_poly(ring, rng, 1, 2) for _ in range(3)] for _ in range(2)]
+        basis, _ = module_groebner(cols, morder)
+        for _ in range(4):
+            vec = [_random_field_poly(ring, rng, 2, 4) for _ in range(3)]
+            assert module_normal_form(vec, basis, morder) == \
+                reference_normal_form(vec, basis, morder)
+
+
+def test_heap_division_when_a_cancelled_term_comes_back():
+    # x^2 cancels in the first step (x^3 by x^2 - x) and comes back in the
+    # second (x^2*y by x*y - x) before it is popped, so its heap holds two
+    # items for x^2: one is processed, the other finds it gone
+    basis = [[x * y - x], [x**2 - x]]
+    vec = [x**3 + x**2 * y - x**2]
+    q, rem = module_normal_form(vec, basis, ModuleOrder())
+    assert (q, rem) == reference_normal_form(vec, basis, ModuleOrder())
+    assert q == [x, x + 1] and rem == [x]
 
 
 def test_syzygy_annihilates():

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, orders, parsing and linear changes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from cmlink.poly import (
     GREVLEX,
     LEX,
     LinearChange,
+    MonomialOrder,
     OriginPoleError,
     ParseError,
     Polynomial,
@@ -18,6 +20,8 @@ from cmlink.poly import (
     SingularMatrixError,
     apply_linear_change,
     block_order,
+    grevlex_order,
+    lex_order,
     parse_ring_header,
 )
 
@@ -86,6 +90,55 @@ def test_block_order_eliminates_front_variables():
     order = block_order(1)
     # any monomial containing x beats any x-free monomial
     assert order.key((1, 0, 0)) > order.key((0, 5, 5))
+
+
+@pytest.mark.parametrize("order, nvars", [
+    (LEX, None),
+    (GREVLEX, None),
+    (block_order(1), None),
+    (block_order(2), None),
+    (grevlex_order(perm=(2, 0, 3, 1)), 4),
+])
+def test_desc_key_is_the_reverse_of_key(order, nvars):
+    rng = random.Random(29)
+    for _ in range(300):
+        n = nvars or rng.choice((3, 4))
+        a = tuple(rng.randint(0, 3) for _ in range(n))
+        b = a if rng.random() < 0.1 else tuple(rng.randint(0, 3) for _ in range(n))
+        assert (order.desc_key(a) < order.desc_key(b)) == (order.key(a) > order.key(b))
+        # a total order: equal keys only for equal monomials
+        assert (order.desc_key(a) == order.desc_key(b)) == (a == b)
+
+
+def test_order_key_values_are_pinned():
+    assert GREVLEX.key((1, 2, 0)) == (3, (0, -2, -1))
+    assert GREVLEX.desc_key((1, 2, 0)) == (-3, (0, 2, 1))
+    assert LEX.key((1, 2, 0)) == (1, 2, 0)
+    assert LEX.desc_key((1, 2, 0)) == (-1, -2, 0)
+    assert block_order(1).key((1, 2, 0)) == ((1, (-1,)), (2, (0, -2)))
+    assert block_order(2).desc_key((1, 2, 0)) == ((-3, (2, 1)), (0, (0,)))
+    # the permuted monomial is (0, 1, 2)
+    assert grevlex_order(perm=(2, 0, 1)).key((1, 2, 0)) == (3, (-2, -1, 0))
+    assert lex_order(perm=(2, 0, 1)).key((1, 2, 0)) == (0, 1, 2)
+
+
+def test_perm_must_be_a_permutation():
+    for perm in [(0, 0, 1), (1, 2), (0, 1, 3), (-1, 0)]:
+        with pytest.raises(ValueError):
+            MonomialOrder("grevlex", perm=perm)
+        with pytest.raises(ValueError):
+            lex_order(perm=perm)
+    assert block_order(1, perm=(1, 0)).perm == (1, 0)
+
+
+def test_perm_rejects_monomials_of_another_length():
+    order = grevlex_order(perm=(1, 0, 2))
+    for exps in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError):
+            order.key(exps)
+        with pytest.raises(ValueError):
+            order.desc_key(exps)
+    assert order.key((1, 2, 3)) == (6, (-3, -1, -2))
 
 
 def test_param_ring_coefficients():
