@@ -14,9 +14,9 @@ import sys
 
 from .complexes import (
     KoszulComplex,
-    free_resolution,
     is_cohen_macaulay,
     minimal_resolution,
+    syzygy_resolution,
     verify_exactness,
 )
 from .groebner import (
@@ -211,7 +211,7 @@ def cmd_resolve(args):
     if args.minimal:
         res = minimal_resolution(J, order)
     else:
-        res = free_resolution(J, minimalize=False, order=order)
+        res = syzygy_resolution(J, order)
     exact = verify_exactness(res, order)
     cm, codim, length = is_cohen_macaulay(J, order)
     report = {

@@ -19,10 +19,11 @@ from itertools import combinations
 from .groebner import GREVLEX, Ideal, ideal_codim
 from .modules import (
     ModuleOrder,
-    NotInImageError,
     PolyMatrix,
     _kernel_generators,
-    image_lifter,
+    _module_basis,
+    _vec_is_zero,
+    module_normal_form,
     syzygy_matrix,
 )
 from .poly import Polynomial
@@ -36,6 +37,8 @@ class ChainComplex:
     """Differentials d_1, ..., d_l with cols(d_k) == rows(d_{k+1}).
 
     Module ranks are rows(d_1), cols(d_1), cols(d_2), ...
+    `composition_checked` records whether the constructor verified
+    d_k * d_{k+1} == 0, so that `verify_exactness` does not multiply again.
     """
 
     def __init__(self, differentials, check_composition=True):
@@ -50,6 +53,7 @@ class ChainComplex:
                 raise ComplexError("d_k * d_{k+1} != 0")
         self.differentials = diffs
         self.ring = ring
+        self.composition_checked = check_composition
 
     @property
     def length(self):
@@ -152,6 +156,12 @@ def free_resolution(J, minimalize=True, order=GREVLEX):
             )
     if minimalize:
         diffs = _prune_units(diffs)
+    return _resolution(diffs, J)
+
+
+def _resolution(diffs, J):
+    """FreeResolution of J with differentials `diffs`, flagged minimal when no
+    entry has a nonzero constant term at the origin."""
     minimal = all(
         p.constant_term_at_origin() == 0 for d in diffs for p in d.entries()
     )
@@ -163,7 +173,9 @@ def _prune_units(diffs):
 
     Pivoting is restricted to entries that are nonzero constants (units of the
     polynomial ring); row/column operations stay exact and the complex
-    property is preserved.
+    property is preserved.  With no such entry (always the case on graded
+    input) the input list itself is returned, so the differentials keep the
+    bases and kernels cached on them.
     """
     ring = diffs[0].ring
     mats = [[list(r) for r in d.rows] for d in diffs]
@@ -176,10 +188,10 @@ def _prune_units(diffs):
                         return k, i, j
         return None
 
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
+    hit = find_pivot()
+    if hit is None:
+        return diffs
+    while hit is not None:
         k, i, j = hit
         m = mats[k]
         u = m[i][j]
@@ -221,6 +233,7 @@ def _prune_units(diffs):
         # drop empty trailing differentials
         while mats and (not mats[-1] or not mats[-1][0]):
             mats.pop()
+        hit = find_pivot()
     out = []
     for m in mats:
         if not m or not m[0]:
@@ -258,11 +271,17 @@ def verify_exactness(C, order=GREVLEX):
     """Check ker(d_k) == im(d_{k+1}) for k = 1..length by double inclusion.
 
     ker(d_k) is taken as the unpruned Schreyer generators of the kernel, a
-    superset of the columns `syzygy_matrix` keeps, and every one of them is
-    lifted through d_{k+1} against one module Groebner basis per
-    differential.  At the top degree the next image is zero, so the last
-    differential must be injective.  Failures are report content, not
-    exceptions.
+    superset of the columns `syzygy_matrix` keeps, and each of them must
+    divide to a zero remainder by the module Groebner basis of d_{k+1}.  At
+    the top degree the next image is zero, so the last differential must be
+    injective.  Failures are report content, not exceptions.
+
+    The kernel generators and the bases are those cached on the matrices
+    (`modules._kernel_generators`, `modules._module_basis`): on a resolution
+    built by `free_resolution` they were computed by its syzygy steps, and
+    this check builds none again.  Every membership is still tested.  The
+    products d_k * d_{k+1} are recomputed only when the complex was built
+    with `check_composition=False`; otherwise its constructor checked them.
     """
     failures = []
     diffs = C.differentials
@@ -271,7 +290,7 @@ def verify_exactness(C, order=GREVLEX):
         dk = diffs[k - 1]
         nxt = diffs[k] if k < len(diffs) else None
         # im(d_{k+1}) subset of ker(d_k)
-        if nxt is not None:
+        if nxt is not None and not C.composition_checked:
             prod = dk * nxt
             if not prod.is_zero():
                 col = next(j for j in range(prod.ncols) if not all(p.is_zero() for p in prod.column(j)))
@@ -283,21 +302,40 @@ def verify_exactness(C, order=GREVLEX):
             if kernel:
                 failures.append((k, "kernel of the last differential is nonzero", kernel[0]))
             continue
-        lift = image_lifter(nxt, order)
+        basis, _, leads = _module_basis(nxt, morder)
         for v in kernel:
-            try:
-                lift(v)
-            except NotInImageError:
+            _, rem = module_normal_form(v, basis, morder, leads)
+            if not _vec_is_zero(rem):
                 failures.append((k, "kernel vector not in the image", v))
                 break
     return ExactnessReport(failures)
 
 
+def syzygy_resolution(J, order=GREVLEX):
+    """The resolution of J by iterated syzygies, before unit pruning.
+
+    Built by `free_resolution` once per order and cached on J.
+    """
+    key = (order, False)
+    if key not in J._resolutions:
+        J._resolutions[key] = free_resolution(J, minimalize=False, order=order)
+    return J._resolutions[key]
+
+
 def minimal_resolution(J, order=GREVLEX):
-    """The minimal free resolution of J, built once per order and cached on J."""
-    if order not in J._resolutions:
-        J._resolutions[order] = free_resolution(J, minimalize=True, order=order)
-    return J._resolutions[order]
+    """The minimal free resolution of J, cached on J per order.
+
+    It is `syzygy_resolution(J, order)` pruned by `_prune_units`, and that
+    same object when no differential has a unit entry (graded input), so
+    the syzygy loop runs once per ideal and order whichever resolution is
+    asked for first.
+    """
+    key = (order, True)
+    if key not in J._resolutions:
+        full = syzygy_resolution(J, order)
+        diffs = _prune_units(full.differentials)
+        J._resolutions[key] = full if diffs is full.differentials else _resolution(diffs, J)
+    return J._resolutions[key]
 
 
 def is_cohen_macaulay(J, order=GREVLEX):

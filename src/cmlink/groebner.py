@@ -90,8 +90,8 @@ class Ideal:
     """Ideal given by generators.
 
     Reduced Groebner bases are cached per order in `_gb`, and
-    `complexes.minimal_resolution` caches the minimal free resolution per
-    order in `_resolutions`.
+    `complexes.syzygy_resolution` and `complexes.minimal_resolution` cache
+    the free resolutions per order in `_resolutions`.
     """
 
     def __init__(self, gens, ring=None):

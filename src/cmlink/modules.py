@@ -40,7 +40,15 @@ class NotInImageError(ValueError):
 
 
 class PolyMatrix:
-    """Rectangular matrix of polynomials over a shared ring."""
+    """Rectangular matrix of polynomials over a shared ring.
+
+    A matrix is treated as immutable once built, like `Ideal`: the module
+    Groebner basis of its columns and the generators of its kernel are
+    computed at most once per monomial order and cached on it
+    (`_module_basis`, `_kernel_generators`), so every caller that divides
+    by the columns or reads the kernel shares them.  Build a new matrix
+    rather than edit `rows` in place.
+    """
 
     def __init__(self, rows, ring=None):
         rows = [list(r) for r in rows]
@@ -59,6 +67,8 @@ class PolyMatrix:
         self.ring = ring
         self.nrows = len(rows)
         self.ncols = ncols
+        self._bases = {}  # monomial order -> (basis, reps, leads) of the columns
+        self._kernels = {}  # monomial order -> kernel generators
 
     @classmethod
     def zero(cls, ring, nrows, ncols):
@@ -374,20 +384,43 @@ def _module_spair(basis, reps, leads, i, j, ring):
             None if reps is None else [sub(a, b) for a, b in zip(reps[i], reps[j])])
 
 
-def _kernel_generators(M, morder):
-    """Columns generating the kernel of M, before pruning.
+def _module_basis(M, morder):
+    """(basis, reps, leads) of the columns of M, built once per order and cached on M.
 
-    Schreyer's construction: syzygies of the module GB from all same-position
-    S-pair reductions, mapped back through the GB representations, together
-    with the columns of I - P*Q expressing the redundancy of the input
-    columns.  Zero and duplicate columns are dropped.
+    The basis comes from `module_groebner`, with representations; `leads`
+    are its leading terms as `_leading` gives them.  The syzygies of M
+    (`_kernel_generators`), its exactness check (`verify_exactness`) and
+    lifts through it (`image_lifter`) all divide by this one basis.
     """
+    cached = M._bases.get(morder.order)
+    if cached is None:
+        basis, reps = module_groebner(M.columns(), morder)
+        cached = M._bases[morder.order] = (basis, reps, [_leading(w, morder) for w in basis])
+    return cached
+
+
+def _kernel_generators(M, morder):
+    """Columns generating the kernel of M, before pruning; cached on M per order.
+
+    Schreyer's construction on the basis of `_module_basis`: syzygies of the
+    module GB from all same-position S-pair reductions, mapped back through
+    the GB representations, together with the columns of I - P*Q expressing
+    the redundancy of the input columns.  Zero and duplicate columns are
+    dropped.  The list is shared by every caller; do not modify it.
+    """
+    kernel = M._kernels.get(morder.order)
+    if kernel is None:
+        kernel = M._kernels[morder.order] = _schreyer_kernel(M, morder)
+    return kernel
+
+
+def _schreyer_kernel(M, morder):
+    """The kernel generators of `_kernel_generators`, computed without the cache."""
     ring = M.ring
     if M.is_zero():
         return PolyMatrix.identity(ring, M.ncols).columns()
     cols = M.columns()
-    basis, reps = module_groebner(cols, morder)
-    leads = [_leading(w, morder) for w in basis]
+    basis, reps, leads = _module_basis(M, morder)
     m = len(cols)
 
     syz_cols = []
@@ -572,23 +605,21 @@ def image_lifter(M, order=GREVLEX):
     """A function lift(b) that solves M x = b exactly.
 
     lift(b) raises NotInImageError with the remainder if b is not in the
-    image.  All calls divide by one module Groebner basis of the columns of
-    M, built at the first nonzero b, so lifting every column of a matrix
-    through one differential costs one basis.
+    image.  All calls divide by the module Groebner basis of the columns of
+    M that `_module_basis` caches on M, fetched at the first nonzero b: a
+    differential whose syzygies were computed (every differential of a
+    resolution) is lifted through with no new basis, and any other matrix
+    costs one basis however many vectors are lifted.
     """
     ring = M.ring
     morder = ModuleOrder(order)
-    built = []  # [(basis, reps, leads)] once the basis exists
 
     def lift(b):
         if len(b) != M.nrows:
             raise ValueError("vector length must equal the row count")
         if _vec_is_zero(b):
             return [ring.zero()] * M.ncols
-        if not built:
-            basis, reps = module_groebner(M.columns(), morder)
-            built.append((basis, reps, [_leading(w, morder) for w in basis]))
-        basis, reps, leads = built[0]
+        basis, reps, leads = _module_basis(M, morder)
         q, rem = module_normal_form(b, basis, morder, leads)
         if not _vec_is_zero(rem):
             raise NotInImageError(rem)

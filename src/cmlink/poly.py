@@ -665,7 +665,7 @@ def apply_linear_change(p, change):
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\*\*|[-+*/^()])"
 )
 
 
@@ -731,9 +731,19 @@ class _Parser:
 
     def term(self):
         p = self.factor()
-        while self.peek()[1] == "*":
-            self.next()
-            p = p * self.factor()
+        while self.peek()[1] in ("*", "/"):
+            op = self.next()
+            q = self.factor()
+            if op[1] == "*":
+                p = p * q
+                continue
+            # a quotient of variable-free operands, such as a printed
+            # coefficient (-1/(s-1)); literal fractions are read by factor()
+            if not (p.is_constant() and q.is_constant()):
+                self.error("'/' is only allowed between variable-free operands", op)
+            if q.is_zero():
+                self.error("zero denominator", op)
+            p = self.ring.constant(self.ring.coeff_div(p.constant_term(), q.constant_term()))
         return p
 
     def factor(self):
@@ -741,11 +751,9 @@ class _Parser:
         if kind == "int":
             self.next()
             num = int(lexeme)
-            if self.peek()[1] == "/":
+            if self.peek()[1] == "/" and self.tokens[self.pos + 1][0] == "int":
                 self.next()
-                dkind, dlex, dline, dcol = self.next()
-                if dkind != "int":
-                    raise ParseError("'/' is only allowed between integer literals", dline, dcol)
+                _, dlex, dline, dcol = self.next()
                 if int(dlex) == 0:
                     raise ParseError("zero denominator", dline, dcol)
                 return self.ring.constant(Fraction(num, int(dlex)))
@@ -767,11 +775,11 @@ class _Parser:
                 raise ParseError("expected ')'", cline, ccol)
             return self.maybe_power(p)
         if lexeme == "/":
-            raise ParseError("'/' is only allowed between integer literals", line, col)
+            raise ParseError("'/' is only allowed between variable-free operands", line, col)
         self.error(f"unexpected token {lexeme!r}")
 
     def maybe_power(self, base):
-        if self.peek()[1] == "^":
+        if self.peek()[1] in ("^", "**"):
             self.next()
             kind, lexeme, line, col = self.next()
             if kind != "int":
@@ -784,8 +792,12 @@ def parse_poly(text, ring):
     """Parse a polynomial expression over `ring`.
 
     Grammar: sums of products of integer/rational literals, variables,
-    parameters, powers and parenthesized subexpressions.  '/' appears only
-    in rational literals.
+    parameters, powers ('^' or '**') and parenthesized subexpressions.  A
+    '/' between two integer literals makes a rational literal, which binds
+    tighter than '*' (`x*1/2` is half of x).  Any other '/' divides
+    variable-free operands by a nonzero one, as in the coefficient
+    `(-1/(s-1))` that `str` prints over QQ(params); `x/2` and `(x+1)/2` are
+    errors.
     """
     return _Parser(_tokenize(text), ring).parse()
 

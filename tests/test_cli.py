@@ -413,6 +413,53 @@ def test_resolve_and_link_build_one_resolution(files, capsys, monkeypatch):
     capsys.readouterr()
 
 
+GOLDEN_RESOLVE_INHOMOGENEOUS = """{
+  "command": "resolve",
+  "ring": "ring x,y over QQ",
+  "order": "grevlex",
+  "generators": [
+    "x^2 - x",
+    "x*y"
+  ],
+  "minimal": false,
+  "ranks": [
+    1,
+    2,
+    1
+  ],
+  "differentials": [
+    "matrix 1 2\\nx^2 - x; x*y",
+    "matrix 2 1\\ny\\n-x + 1"
+  ],
+  "exact": true,
+  "cohen_macaulay": false,
+  "codim": 1,
+  "minimal_length": 2
+}
+"""
+
+
+def test_resolve_without_minimal_builds_one_resolution(files, capsys, monkeypatch):
+    """The Cohen-Macaulay verdict reuses the unpruned resolution of the report."""
+    built = []
+    original = complexes.free_resolution
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["minimalize"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "free_resolution", counting)
+    assert run(["resolve", "--ideal", files["curve.id"]]) == 0
+    assert built == [False]
+    capsys.readouterr()
+    # not graded: the unit-free entry 1 - x keeps it non-minimal at the origin
+    path = files["tmp"] / "inhomogeneous.id"
+    path.write_text("ring x,y over QQ\nx^2 - x\nx*y\n")
+    for flags in ([], ["--minimal"]):
+        assert run(["resolve", "--ideal", str(path)] + flags) == 0
+        assert capsys.readouterr().out == GOLDEN_RESOLVE_INHOMOGENEOUS
+
+
 def _member_failure(capsys, argv):
     """A member run that cannot go on: exit 1, `ok` false and an error, no traceback."""
     code, report = capture(capsys, ["member", "--g", "x"] + argv)

@@ -15,9 +15,11 @@ from cmlink.complexes import (
     is_cohen_macaulay,
     koszul_complex,
     minimal_resolution,
+    syzygy_resolution,
     verify_exactness,
 )
-from cmlink import complexes
+from cmlink import complexes, modules
+from cmlink.linkage import comparison_morphism
 from cmlink.groebner import Ideal
 from cmlink.poly import LEX
 from cmlink.modules import PolyMatrix
@@ -152,6 +154,63 @@ def test_minimal_resolution_is_built_once_per_order(monkeypatch):
     assert len(built) == 2
 
 
+def _rnc4_ideal():
+    S = Ring(tuple(f"x{i}" for i in range(5)))
+    return Ideal.from_strings(S, [
+        f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(4) for j in range(i + 1, 4)
+    ])
+
+
+def test_exactness_and_lifts_reuse_the_resolution_bases(monkeypatch):
+    """The syzygy steps build one module basis per differential; the
+    exactness check and the comparison morphism build none again."""
+    built = []
+    original = modules._groebner
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modules, "_groebner", counting)
+    curve = Ideal.from_strings(R, CURVE)
+    for J in (_rnc4_ideal(), curve):
+        E = minimal_resolution(J)
+        del built[:]
+        assert verify_exactness(E).exact
+        assert built == []
+    CI = Ideal.from_strings(R, ["z^2 - x^2*y", "x^4 + y^3 - 2*x*y*z"])
+    morphism = comparison_morphism(KoszulComplex(list(CI.gens)), minimal_resolution(curve))
+    assert morphism.top_matrix.nrows == 2
+    assert built == []
+
+
+def test_prune_units_keeps_graded_differentials():
+    for J in (_rnc4_ideal(), Ideal.from_strings(R, CURVE)):
+        diffs = free_resolution(J, minimalize=False).differentials
+        assert all(a is b for a, b in zip(complexes._prune_units(diffs), diffs))
+        assert minimal_resolution(J) is syzygy_resolution(J)
+
+
+def test_minimal_resolution_derived_from_the_syzygy_resolution(monkeypatch):
+    """With a redundant generator the unit pivots run on the cached syzygy
+    resolution, and give what a fresh minimalized build gives."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return free_resolution(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "free_resolution", counting)
+    J = Ideal.from_strings(R, ["x", "y", "x + y", "z^2"])
+    full = syzygy_resolution(J)
+    res = minimal_resolution(J)
+    assert len(built) == 1
+    assert full.ranks() == [1, 4, 4, 1] and not full.minimal
+    assert res.ranks() == [1, 3, 3, 1] and res.minimal
+    assert res.to_json() == free_resolution(J, minimalize=True).to_json()
+    assert verify_exactness(res).exact
+
+
 def test_complete_intersection_resolution_is_koszul_shaped():
     J = Ideal.from_strings(R, ["z^2 - x^2*y", "x^4 + y^3 - 2*x*y*z"])
     res = free_resolution(J, minimalize=True)
@@ -180,6 +239,7 @@ def test_exactness_failure_is_reported_not_raised():
     assert all(
         {"degree", "reason", "witness"} <= set(f) for f in payload["failures"]
     )
+    assert [f["reason"] for f in payload["failures"]] == ["composition d_k d_{k+1} != 0"]
 
 
 def test_resolution_json_shape():

@@ -59,6 +59,28 @@ def test_slash_only_between_integers():
         R.poly("(x+1)/2")
 
 
+def test_param_coefficients_round_trip_through_text(tmp_path):
+    """A printed QQ(s) matrix is a valid matrix file: entries such as
+    (-1/(s-1))*x and powers printed as s**2 read back equal."""
+    from cmlink.cli import read_matrix_file
+    from cmlink.modules import PolyMatrix
+
+    U = Ring(("x", "y"), ("s",))
+    c = U.coeff("1/(1-s)")
+    xs, ys = U.gens()
+    M = PolyMatrix(
+        [[xs.scale(c), U.constant(c) + ys], [U.poly("s^2/(s+2)*x*y"), U.zero()]], U
+    )
+    assert "(-1/(s-1))*x" in M.to_text()
+    path = tmp_path / "m.mat"
+    path.write_text(U.header() + "\n" + M.to_text() + "\n")
+    assert read_matrix_file(str(path)) == M
+    with pytest.raises(ParseError):
+        U.poly("x/(1-s)")
+    with pytest.raises(ParseError):
+        U.poly("1/(s-s)")
+
+
 def test_arithmetic_basics():
     p = (x + y) * (x - y)
     assert p == x**2 - y**2
