@@ -3,10 +3,17 @@
 For a codimension-2 complete intersection (f1, f2) the pipeline moves to
 coordinates in which f1 is regular in the first variable, factors it as
 unit * P1 with P1 a Weierstrass polynomial, runs the extended Euclidean
-algorithm of P1 and f2 in that variable over fraction-field coefficients,
-and prepares the last remainder r2 = a f1 + b f2 in the second variable.
-The emitted CurrentRecipe carries (P1, N1), (r2, P2, N2), the Bezout pair
-(a, b) and the exact constants gamma, C1, C2.
+algorithm of P1 and f2 in that variable, and prepares the last remainder
+r2 = a f1 + b f2 in the second variable.  The emitted CurrentRecipe
+carries (P1, N1), (r2, P2, N2), the Bezout pair (a, b) and the exact
+constants gamma, C1, C2.
+
+Euclid and the Sylvester determinant stay fraction-free: both scale their
+operands to primitive polynomials over ZZ[others] (the remaining variables,
+then the parameters).  Euclid runs Brown's subresultant recurrence there,
+dividing every remainder and both cofactors by the same beta exactly, so no
+gcd is taken inside the loop; one joint content and a sign at the end make
+(g, a, b) canonical.  The determinant is a Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground, dup_pdiv, dup_sub
+from sympy.polys.densetools import dup_content
 
 from .groebner import GREVLEX, Ideal, ideal_codim
 from .poly import (
@@ -98,42 +107,52 @@ def weierstrass_ready(f, var):
     return WeierstrassForm(f, ring.constant(u), p, n, var)
 
 
-def _euclid_symbols(ring, var):
-    """Euclid variable symbol and the other symbols: the remaining ring
-    variables in order, then the parameters."""
+def _euclid_domain(ring, var):
+    """ZZ[others]: the other ring variables, then the parameters (or none)."""
     names = [v for i, v in enumerate(ring.variables) if i != var] + list(ring.params)
-    return sympy.Symbol(ring.variables[var]), tuple(sympy.Symbol(n) for n in names)
+    return sympy.ZZ[tuple(sympy.Symbol(n) for n in names)]
 
 
-def _domain_poly(p, var, xsym, dom):
-    """p as a univariate sympy Poly in `xsym` over dom = QQ[other symbols].
+def _integral_coeffs(p, var, dom):
+    """p as a primitive polynomial in `var` over dom = ZZ[others], and the
+    positive coefficient k of p's ring with that polynomial = k * p.
 
-    The coefficients of p must have constant denominators; dom is QQ when
-    there are no other symbols.
+    The polynomial is the dense list of its coefficients, highest degree
+    first.  k is the ZZ-lcm of the parameter denominators, times the lcm of
+    the integer denominators left after that, over the integer content.
     """
     ring = p.ring
+    dp = _param_denominator_lcm(p)
+    if dp != 1:
+        p = p.scale(dp)
     others = [i for i in range(ring.nvars) if i != var]
-    acc = {}  # (degree in var,) -> {monomial in the other symbols -> QQ}
+    acc = {}  # degree in var -> {monomial in the other symbols -> rational}
     for exps, c in p.terms.items():
         head = tuple(exps[i] for i in others)
-        sub = acc.setdefault((exps[var],), {})
+        sub = acc.setdefault(exps[var], {})
         if ring.field is None:
-            sub[head] = sympy.QQ(c.numerator, c.denominator)
+            sub[head] = c
             continue
         if not c.denom.is_ground:
             raise ValueError(f"coefficient {c} has a parameter denominator")
         den = c.denom.LC
         for pm, q in c.numer.items():
             sub[head + pm] = q / den
-    if dom == sympy.QQ:
-        rep = {k: sub[()] for k, sub in acc.items()}
-    else:
-        rep = {k: dom.ring.from_dict(sub) for k, sub in acc.items()}
-    return sympy.Poly.from_dict(rep, xsym, domain=dom)
+    values = [q for sub in acc.values() for q in sub.values()]
+    lcm = math.lcm(*(int(q.denominator) for q in values))
+    content = math.gcd(*(int(q.numerator) for q in values))
+    coeffs = [
+        dom.ring.from_dict(
+            {m: int(q.numerator) * (lcm // int(q.denominator)) // content
+             for m, q in acc.get(k, {}).items()}
+        )
+        for k in range(max(acc), -1, -1)
+    ]
+    return coeffs, ring.coeff_mul(dp, ring.coeff(Fraction(lcm, content)))
 
 
 def _from_poly_coeffs(coeff_list, ring, var):
-    """Ring polynomial from descending coefficients in QQ[other symbols].
+    """Ring polynomial from descending coefficients in ZZ[others].
 
     Exponents of the other ring variables go back into the monomial; the
     parameter exponents build each coefficient's numerator in the ring's
@@ -142,7 +161,7 @@ def _from_poly_coeffs(coeff_list, ring, var):
     deg = len(coeff_list) - 1
     others = [i for i in range(ring.nvars) if i != var]
     split = len(others)
-    acc = {}  # ring exponents -> {parameter monomial -> QQ}
+    acc = {}  # ring exponents -> {parameter monomial -> integer}
     for k, c in enumerate(coeff_list):
         for mono, q in c.terms():
             exps = [0] * ring.nvars
@@ -152,77 +171,81 @@ def _from_poly_coeffs(coeff_list, ring, var):
             acc.setdefault(tuple(exps), {})[mono[split:]] = q
     field = ring.field
     if field is None:
-        terms = {
-            key: Fraction(int(sub[()].numerator), int(sub[()].denominator))
-            for key, sub in acc.items()
-        }
+        terms = {key: Fraction(int(sub[()])) for key, sub in acc.items()}
     else:
         terms = {key: field.new(field.ring.from_dict(sub)) for key, sub in acc.items()}
     return Polynomial(ring, terms)
 
 
+def _exquo(f, c):
+    """Exact quotient of a dense polynomial by c; raises if it is not exact."""
+    return [a.exquo(c) for a in f]
+
+
+def _cofactor_step(u0, u1, alpha, q, beta, dom):
+    """(alpha * u0 - q * u1) / beta, exactly."""
+    return _exquo(dup_sub(dup_mul_ground(u0, alpha, dom), dup_mul(q, u1, dom), dom), beta)
+
+
 def extended_euclid(P, Q, var):
     """Last nonzero remainder g of P, Q in `var` with g = a*P + b*Q exactly.
 
-    Divisions run over the fraction field of the remaining variables; all
-    denominators are cleared at the end, so the returned triple consists of
-    ring polynomials and the identity is exact in the ring.
+    P and Q are scaled to primitive polynomials over ZZ[others], the other
+    ring variables and the parameters, and run through Brown's subresultant
+    PRS (Collins 1967; Brown 1978): each step pseudo-divides,
+    lc(r1)^(d+1) r0 = q r1 + r with d = deg r0 - deg r1, and divides r and
+    the cofactors lc(r1)^(d+1) s0 - q s1, lc(r1)^(d+1) t0 - q t1 by the
+    same beta = -psi c^d.  Here psi is the previous leading coefficient
+    (1 at first) and c (-1 at first) becomes (-lc(r1))^d / c^(d-1).  The
+    divisions are exact, because the cofactors of a subresultant are
+    minors of the Sylvester matrix; an inexact one raises.
+
+    At the end (g, a, b) is divided by its joint content over ZZ[others],
+    with the sign that makes the leading coefficient of g positive; the
+    scales taken out of P and Q are folded back into a and b.  Unless P
+    and Q are associates of equal degree (then g comes from Q and a = 0),
+    the degree-bounded cofactors are unique up to a common factor, so the
+    triple is canonical: swapping P and Q swaps a and b, and scaling P by
+    a rational k divides a by k.
     """
     ring = P.ring
     if P.ring != Q.ring:
         raise ValueError("operands in different rings")
     if P.is_zero() or Q.is_zero():
         raise ValueError("extended Euclid needs nonzero inputs")
-    xsym, osyms = _euclid_symbols(ring, var)
-    if not osyms:
-        return _euclid_rational(P, Q, var, xsym)
-    # fraction-free pseudo-remainder sequence over QQ[other symbols]: the
-    # fraction field blows coefficients up badly, so stay polynomial and
-    # strip the joint content of (remainder, cofactors) after every step.
-    # Parameter denominators in the inputs are units; scale them away here
-    # and fold them back into the cofactors at the end.
-    dP = _param_denominator_lcm(P)
-    dQ = _param_denominator_lcm(Q)
-    Pc = P.scale(dP) if dP != 1 else P
-    Qc = Q.scale(dQ) if dQ != 1 else Q
-    dom = sympy.QQ[osyms]
-    p1 = _domain_poly(Pc, var, xsym, dom)
-    p2 = _domain_poly(Qc, var, xsym, dom)
-    one = sympy.Poly(1, xsym, domain=dom)
-    zero = sympy.Poly(0, xsym, domain=dom)
-    r0, r1 = p1, p2
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero:
-        if r0.degree() >= r1.degree():
-            q, r = r0.pdiv(r1)  # alpha * r0 = q * r1 + r
-            # the leading coefficient as a domain element, not an Expr
-            alpha = r1.rep.LC() ** (r0.degree() - r1.degree() + 1)
-            s_next = s0.mul_ground(alpha) - q * s1
-            t_next = t0.mul_ground(alpha) - q * t1
-        else:
-            q, r = zero, r0
-            s_next, t_next = s0, t0
-        cont = dom.zero
-        for p in (r, s_next, t_next):
-            for c in p.rep.to_list():
-                cont = dom.gcd(cont, c)
-        if cont and cont != dom.one:
-            r = r.quo_ground(cont)
-            s_next = s_next.quo_ground(cont)
-            t_next = t_next.quo_ground(cont)
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
-        t0, t1 = t1, t_next
-    if not (s0 * p1 + t0 * p2 - r0).is_zero:
+    dom = _euclid_domain(ring, var)
+    p1, kP = _integral_coeffs(P, var, dom)
+    p2, kQ = _integral_coeffs(Q, var, dom)
+    g, s, t = _subresultant_euclid(p1, p2, dom)
+    if dup_sub(dup_add(dup_mul(s, p1, dom), dup_mul(t, p2, dom), dom), g, dom):
         raise ArithmeticError("Bezout identity failed in the Euclid loop")
-    g, a, b = (_from_poly_coeffs(p.rep.to_list(), ring, var) for p in (r0, s0, t0))
-    # g = a * (dP * P) + b * (dQ * Q), so rescale the cofactors
-    if dP != 1:
-        a = a.scale(dP)
-    if dQ != 1:
-        b = b.scale(dQ)
-    return g, a, b
+    cont = dom.gcd(dom.gcd(dup_content(g, dom), dup_content(s, dom)), dup_content(t, dom))
+    if dom.is_negative(g[0]) != dom.is_negative(cont):
+        cont = -cont
+    g, a, b = (_from_poly_coeffs(_exquo(f, cont), ring, var) for f in (g, s, t))
+    # g = a * (kP * P) + b * (kQ * Q), so rescale the cofactors
+    return g, (a.scale(kP) if kP != 1 else a), (b.scale(kQ) if kQ != 1 else b)
+
+
+def _subresultant_euclid(p1, p2, dom):
+    """The loop of `extended_euclid` on dense polynomials over dom: the last
+    remainder g of the subresultant PRS and (s, t) with g = s*p1 + t*p2."""
+    r0, r1, s0, s1, t0, t1 = p1, p2, [dom.one], [], [], [dom.one]
+    if len(r0) < len(r1):
+        r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
+    psi, c = dom.one, -dom.one
+    while r1:
+        d = len(r0) - len(r1)
+        beta = -psi * c**d
+        psi = r1[0]
+        alpha = psi ** (d + 1)
+        q, r = dup_pdiv(r0, r1, dom)  # alpha * r0 = q * r1 + r
+        r0, r1 = r1, _exquo(r, beta)
+        s0, s1 = s1, _cofactor_step(s0, s1, alpha, q, beta, dom)
+        t0, t1 = t1, _cofactor_step(t0, t1, alpha, q, beta, dom)
+        if d:  # an equal-degree first step keeps c = -1
+            c = ((-psi) ** d).exquo(c ** (d - 1))
+    return r0, s0, t0
 
 
 def _param_denominator_lcm(p):
@@ -239,52 +262,15 @@ def _param_denominator_lcm(p):
     return field.new(den.set_ring(field.ring))
 
 
-def _euclid_rational(P, Q, var, xsym):
-    """Euclid for univariate polynomials over plain QQ."""
-    ring = P.ring
-    p1 = _domain_poly(P, var, xsym, sympy.QQ)
-    p2 = _domain_poly(Q, var, xsym, sympy.QQ)
-    one = sympy.Poly(1, xsym, domain=sympy.QQ)
-    zero = sympy.Poly(0, xsym, domain=sympy.QQ)
-    r0, r1 = p1, p2
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero:
-        q, r = r0.div(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not (s0 * p1 + t0 * p2 - r0).is_zero:
-        raise ArithmeticError("Bezout identity failed in the Euclid loop")
-    lists = [p.rep.to_list() if not p.is_zero else [] for p in (r0, s0, t0)]
-    clear = 1
-    for lst in lists:
-        for c in lst:
-            d = int(c.denominator)
-            clear = clear * d // math.gcd(clear, d)
-    out = []
-    for lst in lists:
-        deg = len(lst) - 1
-        terms = {}
-        for k, c in enumerate(lst):
-            if not c:
-                continue
-            q = Fraction(int(c.numerator), int(c.denominator)) * clear
-            exps = [0] * ring.nvars
-            exps[var] = deg - k
-            terms[tuple(exps)] = ring.coeff(q)
-        out.append(Polynomial(ring, terms))
-    g, a, b = out
-    return g, a, b
-
-
 def resultant_sylvester(P, Q, var):
     """Determinant of the Sylvester matrix of P, Q in `var` (P-block rows first).
 
-    Fraction-free Bareiss elimination over QQ[remaining variables and
-    parameters], after scaling the parameter denominators out of P and Q;
-    the result is free of `var` and vanishes exactly when P and Q share a
-    factor of positive degree in `var`.
+    P and Q are scaled to primitive polynomials kP*P, kQ*Q over
+    ZZ[remaining variables and parameters], as in `extended_euclid`, and
+    the determinant is taken there by fraction-free Bareiss elimination,
+    whose divisions are exact.  Scaling P scales its n rows, so the result
+    is that determinant over kP^n * kQ^m.  It is free of `var` and vanishes
+    exactly when P and Q share a factor of positive degree in `var`.
     """
     ring = P.ring
     if P.ring != Q.ring:
@@ -293,13 +279,9 @@ def resultant_sylvester(P, Q, var):
     n = Q.degree_in(var)
     if m < 1 or n < 1:
         raise ValueError("resultant needs positive degree in the variable")
-    xsym, osyms = _euclid_symbols(ring, var)
-    dom = sympy.QQ[osyms] if osyms else sympy.QQ
-    # scaling P by dP scales its n rows, so the determinant by dP^n
-    dP = _param_denominator_lcm(P)
-    dQ = _param_denominator_lcm(Q)
-    pc = _domain_poly(P.scale(dP), var, xsym, dom).rep.to_list()
-    qc = _domain_poly(Q.scale(dQ), var, xsym, dom).rep.to_list()
+    dom = _euclid_domain(ring, var)
+    pc, kP = _integral_coeffs(P, var, dom)
+    qc, kQ = _integral_coeffs(Q, var, dom)
     size = m + n
     mat = [[dom.zero for _ in range(size)] for _ in range(size)]
     for i in range(n):
@@ -309,10 +291,8 @@ def resultant_sylvester(P, Q, var):
         for k in range(n + 1):
             mat[n + j][j + k] = qc[k]
     det = _bareiss_det(mat, dom.one, lambda c: not c, dom.exquo)
-    if not osyms:
-        return ring.constant(Fraction(int(det.numerator), int(det.denominator)))
     res = _from_poly_coeffs([det], ring, var)
-    return res.scale(ring.coeff_div(ring.coeff(1), dP**n * dQ**m))
+    return res.scale(ring.coeff_div(ring.coeff(1), kP**n * kQ**m))
 
 
 def _work_ring(ring):
@@ -349,6 +329,26 @@ def _to_work(p, work):
         else:
             out[key] = coeff
     return Polynomial(work, out)
+
+
+def _rational_function(p):
+    """p as one element of QQ(ring variables, parameters)."""
+    ring = p.ring
+    field = sympy.QQ.frac_field(*sympy.symbols(ring.variables + ring.params)).field
+    numers = {}  # coefficient denominator -> numerator terms over it
+    for exps, c in p.terms.items():
+        if ring.field is None:
+            numer, denom = {(): sympy.QQ(c.numerator, c.denominator)}, None
+        else:
+            numer, denom = c.numer, c.denom
+        sub = numers.setdefault(denom, {})
+        for m, q in numer.items():
+            sub[exps + m] = q
+    out = field.zero
+    for denom, sub in numers.items():
+        den = field.ring.one if denom is None else denom.set_ring(field.ring)
+        out += field.new(field.ring.from_dict(sub), den)
+    return out
 
 
 def _fraction_str(q):
@@ -520,8 +520,7 @@ def current_recipe(f1, f2, seed=0, max_tries=50):
     ratio = None
     if g2.degree_in(0) >= 1:
         res = resultant_sylvester(wf1.weierstrass, g2, 0)
-        q = sympy.cancel(res.to_sympy() / r2.to_sympy())
-        ratio = str(q).replace(" ", "")
+        ratio = str(_rational_function(res) / _rational_function(r2)).replace(" ", "")
     return CurrentRecipe(
         ring=work,
         first_change=first,

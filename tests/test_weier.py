@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.euclidtools import dup_inner_subresultants
 
-from cmlink.poly import Ring
+from cmlink import weier
+from cmlink.poly import Polynomial, Ring
 from cmlink.weier import (
     NotRegularError,
     current_recipe,
@@ -19,6 +21,8 @@ from cmlink.weier import (
 
 S = Ring(("X", "Z"), ("Y",))
 U = Ring(("x",), ("s", "t"))
+R1 = Ring(("x",))
+R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
 
 
@@ -77,6 +81,194 @@ def test_euclid_rational_case():
     g, a, b = extended_euclid(P, Q, 0)
     assert a * P + b * Q == g
     assert g.degree_in(0) == 1  # gcd is a multiple of x - 1
+
+
+def reference_euclid(P, Q, var):
+    """The primitive PRS loop before the subresultant recurrence.
+
+    It pseudo-divides over QQ[others] and strips the joint content of the
+    remainder and both cofactors after every step.  Returns sympy
+    expressions (g, a, b) with g = a*P + b*Q.
+    """
+    ring = P.ring
+    x = sympy.Symbol(ring.variables[var])
+    others = [v for i, v in enumerate(ring.variables) if i != var] + list(ring.params)
+    dom = sympy.QQ[tuple(sympy.Symbol(n) for n in others)]
+    nP, dP = sympy.fraction(sympy.together(P.to_sympy()))
+    nQ, dQ = sympy.fraction(sympy.together(Q.to_sympy()))
+    p1 = sympy.Poly(nP, x, domain=dom)
+    p2 = sympy.Poly(nQ, x, domain=dom)
+    one = sympy.Poly(1, x, domain=dom)
+    zero = sympy.Poly(0, x, domain=dom)
+    r0, r1 = p1, p2
+    s0, s1 = one, zero
+    t0, t1 = zero, one
+    while not r1.is_zero:
+        if r0.degree() >= r1.degree():
+            q, r = r0.pdiv(r1)  # alpha * r0 = q * r1 + r
+            alpha = r1.rep.LC() ** (r0.degree() - r1.degree() + 1)
+            s_next = s0.mul_ground(alpha) - q * s1
+            t_next = t0.mul_ground(alpha) - q * t1
+        else:
+            q, r = zero, r0
+            s_next, t_next = s0, t0
+        cont = dom.zero
+        for p in (r, s_next, t_next):
+            for c in p.rep.to_list():
+                cont = dom.gcd(cont, c)
+        if cont and cont != dom.one:
+            r = r.quo_ground(cont)
+            s_next = s_next.quo_ground(cont)
+            t_next = t_next.quo_ground(cont)
+        r0, r1 = r1, r
+        s0, s1 = s1, s_next
+        t0, t1 = t1, t_next
+    return r0.as_expr(), s0.as_expr() * dP, t0.as_expr() * dQ
+
+
+def assert_matches_reference(P, Q, var=0):
+    """extended_euclid(P, Q) is the reference triple times one rational
+    number; returns the triple."""
+    g, a, b = extended_euclid(P, Q, var)
+    assert a * P + b * Q == g
+    ref = reference_euclid(P, Q, var)
+    lam = sympy.cancel(g.to_sympy() / ref[0])
+    assert lam.is_Rational and lam != 0
+    for new, old in zip((g, a, b), ref):
+        assert sympy.cancel(new.to_sympy() - lam * old) == 0
+    return g, a, b
+
+
+def subresultant_degrees(P, Q, var=0):
+    """Degrees of sympy's subresultant PRS of P, Q, after checking that the
+    last remainder of the Euclid loop is its last element."""
+    dom = weier._euclid_domain(P.ring, var)
+    p1, _ = weier._integral_coeffs(P, var, dom)
+    p2, _ = weier._integral_coeffs(Q, var, dom)
+    prs, _ = dup_inner_subresultants(p1, p2, dom)
+    g, s, t = weier._subresultant_euclid(p1, p2, dom)
+    assert g == prs[-1]
+    return [len(r) - 1 for r in prs]
+
+
+def criterion_7_pairs():
+    """The 100 seeded pairs over QQ(s,t) of the criterion-7 acceptance test."""
+    rng = random.Random(7)
+
+    def rand_poly(max_var_deg, max_par_deg, max_terms):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            e = (rng.randint(0, max_var_deg),)
+            c = rng.randint(-3, 3)
+            if not c:
+                continue
+            expr = sympy.Integer(c)
+            for sym in sympy.symbols("s t"):
+                expr *= sym ** rng.randint(0, max_par_deg)
+            terms[e] = expr if e not in terms else terms[e] + expr
+        return Polynomial(U, {k: U.coeff(v) for k, v in terms.items() if v != 0})
+
+    pairs = []
+    while len(pairs) < 100:
+        if rng.random() < 0.3:
+            common = rand_poly(2, 1, 2)
+            P = rand_poly(2, 1, 2) * common
+            Q = rand_poly(2, 1, 2) * common
+        else:
+            P = rand_poly(4, 2, 3)
+            Q = rand_poly(4, 2, 3)
+        if P.degree_in(0) >= 1 and Q.degree_in(0) >= 1:
+            pairs.append((P, Q))
+    return pairs
+
+
+def random_pairs(ring, seed, count, deg=4):
+    """Seeded pairs with small rational coefficients and no parameters."""
+    rng = random.Random(seed)
+
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            e = tuple(rng.randint(0, deg if i == 0 else 2) for i in range(ring.nvars))
+            terms[e] = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        return Polynomial(ring, {e: c for e, c in terms.items() if c})
+
+    pairs = []
+    while len(pairs) < count:
+        P, Q = rand_poly(), rand_poly()
+        if not P.is_zero() and not Q.is_zero():
+            pairs.append((P, Q))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [criterion_7_pairs, lambda: random_pairs(R2, 21, 20), lambda: random_pairs(R1, 11, 30)],
+    ids=["criterion-7 over QQ(s,t)", "QQ[x,y]", "QQ[x]"],
+)
+def test_euclid_matches_primitive_prs_reference(pairs):
+    for P, Q in pairs():
+        assert_matches_reference(P, Q)
+        subresultant_degrees(P, Q)
+
+
+def test_euclid_edge_cases():
+    # deg P < deg Q, and equal degrees
+    assert_matches_reference(U.poly("x - s"), U.poly("x^3 + t*x - 1"))
+    assert_matches_reference(U.poly("x^2 + s*x + 1"), U.poly("2*x^2 - t"))
+    # Q divides P: (Q, 0, 1) up to one factor
+    Q = U.poly("x - s")
+    g, a, b = assert_matches_reference(U.poly("(x - s)*(x + t)"), Q)
+    assert a.is_zero() and b.is_constant() and g == Q * b
+    # a constant operand, first and second
+    P = U.poly("s + t")
+    g, a, b = assert_matches_reference(P, U.poly("x^2 - s"))
+    assert b.is_zero() and a.is_constant() and g == P * a
+    g, a, b = assert_matches_reference(R1.poly("x^2 - 1"), R1.poly("3"))
+    assert g == R1.one() and a.is_zero() and b == R1.poly("1/3")
+
+
+def test_euclid_abnormal_middle_step():
+    # a remainder degree drop of 2 after the first step takes the
+    # (-lc)^d / c^(d-1) update of c, which the next step's beta uses
+    rng = random.Random(10)
+
+    def rand_poly(deg):
+        terms = {(deg, 0): Fraction(1)}
+        for k in range(deg):
+            for j in range(2):
+                c = rng.choice((-1, 0, 0, 1))
+                if c:
+                    terms[(k, j)] = Fraction(c)
+        return Polynomial(R2, terms)
+
+    for _ in range(200):
+        P, Q = rand_poly(5), rand_poly(4)
+        degrees = subresultant_degrees(P, Q)
+        if any(a - b > 1 for a, b in zip(degrees[1:-2], degrees[2:-1])):
+            break
+    assert degrees == [5, 4, 2, 1, 0]
+    assert_matches_reference(P, Q)
+
+
+def test_euclid_is_canonical():
+    cases = criterion_7_pairs()[:20] + random_pairs(R2, 21, 10) + [
+        (U.poly("x^2 + s*x + 1"), U.poly("2*x^2 - t")),
+        (R1.poly("x^3 - 1/2*x"), R1.poly("2/3*x^2 + 1")),
+    ]
+    swapped = 0
+    for P, Q in cases:
+        g, a, b = extended_euclid(P, Q, 0)
+        assert extended_euclid(P.scale(-3), Q, 0) == (g, a.scale(Fraction(-1, 3)), b)
+        if P.degree_in(0) == Q.degree_in(0) and a.is_zero():
+            continue  # associates, below
+        assert extended_euclid(Q, P, 0) == (g, b, a)
+        swapped += 1
+    assert swapped >= 25
+    # associates of equal degree: g comes from the second operand, a = 0
+    P, Q = U.poly("3*s*t^2*x"), U.poly("s*t*x")
+    assert extended_euclid(P, Q, 0) == (Q, U.zero(), U.one())
+    assert extended_euclid(Q, P, 0) == (U.poly("s*t^2*x"), U.zero(), U.poly("1/3"))
 
 
 def test_resultant_linear_pair():
@@ -153,6 +345,24 @@ def test_recipe_curve_complete_intersection():
     # the Weierstrass forms reconstruct g1 and r2 up to their units
     assert rec.p1.coefficient_in(0, rec.n1) == rec.ring.one()
     assert rec.p2.coefficient_in(1, rec.n2) == rec.ring.one()
+
+
+@pytest.mark.parametrize(
+    "ring, f1, f2",
+    [
+        (R3, "z^2 - x^2*y", "x^4 - 2*x*y*z + y^3"),
+        (R3, "z^2 - x^2*y", "x^4 + y^3 - 2*x*y*z"),
+        (Ring(("x", "y"), ("s",)), "x^2 - s*y", "y^2 + x^3"),
+        (Ring(("x", "y", "z"), ("s",)), "z^2 - x*y", "x^2 + (1/(1-s))*y^2 + z^3"),
+    ],
+    ids=["CI_SWAPPED", "curve CI", "QQ(s)", "QQ(s) denominators"],
+)
+def test_sylvester_ratio_is_the_exact_quotient(ring, f1, f2):
+    rec = current_recipe(ring.poly(f1), ring.poly(f2))
+    res = resultant_sylvester(rec.p1, rec.g2, 0)
+    expected = sympy.cancel(res.to_sympy() / rec.r2.to_sympy())
+    assert " " not in rec.sylvester_ratio
+    assert sympy.cancel(sympy.sympify(rec.sylvester_ratio) - expected) == 0
 
 
 def test_recipe_constant_invariants():
