@@ -84,7 +84,7 @@ def read_matrix_file(path, ring=None):
         pos = 1
     if ring is None:
         raise InputError(f"{path}: matrix file needs a ring header")
-    head = lines[pos].split()
+    head = lines[pos].split() if pos < len(lines) else []
     if len(head) != 3 or head[0] != "matrix":
         raise InputError(f"{path}: expected 'matrix r c' header")
     try:
@@ -192,6 +192,8 @@ def cmd_colon(args):
     I = read_ideal_file(args.ideal_I)
     J = read_ideal_file(args.ideal_J)
     _same_ring(I, J)
+    if J.is_zero():
+        raise InputError("colon by the zero ideal")
     order = _order(args)
     K = ideal_colon(I, J, order)
     report = {
@@ -208,6 +210,8 @@ def cmd_colon(args):
 def cmd_resolve(args):
     J = read_ideal_file(args.ideal)
     order = _order(args)
+    if J.is_zero() or J.is_unit(order):
+        raise InputError("resolve needs a proper nonzero ideal")
     if args.minimal:
         res = minimal_resolution(J, order)
     else:
@@ -232,6 +236,8 @@ def cmd_resolve(args):
 
 def cmd_koszul(args):
     I = read_ideal_file(args.ideal)
+    if I.is_zero():
+        raise InputError("koszul needs a nonzero generator")
     K = KoszulComplex(list(I.gens))
     report = {
         "command": "koszul",
@@ -344,6 +350,8 @@ def cmd_resultant(args):
         if args.var not in ring.variables:
             raise InputError(f"unknown variable {args.var!r}")
         var = ring.variables.index(args.var)
+    if P.is_zero() or Q.is_zero():
+        raise InputError("extended Euclid needs nonzero --p and --q")
     g, a, b = extended_euclid(P, Q, var)
     res = None
     if P.degree_in(var) >= 1 and Q.degree_in(var) >= 1:

@@ -18,7 +18,6 @@ from itertools import combinations
 
 from .groebner import GREVLEX, Ideal, ideal_codim
 from .modules import (
-    ModuleOrder,
     PolyMatrix,
     _kernel_generators,
     _module_basis,
@@ -79,11 +78,6 @@ class ChainComplex:
         return f"ChainComplex(ranks={self.ranks()})"
 
 
-def koszul_subsets(p, k):
-    """Size-k subsets of {0,...,p-1} in lexicographic order."""
-    return list(combinations(range(p), k))
-
-
 class KoszulComplex(ChainComplex):
     """Koszul complex of a tuple f: differentials by contraction with sum f_i e_i*."""
 
@@ -97,8 +91,8 @@ class KoszulComplex(ChainComplex):
         p = len(f)
         diffs = []
         for k in range(1, p + 1):
-            rows_idx = koszul_subsets(p, k - 1)
-            cols_idx = koszul_subsets(p, k)
+            rows_idx = list(combinations(range(p), k - 1))
+            cols_idx = list(combinations(range(p), k))
             row_pos = {s: i for i, s in enumerate(rows_idx)}
             mat = [[ring.zero() for _ in cols_idx] for _ in rows_idx]
             for cj, subset in enumerate(cols_idx):
@@ -195,7 +189,7 @@ def _prune_units(diffs):
         k, i, j = hit
         m = mats[k]
         u = m[i][j]
-        uinv = ring.coeff_div(ring.coeff(1), u.constant_term())
+        uinv = 1 / u.constant_term()
         ncols = len(m[0])
         nrows = len(m)
         # column operations clearing row i (basis change in source module)
@@ -285,7 +279,6 @@ def verify_exactness(C, order=GREVLEX):
     """
     failures = []
     diffs = C.differentials
-    morder = ModuleOrder(order)
     for k in range(1, len(diffs) + 1):
         dk = diffs[k - 1]
         nxt = diffs[k] if k < len(diffs) else None
@@ -297,14 +290,14 @@ def verify_exactness(C, order=GREVLEX):
                 failures.append((k, "composition d_k d_{k+1} != 0", nxt.column(col)))
                 continue
         # ker(d_k) subset of im(d_{k+1})
-        kernel = _kernel_generators(dk, morder)
+        kernel = _kernel_generators(dk, order)
         if nxt is None:
             if kernel:
                 failures.append((k, "kernel of the last differential is nonzero", kernel[0]))
             continue
-        basis, _, leads = _module_basis(nxt, morder)
+        basis, _, leads = _module_basis(nxt, order)
         for v in kernel:
-            _, rem = module_normal_form(v, basis, morder, leads)
+            _, rem = module_normal_form(v, basis, order, leads)
             if not _vec_is_zero(rem):
                 failures.append((k, "kernel vector not in the image", v))
                 break

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .modules import ModuleOrder, _groebner, _leading, _module_spair, module_normal_form
+from .modules import _groebner, _leading, _module_spair, module_normal_form
 from .poly import (
     GREVLEX,
     Polynomial,
@@ -43,7 +43,7 @@ def normal_form(f, basis, order=GREVLEX):
         raise ValueError("division requires a nonempty basis")
     if any(g.ring != f.ring for g in basis):
         raise RingMismatchError("divisor in a different ring")
-    quotients, rem = module_normal_form([f], [[g] for g in basis], ModuleOrder(order))
+    quotients, rem = module_normal_form([f], [[g] for g in basis], order)
     return DivisionResult(quotients, rem[0])
 
 
@@ -55,8 +55,8 @@ def reduce_poly(f, basis, order=GREVLEX):
 
 def s_polynomial(f, g, order=GREVLEX):
     vecs = [[f], [g]]
-    leads = [_leading(v, ModuleOrder(order)) for v in vecs]
-    return _module_spair(vecs, None, leads, 0, 1, f.ring)[0][0]
+    leads = [_leading(v, order) for v in vecs]
+    return _module_spair(vecs, None, leads, 0, 1)[0][0]
 
 
 def buchberger(gens, order=GREVLEX):
@@ -70,8 +70,7 @@ def buchberger(gens, order=GREVLEX):
     gens = list(gens)
     if any(g.ring != gens[0].ring for g in gens):
         raise RingMismatchError("generators in different rings")
-    morder = ModuleOrder(order)
-    vecs, _, leads = _groebner([[g] for g in gens], morder, False)
+    vecs, _, leads = _groebner([[g] for g in gens], order, False)
     kept = []  # ascending, so a divisor of a leading monomial is met first
     for i in sorted(range(len(vecs)), key=lambda k: order.desc_key(leads[k][1]),
                     reverse=True):
@@ -80,7 +79,7 @@ def buchberger(gens, order=GREVLEX):
     basis = []
     for i in reversed(kept):
         others = [k for k in kept if k != i]
-        _, rem = module_normal_form(vecs[i], [vecs[k] for k in others], morder,
+        _, rem = module_normal_form(vecs[i], [vecs[k] for k in others], order,
                                     [leads[k] for k in others])
         basis.append(rem[0])
     return basis

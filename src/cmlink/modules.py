@@ -1,9 +1,13 @@
 """Free modules over the polynomial ring.
 
-Matrices of polynomials, module Groebner bases under a position-over-term
-order, Schreyer-style syzygy computation, and exact lifting of a vector
-through the image of a matrix.  Vectors are lists of polynomials; internally
-module terms are keyed by (position, exponent tuple).
+Matrices of polynomials, module Groebner bases, Schreyer-style syzygy
+computation, and exact lifting of a vector through the image of a matrix.
+Vectors are lists of polynomials; internally module terms are keyed by
+(position, exponent tuple).
+
+The module order is position-over-term, the only one used: a lower position
+wins, then the ring's `MonomialOrder` on exponents.  No object stands for
+it; every function takes that monomial order as `order`.
 
 The pair loop `_groebner` and the division `module_normal_form` are the only
 Buchberger loop and division loop of the package: `groebner` runs ideals
@@ -173,14 +177,7 @@ def det_bareiss(M):
 # -- module term order and division -------------------------------------------
 
 
-class ModuleOrder:
-    """Position-over-term order: lower position index wins, then the ring order."""
-
-    def __init__(self, order=GREVLEX):
-        self.order = order
-
-
-def _leading(vec, morder):
+def _leading(vec, order):
     """(position, exponents, coefficient) of the leading term of a nonzero vector.
 
     Under position-over-term the leading term is the ring-order maximum of
@@ -188,17 +185,13 @@ def _leading(vec, morder):
     """
     for pos, p in enumerate(vec):
         if p.terms:
-            exps = min(p.terms, key=morder.order.desc_key)
+            exps = min(p.terms, key=order.desc_key)
             return pos, exps, p.terms[exps]
     raise ValueError("zero vector has no leading term")
 
 
 def _vec_is_zero(vec):
     return all(p.is_zero() for p in vec)
-
-
-def _vec_scale(vec, c):
-    return [p.scale(c) for p in vec]
 
 
 def _combine(vec, coeffs, vectors):
@@ -209,9 +202,10 @@ def _combine(vec, coeffs, vectors):
     return vec
 
 
-def module_normal_form(vec, basis, morder, leads=None):
+def module_normal_form(vec, basis, order, leads=None):
     """Divide a vector by module basis vectors; returns (quotients, remainder).
 
+    The module order is position-over-term over the monomial order `order`.
     `leads` are the leading terms of `basis` as `_leading` gives them;
     callers that divide many vectors by one basis pass them in once.
 
@@ -227,8 +221,8 @@ def module_normal_form(vec, basis, morder, leads=None):
     """
     ring = vec[0].ring
     if leads is None:
-        leads = [_leading(w, morder) for w in basis]
-    key = morder.order.desc_key
+        leads = [_leading(w, order) for w in basis]
+    key = order.desc_key
     quotients = [{} for _ in basis]
     remainder = [{} for _ in vec]
     work = [dict(p.terms) for p in vec]
@@ -249,7 +243,7 @@ def module_normal_form(vec, basis, morder, leads=None):
             for i, (lpos, lexps, lcoeff) in enumerate(leads):
                 if lpos == pos and monomial_divides(lexps, exps):
                     t_exps = monomial_div(exps, lexps)
-                    t_coeff = ring.coeff_div(coeff, lcoeff)
+                    t_coeff = coeff / lcoeff
                     # the leading exponents at `pos` strictly decrease, so t_exps is new
                     quotients[i][t_exps] = t_coeff
                     for r in range(pos, len(work)):
@@ -267,15 +261,14 @@ def _dict_sub_term(terms, heap, key, q, t_exps, t_coeff, skip):
 
     A monomial new to `terms` is pushed onto `heap` as (key(m), m).
     """
-    ring = q.ring
     for e, v in q.terms.items():
         m = monomial_mul(e, t_exps)
         if m == skip:
             continue
-        c = ring.coeff_neg(ring.coeff_mul(v, t_coeff))
+        c = -(v * t_coeff)
         if m in terms:
-            s = ring.coeff_add(terms[m], c)
-            if ring.coeff_is_zero(s):
+            s = terms[m] + c
+            if not s:
                 del terms[m]
             else:
                 terms[m] = s
@@ -284,21 +277,20 @@ def _dict_sub_term(terms, heap, key, q, t_exps, t_coeff, skip):
             heapq.heappush(heap, (key(m), m))
 
 
-def module_groebner(columns, morder=None, order=GREVLEX):
+def module_groebner(columns, order=GREVLEX):
     """Module Groebner basis of the given vectors, with representations.
 
+    The module order is position-over-term over the monomial order `order`.
     Returns (basis, reps) where each basis vector equals
     sum(reps[k][j] * columns[j]).  The pair loop is `_groebner`, the one
     Buchberger loop of the package; `groebner.buchberger` runs it on
     vectors of one entry.
     """
-    if morder is None:
-        morder = ModuleOrder(order)
-    basis, reps, _ = _groebner(columns, morder, True)
+    basis, reps, _ = _groebner(columns, order, True)
     return basis, reps
 
 
-def _groebner(columns, morder, track_reps):
+def _groebner(columns, order, track_reps):
     """(basis, reps, leads) of the given vectors; reps is None unless tracked.
 
     S-pairs are taken from a heap by lcm degree, then the lcm, then the
@@ -322,13 +314,13 @@ def _groebner(columns, morder, track_reps):
     taken = set()
 
     def add(vec, rep):
-        lead = _leading(vec, morder)
-        inv = ring.coeff_div(ring.coeff(1), lead[2])
+        lead = _leading(vec, order)
+        inv = 1 / lead[2]
         j = len(basis)
-        basis.append(_vec_scale(vec, inv))
+        basis.append([p.scale(inv) for p in vec])
         if track_reps:
             reps.append([p.scale(inv) for p in rep])
-        leads.append(_leading(basis[j], morder))
+        leads.append(_leading(basis[j], order))
         for i in range(j):
             if leads[i][0] == lead[0]:
                 lcm = monomial_lcm(leads[i][1], lead[1])
@@ -343,8 +335,8 @@ def _groebner(columns, morder, track_reps):
             if lcm == monomial_mul(leads[i][1], leads[j][1]) or _chain_criterion(
                     i, j, lcm, leads, taken):
                 continue
-        svec, srep = _module_spair(basis, reps, leads, i, j, ring)
-        q, rem = module_normal_form(svec, basis, morder, leads)
+        svec, srep = _module_spair(basis, reps, leads, i, j)
+        q, rem = module_normal_form(svec, basis, order, leads)
         if not _vec_is_zero(rem):
             add(rem, _combine(srep, q, reps) if track_reps else None)
     return basis, reps, leads
@@ -359,7 +351,7 @@ def _chain_criterion(i, j, lcm, leads, taken):
     )
 
 
-def _module_spair(basis, reps, leads, i, j, ring):
+def _module_spair(basis, reps, leads, i, j):
     """S-vector of basis[i], basis[j] (same leading position) and its rep.
 
     The rep is None when `reps` is.
@@ -370,8 +362,8 @@ def _module_spair(basis, reps, leads, i, j, ring):
     lcm = monomial_lcm(ei, ej)
     ti = monomial_div(lcm, ei)
     tj = monomial_div(lcm, ej)
-    ci = ring.coeff_div(ring.coeff(1), ci)
-    cj = ring.coeff_div(ring.coeff(1), cj)
+    ci = 1 / ci
+    cj = 1 / cj
 
     def sub(a, b):
         if b.is_zero():
@@ -384,7 +376,7 @@ def _module_spair(basis, reps, leads, i, j, ring):
             None if reps is None else [sub(a, b) for a, b in zip(reps[i], reps[j])])
 
 
-def _module_basis(M, morder):
+def _module_basis(M, order):
     """(basis, reps, leads) of the columns of M, built once per order and cached on M.
 
     The basis comes from `module_groebner`, with representations; `leads`
@@ -392,14 +384,14 @@ def _module_basis(M, morder):
     (`_kernel_generators`), its exactness check (`verify_exactness`) and
     lifts through it (`image_lifter`) all divide by this one basis.
     """
-    cached = M._bases.get(morder.order)
+    cached = M._bases.get(order)
     if cached is None:
-        basis, reps = module_groebner(M.columns(), morder)
-        cached = M._bases[morder.order] = (basis, reps, [_leading(w, morder) for w in basis])
+        basis, reps = module_groebner(M.columns(), order)
+        cached = M._bases[order] = (basis, reps, [_leading(w, order) for w in basis])
     return cached
 
 
-def _kernel_generators(M, morder):
+def _kernel_generators(M, order):
     """Columns generating the kernel of M, before pruning; cached on M per order.
 
     Schreyer's construction on the basis of `_module_basis`: syzygies of the
@@ -408,19 +400,19 @@ def _kernel_generators(M, morder):
     the redundancy of the input columns.  Zero and duplicate columns are
     dropped.  The list is shared by every caller; do not modify it.
     """
-    kernel = M._kernels.get(morder.order)
+    kernel = M._kernels.get(order)
     if kernel is None:
-        kernel = M._kernels[morder.order] = _schreyer_kernel(M, morder)
+        kernel = M._kernels[order] = _schreyer_kernel(M, order)
     return kernel
 
 
-def _schreyer_kernel(M, morder):
+def _schreyer_kernel(M, order):
     """The kernel generators of `_kernel_generators`, computed without the cache."""
     ring = M.ring
     if M.is_zero():
         return PolyMatrix.identity(ring, M.ncols).columns()
     cols = M.columns()
-    basis, reps, leads = _module_basis(M, morder)
+    basis, reps, leads = _module_basis(M, order)
     m = len(cols)
 
     syz_cols = []
@@ -428,8 +420,8 @@ def _schreyer_kernel(M, morder):
     for i, j in combinations(range(len(basis)), 2):
         if leads[i][0] != leads[j][0]:
             continue
-        svec, srep = _module_spair(basis, reps, leads, i, j, ring)
-        q, rem = module_normal_form(svec, basis, morder, leads)
+        svec, srep = _module_spair(basis, reps, leads, i, j)
+        q, rem = module_normal_form(svec, basis, order, leads)
         if not _vec_is_zero(rem):
             raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
         syz_cols.append(_combine(srep, q, reps))
@@ -441,7 +433,7 @@ def _schreyer_kernel(M, morder):
         if _vec_is_zero(col):
             syz_cols.append(unit)
             continue
-        q, rem = module_normal_form(col, basis, morder, leads)
+        q, rem = module_normal_form(col, basis, order, leads)
         if not _vec_is_zero(rem):
             raise AssertionError("input column failed to reduce against its own GB")
         syz_cols.append(_combine(unit, q, reps))
@@ -452,7 +444,7 @@ def _schreyer_kernel(M, morder):
     for col in syz_cols:
         if _vec_is_zero(col):
             continue
-        key = tuple(str(p) for p in col)
+        key = tuple(col)
         if key in seen:
             continue
         seen.add(key)
@@ -471,16 +463,16 @@ def syzygy_matrix(M, order=GREVLEX):
     """
     if M.is_zero():
         return PolyMatrix.identity(M.ring, M.ncols)
-    morder = ModuleOrder(order)
-    kept = prune_redundant_columns(_kernel_generators(M, morder), morder)
+    kept = prune_redundant_columns(_kernel_generators(M, order), order)
     if not kept:
         return PolyMatrix.zero(M.ring, M.ncols, 0)
     return PolyMatrix.from_columns(kept, M.ring)
 
 
-def prune_redundant_columns(columns, morder=None, order=GREVLEX):
+def prune_redundant_columns(columns, order=GREVLEX):
     """Drop columns lying in the submodule generated by the remaining ones.
 
+    The module order is position-over-term over the monomial order `order`.
     Zero columns go first.  When every column is homogeneous for one choice
     of row shifts (see `_column_degrees`), columns are pruned degree by
     degree: a column of degree d is kept exactly when its normal form
@@ -493,41 +485,38 @@ def prune_redundant_columns(columns, morder=None, order=GREVLEX):
     coefficients, so removing the last redundant column first keeps exactly
     the columns independent of the ones before them.
     """
-    if morder is None:
-        morder = ModuleOrder(order)
     cols = [c for c in columns if not _vec_is_zero(c)]
     if not cols:
         return cols
     degrees = _column_degrees(cols)
     if degrees is None:
-        return _greedy_prune(cols, morder)
-    ring = cols[0][0].ring
+        return _greedy_prune(cols, order)
     keep = [False] * len(cols)
     for d in sorted(set(degrees)):
         below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
-        basis, _, leads = _groebner(below, morder, False)
+        basis, _, leads = _groebner(below, order, False)
         pivots = []  # (key, row): rows in echelon form, each zero at earlier keys
         for j, col in enumerate(cols):
             if degrees[j] != d:
                 continue
-            _, rem = module_normal_form(col, basis, morder, leads)
+            _, rem = module_normal_form(col, basis, order, leads)
             row = {(pos, e): c for pos, p in enumerate(rem) for e, c in p.terms.items()}
             for key, prow in pivots:
                 if key in row:
-                    _row_sub(row, prow, ring.coeff_div(row[key], prow[key]), ring)
+                    _row_sub(row, prow, row[key] / prow[key])
             if row:
                 pivots.append((min(row), row))
                 keep[j] = True
     return [c for c, k in zip(cols, keep) if k]
 
 
-def _row_sub(row, prow, factor, ring):
+def _row_sub(row, prow, factor):
     """row -= factor * prow in place, dropping entries that cancel."""
     for key, c in prow.items():
-        t = ring.coeff_neg(ring.coeff_mul(factor, c))
+        t = -(factor * c)
         if key in row:
-            s = ring.coeff_add(row[key], t)
-            if ring.coeff_is_zero(s):
+            s = row[key] + t
+            if not s:
                 del row[key]
             else:
                 row[key] = s
@@ -582,7 +571,7 @@ def _column_degrees(cols):
     return degrees
 
 
-def _greedy_prune(cols, morder):
+def _greedy_prune(cols, order):
     """Drop redundant nonzero columns from the last one back, one basis per column.
 
     The reference for `prune_redundant_columns`, and its path for columns
@@ -591,8 +580,8 @@ def _greedy_prune(cols, morder):
     idx = len(cols) - 1
     while idx >= 0 and len(cols) > 1:
         others = cols[:idx] + cols[idx + 1 :]
-        basis, _, leads = _groebner(others, morder, False)
-        _, rem = module_normal_form(cols[idx], basis, morder, leads)
+        basis, _, leads = _groebner(others, order, False)
+        _, rem = module_normal_form(cols[idx], basis, order, leads)
         if _vec_is_zero(rem):
             cols = others
             idx = min(idx, len(cols)) - 1
@@ -612,15 +601,14 @@ def image_lifter(M, order=GREVLEX):
     costs one basis however many vectors are lifted.
     """
     ring = M.ring
-    morder = ModuleOrder(order)
 
     def lift(b):
         if len(b) != M.nrows:
             raise ValueError("vector length must equal the row count")
         if _vec_is_zero(b):
             return [ring.zero()] * M.ncols
-        basis, reps, leads = _module_basis(M, morder)
-        q, rem = module_normal_form(b, basis, morder, leads)
+        basis, reps, leads = _module_basis(M, order)
+        q, rem = module_normal_form(b, basis, order, leads)
         if not _vec_is_zero(rem):
             raise NotInImageError(rem)
         x = [ring.zero()] * M.ncols

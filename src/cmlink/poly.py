@@ -89,9 +89,10 @@ class Ring:
         return f"ring {','.join(self.variables)} over {field}"
 
     # -- coefficient field ---------------------------------------------------
-    # Only coercion, the value at the origin and the sympy conversion depend
-    # on the field; arithmetic is the native operators of Fraction and
-    # FracElement, whose results are already canonical.
+    # Only coercion, the value at the origin, printing and the sympy
+    # conversion depend on the field.  Arithmetic is written with the native
+    # operators (`not c`, `+`, `-`, `*`, `/`) of Fraction and FracElement,
+    # whose results are already canonical.
 
     def coeff(self, value):
         """Canonicalize `value` into the coefficient field."""
@@ -118,21 +119,6 @@ class Ring:
         # unnormalized (1/(1-s) against -1/(s-1)); new() makes them canonical
         element = field.from_expr(expr)
         return field.new(element.numer, element.denom)
-
-    def coeff_is_zero(self, c):
-        return not c
-
-    def coeff_add(self, a, b):
-        return a + b
-
-    def coeff_mul(self, a, b):
-        return a * b
-
-    def coeff_div(self, a, b):
-        return a / b
-
-    def coeff_neg(self, a):
-        return -a
 
     def coeff_at_origin(self, c):
         """Value of a coefficient at params = 0, as a Fraction."""
@@ -164,7 +150,7 @@ class Ring:
 
     def constant(self, value):
         c = self.coeff(value)
-        if self.coeff_is_zero(c):
+        if not c:
             return Polynomial(self, {})
         return Polynomial(self, {self._zero_exps: c})
 
@@ -359,8 +345,8 @@ class Polynomial:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             if exps in out:
-                s = ring.coeff_add(out[exps], c)
-                if ring.coeff_is_zero(s):
+                s = out[exps] + c
+                if not s:
                     del out[exps]
                 else:
                     out[exps] = s
@@ -390,14 +376,14 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = monomial_mul(e1, e2)
-                prod = ring.coeff_mul(c1, c2)
+                prod = c1 * c2
                 if exps in out:
-                    s = ring.coeff_add(out[exps], prod)
-                    if ring.coeff_is_zero(s):
+                    s = out[exps] + prod
+                    if not s:
                         del out[exps]
                     else:
                         out[exps] = s
-                elif not ring.coeff_is_zero(prod):
+                else:
                     out[exps] = prod
         return Polynomial(ring, out)
 
@@ -406,18 +392,14 @@ class Polynomial:
 
     def scale(self, c):
         c = self.ring.coeff(c)
-        if self.ring.coeff_is_zero(c):
+        if not c:
             return self.ring.zero()
-        return Polynomial(
-            self.ring, {e: self.ring.coeff_mul(v, c) for e, v in self.terms.items()}
-        )
+        return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
 
     def term_mul(self, exps, c):
         """Multiply by the single term c * x^exps."""
-        ring = self.ring
         return Polynomial(
-            ring,
-            {monomial_mul(e, exps): ring.coeff_mul(v, c) for e, v in self.terms.items()},
+            self.ring, {monomial_mul(e, exps): v * c for e, v in self.terms.items()}
         )
 
     def __pow__(self, n):
@@ -544,7 +526,7 @@ class Polynomial:
         terms = {}
         for exps, c in p.terms():
             coeff = ring.coeff(p.domain.to_sympy(c) / den)
-            if not ring.coeff_is_zero(coeff):
+            if coeff:
                 terms[tuple(exps)] = coeff
         return Polynomial(ring, terms)
 
@@ -743,7 +725,7 @@ class _Parser:
                 self.error("'/' is only allowed between variable-free operands", op)
             if q.is_zero():
                 self.error("zero denominator", op)
-            p = self.ring.constant(self.ring.coeff_div(p.constant_term(), q.constant_term()))
+            p = self.ring.constant(p.constant_term() / q.constant_term())
         return p
 
     def factor(self):
@@ -814,9 +796,7 @@ def parse_ring_header(line):
     variables = [v.strip() for v in m.group("vars").split(",") if v.strip()]
     params = m.group("params")
     params = [p.strip() for p in params.split(",") if p.strip()] if params else []
-    return Ring(variables, params)
-
-
-def poly_mul(p, q):
-    """Exact product (spec-level alias for `p * q`)."""
-    return p * q
+    try:
+        return Ring(variables, params)
+    except ValueError as exc:
+        raise ParseError(str(exc), 1, 1) from exc

@@ -95,7 +95,7 @@ def weierstrass_ready(f, var):
             "origin",
             witness=lead,
         )
-    p = f.scale(ring.coeff_div(ring.coeff(1), u))
+    p = f.scale(1 / u)
     for k in range(n):
         low = p.coefficient_in(var, k)
         if low.constant_term_at_origin() != 0:
@@ -148,7 +148,7 @@ def _integral_coeffs(p, var, dom):
         )
         for k in range(max(acc), -1, -1)
     ]
-    return coeffs, ring.coeff_mul(dp, ring.coeff(Fraction(lcm, content)))
+    return coeffs, dp * ring.coeff(Fraction(lcm, content))
 
 
 def _from_poly_coeffs(coeff_list, ring, var):
@@ -292,7 +292,7 @@ def resultant_sylvester(P, Q, var):
             mat[n + j][j + k] = qc[k]
     det = _bareiss_det(mat, dom.one, lambda c: not c, dom.exquo)
     res = _from_poly_coeffs([det], ring, var)
-    return res.scale(ring.coeff_div(ring.coeff(1), kP**n * kQ**m))
+    return res.scale(1 / (kP**n * kQ**m))
 
 
 def _work_ring(ring):
@@ -323,8 +323,8 @@ def _to_work(p, work):
         )
         key = exps[:2]
         if key in out:
-            coeff = work.coeff_add(out[key], coeff)
-        if work.coeff_is_zero(coeff):
+            coeff = out[key] + coeff
+        if not coeff:
             out.pop(key, None)
         else:
             out[key] = coeff
@@ -457,7 +457,7 @@ def _run_pipeline(f1, f2, change, work):
     wf2 = weierstrass_ready(r2, 1)
     # r2 = a_raw * P1 + b * g2 and g1 = u * P1, so divide a_raw by the unit
     u = wf1.unit.constant_term()
-    a = a_raw.scale(work.coeff_div(work.coeff(1), u))
+    a = a_raw.scale(1 / u)
     if a * g1 + b * g2 != r2:
         raise ArithmeticError("Bezout identity failed after unit correction")
     return g1, g2, wf1, wf2, r2, a, b

@@ -1,6 +1,10 @@
 """CLI subcommands: file formats, JSON reports and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ CURVE = "ring x,y,z over QQ\ny^2 - x*z\nx^3 - y*z\nx^2*y - z^2\n"
 CI = "ring x,y,z over QQ\nz^2 - x^2*y\nx^4 + y^3 - 2*x*y*z\n"
 CI2 = "ring x,y,z over QQ\nz^2 - x^2*y\nx^4 - 2*x*y*z + y^3\n"
 NONCM = "ring x,y,z over QQ\nx*z\ny*z\n"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -255,12 +260,51 @@ def test_missing_file_is_usage_error(files, capsys):
     assert "error" in report
 
 
-def test_parse_error_is_usage_error(files, capsys, tmp_path):
-    bad = tmp_path / "bad.id"
-    bad.write_text("ring x,y over QQ\nx + w\n")
-    code, report = capture(capsys, ["gb", "--ideal", str(bad)])
+# malformed inputs: (files to write, argv naming them)
+MALFORMED = {
+    "unknown-variable": ({"bad.id": "ring x,y over QQ\nx + w\n"}, ["gb", "--ideal", "bad.id"]),
+    "repeated-name": ({"bad.id": "ring x,x over QQ\nx\n"}, ["gb", "--ideal", "bad.id"]),
+    "bad-name": ({"bad.id": "ring 1x over QQ\nx\n"}, ["gb", "--ideal", "bad.id"]),
+    "no-matrix-line": (
+        {"m.mat": "ring x over QQ\n", "b.mat": "ring x over QQ\nmatrix 1 1\nx\n"},
+        ["lift", "--matrix", "m.mat", "--target", "b.mat"],
+    ),
+    "euclid-of-zero": ({}, ["resultant", "--ring", "ring x over QQ", "--p", "0", "--q", "x"]),
+    "colon-by-zero": (
+        {"I.id": "ring x,y over QQ\nx\n", "J.id": "ring x,y over QQ\n0\n"},
+        ["colon", "--ideal-I", "I.id", "--ideal-J", "J.id"],
+    ),
+    "resolve-unit": ({"one.id": "ring x,y over QQ\n1\n"}, ["resolve", "--ideal", "one.id"]),
+    "resolve-zero": ({"zero.id": "ring x,y over QQ\n0\n"}, ["resolve", "--ideal", "zero.id"]),
+    "koszul-of-zero": ({"zero.id": "ring x,y over QQ\n0\n"}, ["koszul", "--ideal", "zero.id"]),
+}
+
+
+def _malformed_argv(case, tmp_path):
+    texts, argv = MALFORMED[case]
+    paths = {}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    return [paths.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_parse_error_is_usage_error(case, capsys, tmp_path):
+    code, report = capture(capsys, _malformed_argv(case, tmp_path))
     assert code == 2
     assert "error" in report
+
+
+def test_main_reports_usage_error_without_traceback(tmp_path):
+    argv = _malformed_argv("repeated-name", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmlink.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2
+    assert "error" in json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr
 
 
 def test_reports_byte_deterministic(files, tmp_path):

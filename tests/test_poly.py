@@ -169,7 +169,7 @@ def test_param_ring_coefficients():
     lead = p.coefficient_in(0, 2)
     assert lead.is_constant()
     assert S.coeff_at_origin(lead.constant_term()) == 1
-    q = p.scale(S.coeff_div(S.coeff(1), lead.constant_term()))
+    q = p.scale(1 / lead.constant_term())
     assert q.coefficient_in(0, 2) == S.one()
 
 
@@ -192,12 +192,10 @@ def test_param_ring_coefficients_are_canonical():
     ways = [
         U.coeff(1 / (1 - s_)),
         U.coeff(-1 / (s_ - 1)),
-        U.coeff_div(U.coeff(1), U.coeff_add(U.coeff(1), U.coeff_neg(s))),
+        U.coeff(1) / (U.coeff(1) + -s),
     ]
     half, third = U.coeff(Fraction(1, 2)), U.coeff(Fraction(1, 3))
-    ratio = U.coeff_div(
-        U.coeff_mul(s, half), U.coeff_add(U.coeff_mul(s, third), U.coeff(1))
-    )
+    ratio = (s * half) / (s * third + U.coeff(1))
     for group in (ways, [ratio, U.coeff("3*s/(2*s+6)")]):
         polys = [x_.scale(c) + U.constant(c) for c in group]
         assert all(p == polys[0] for p in polys)
@@ -207,18 +205,18 @@ def test_param_ring_coefficients_are_canonical():
     assert str(U.constant(ways[0])) == "(-1/(s-1))"
 
 
-def test_coeff_div_by_zero_raises_in_both_fields():
+def test_coefficient_division_by_zero_raises_in_both_fields():
     for ring in (R, Ring(("x",), ("s", "t"))):
         a = ring.coeff(3)
         with pytest.raises(ZeroDivisionError):
-            ring.coeff_div(a, ring.coeff(0))
+            a / ring.coeff(0)
         with pytest.raises(ZeroDivisionError):
-            ring.coeff_div(a, ring.coeff_add(a, ring.coeff_neg(a)))
+            a / (a + -a)
 
 
 def test_origin_pole_detection():
     S = Ring(("X",), ("Y",))
-    c = S.coeff_div(S.coeff(1), S.coeff("Y"))
+    c = 1 / S.coeff("Y")
     with pytest.raises(OriginPoleError):
         S.coeff_at_origin(c)
 
