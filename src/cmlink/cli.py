@@ -9,6 +9,7 @@ computation ran but a verification failed (the report carries witnesses);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -158,6 +159,8 @@ def cmd_member(args):
     if args.via == "gb":
         verdict = ideal_member(g, J, order)
     elif args.via == "link":
+        if J.is_zero() or J.is_unit(order):
+            raise InputError("membership via link needs a proper nonzero ideal J")
         if args.ideal_I:
             I = read_ideal_file(args.ideal_I)
             _same_ring(I, J)
@@ -252,6 +255,8 @@ def cmd_koszul(args):
 def cmd_lift(args):
     M = read_matrix_file(args.matrix)
     b = read_matrix_file(args.target, M.ring)
+    if b.ring != M.ring:
+        raise InputError("target and matrix use different rings")
     if b.ncols != 1 or b.nrows != M.nrows:
         raise InputError("target must be a column matrix matching the rows of M")
     order = _order(args)
@@ -488,10 +493,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built at the first `run` of the process and reused."""
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

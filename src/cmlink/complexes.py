@@ -295,9 +295,9 @@ def verify_exactness(C, order=GREVLEX):
             if kernel:
                 failures.append((k, "kernel of the last differential is nonzero", kernel[0]))
             continue
-        basis, _, leads = _module_basis(nxt, order)
+        basis, _, divisors = _module_basis(nxt, order)
         for v in kernel:
-            _, rem = module_normal_form(v, basis, order, leads)
+            _, rem = module_normal_form(v, basis, order, divisors)
             if not _vec_is_zero(rem):
                 failures.append((k, "kernel vector not in the image", v))
                 break

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .modules import _groebner, _leading, _module_spair, module_normal_form
+from .modules import _divisors, _groebner, _leading, _module_spair, module_normal_form
 from .poly import (
     GREVLEX,
     Polynomial,
@@ -31,19 +31,24 @@ class DivisionResult:
     remainder: Polynomial
 
 
-def normal_form(f, basis, order=GREVLEX):
+def normal_form(f, basis, order=GREVLEX, divisors=None):
     """Divide f by the list `basis`, returning quotients and remainder.
 
     No remainder term is divisible by any divisor's leading term; against a
     reduced Groebner basis the remainder is the canonical normal form.  Zero
     divisors are dropped, and the quotients follow the remaining ones.
+    `divisors`, when given, are those of a basis of nonzero polynomials as
+    `Ideal` caches them with its reduced basis, and are not built again.
     """
-    basis = [g for g in basis if not g.is_zero()]
+    if divisors is None:
+        basis = [g for g in basis if not g.is_zero()]
     if not basis:
         raise ValueError("division requires a nonempty basis")
     if any(g.ring != f.ring for g in basis):
         raise RingMismatchError("divisor in a different ring")
-    quotients, rem = module_normal_form([f], [[g] for g in basis], order)
+    if divisors is None:
+        divisors = _divisors([[g] for g in basis], order)
+    quotients, rem = module_normal_form([f], None, order, divisors)
     return DivisionResult(quotients, rem[0])
 
 
@@ -65,22 +70,22 @@ def buchberger(gens, order=GREVLEX):
     The pair loop of `modules` on the generators as vectors of one entry,
     without representations.  Its basis is made reduced in one pass: drop
     each element whose leading monomial another's divides (the first of
-    equal ones stays), then reduce each one left by the others.
+    equal ones stays), then reduce each one left by the others, through the
+    divisors the pair loop built.
     """
     gens = list(gens)
     if any(g.ring != gens[0].ring for g in gens):
         raise RingMismatchError("generators in different rings")
-    vecs, _, leads = _groebner([[g] for g in gens], order, False)
+    vecs, _, divisors = _groebner([[g] for g in gens], order, False)
     kept = []  # ascending, so a divisor of a leading monomial is met first
-    for i in sorted(range(len(vecs)), key=lambda k: order.desc_key(leads[k][1]),
+    for i in sorted(range(len(vecs)), key=lambda k: order.desc_key(divisors[k][1]),
                     reverse=True):
-        if not any(monomial_divides(leads[k][1], leads[i][1]) for k in kept):
+        if not any(monomial_divides(divisors[k][1], divisors[i][1]) for k in kept):
             kept.append(i)
     basis = []
     for i in reversed(kept):
-        others = [k for k in kept if k != i]
-        _, rem = module_normal_form(vecs[i], [vecs[k] for k in others], order,
-                                    [leads[k] for k in others])
+        _, rem = module_normal_form(vecs[i], None, order,
+                                    [divisors[k] for k in kept if k != i])
         basis.append(rem[0])
     return basis
 
@@ -88,7 +93,8 @@ def buchberger(gens, order=GREVLEX):
 class Ideal:
     """Ideal given by generators.
 
-    Reduced Groebner bases are cached per order in `_gb`, and
+    Reduced Groebner bases are cached per order in `_gb`, each with its
+    divisors (`modules._divisors`), which every membership test divides by;
     `complexes.syzygy_resolution` and `complexes.minimal_resolution` cache
     the free resolutions per order in `_resolutions`.
     """
@@ -112,9 +118,15 @@ class Ideal:
         return cls([ring.poly(t) for t in texts], ring)
 
     def groebner_basis(self, order=GREVLEX):
-        if order not in self._gb:
-            self._gb[order] = buchberger(self.gens, order)
-        return self._gb[order]
+        return self._basis(order)[0]
+
+    def _basis(self, order):
+        """(reduced Groebner basis, its divisors), built once per order."""
+        cached = self._gb.get(order)
+        if cached is None:
+            gb = buchberger(self.gens, order)
+            cached = self._gb[order] = (gb, _divisors([[g] for g in gb], order))
+        return cached
 
     def is_zero(self):
         return not self.gens
@@ -126,10 +138,10 @@ class Ideal:
     def contains(self, g, order=GREVLEX):
         if g.is_zero():
             return True
-        gb = self.groebner_basis(order)
+        gb, divisors = self._basis(order)
         if not gb:
             return False
-        return reduce_poly(g, gb, order).is_zero()
+        return normal_form(g, gb, order, divisors).remainder.is_zero()
 
     def contains_ideal(self, other, order=GREVLEX):
         return all(self.contains(g, order) for g in other.gens)

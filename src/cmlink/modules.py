@@ -12,12 +12,17 @@ it; every function takes that monomial order as `order`.
 The pair loop `_groebner` and the division `module_normal_form` are the only
 Buchberger loop and division loop of the package: `groebner` runs ideals
 through them as vectors of one entry, where the order is the ring order and
-the loop skips pairs by the coprime and chain criteria.
+the loop skips pairs by the coprime and chain criteria.  The division is
+fraction-free: it works on numerators (integers over QQ, polynomials in the
+parameters over QQ(params)) and divides by the primitive numerator copy that
+each basis vector gets once, when it enters its basis (`_divisors`).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 from itertools import combinations
 
 from .poly import (
@@ -71,7 +76,7 @@ class PolyMatrix:
         self.ring = ring
         self.nrows = len(rows)
         self.ncols = ncols
-        self._bases = {}  # monomial order -> (basis, reps, leads) of the columns
+        self._bases = {}  # monomial order -> (basis, reps, divisors) of the columns
         self._kernels = {}  # monomial order -> kernel generators
 
     @classmethod
@@ -202,14 +207,156 @@ def _combine(vec, coeffs, vectors):
     return vec
 
 
-def module_normal_form(vec, basis, order, leads=None):
+class _IntegerNumerators:
+    """QQ coefficients as integer numerators over one positive denominator."""
+
+    @staticmethod
+    def clear(coeffs):
+        """(numerators, d) with coeffs[k] == numerators[k] / d."""
+        d = math.lcm(*(c.denominator for c in coeffs))
+        if d == 1:
+            return [c.numerator for c in coeffs], d
+        return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+    @classmethod
+    def primitive(cls, coeffs, lead):
+        """coeffs times one rational, as coprime integers; `lead`'s sign becomes positive.
+
+        `lead` is one of coeffs.
+        """
+        nums = cls.clear(coeffs)[0]
+        g = math.gcd(*nums)
+        return [n // g for n in nums] if lead > 0 else [n // -g for n in nums]
+
+    @staticmethod
+    def step(c, lead):
+        """(factor, multiplier) of a reduction step; see `module_normal_form`."""
+        if lead == 1:
+            return None, c
+        g = math.gcd(c, lead)
+        if g == lead:
+            return None, c // lead
+        return lead // g, c // g
+
+    to_field = Fraction
+
+
+class _PolynomialNumerators:
+    """QQ(params) coefficients as numerators in QQ[params] over one denominator.
+
+    The numerators are elements of `field.ring`, where every nonzero
+    rational number is a unit.
+    """
+
+    def __init__(self, field):
+        self.field = field
+
+    def clear(self, coeffs):
+        """(numerators, d) with coeffs[k] == numerators[k] / d."""
+        factors = dict.fromkeys(c.denom for c in coeffs)
+        if len(factors) == 1:  # one denominator, such as 1 for every coefficient
+            return [c.numer for c in coeffs], next(iter(factors))
+        d = self.field.ring.one
+        for den in factors:
+            if not den.is_one:
+                d = den if d.is_one else d.lcm(den)
+        for den in factors:
+            factors[den] = d.exquo(den)
+        return [c.numer * factors[c.denom] for c in coeffs], d
+
+    def primitive(self, coeffs, lead):
+        """coeffs times one field element, with no common factor of positive degree.
+
+        `lead` is one of coeffs; rational signs and factors are units here.
+        """
+        nums = self.clear(coeffs)[0]
+        g = nums[0]
+        for n in nums[1:]:
+            if g.is_ground:
+                return nums
+            g = g.gcd(n)
+        return nums if g.is_ground else [n.exquo(g) for n in nums]
+
+    @staticmethod
+    def step(c, lead):
+        """(factor, multiplier) of a reduction step; see `module_normal_form`."""
+        if lead.is_ground:
+            return None, c.quo_ground(lead.LC)
+        _, mult, factor = c.cofactors(lead)
+        if factor.is_ground:
+            return None, mult.quo_ground(factor.LC)
+        return factor, mult
+
+    def to_field(self, c, d):
+        return self.field.new(c, d)
+
+
+def _numerators(ring):
+    """The numerator arithmetic of the ring's coefficient field."""
+    if ring.field is None:
+        return _IntegerNumerators
+    return _PolynomialNumerators(ring.field)
+
+
+def _divisors(basis, order):
+    """Each nonzero basis vector as `module_normal_form` divides by it.
+
+    A divisor is (position, leading exponents, leading coefficient, leading
+    numerator, rows): rows[r] lists the (exponents, numerator) terms of
+    entry r of a primitive numerator copy of the vector (over QQ its
+    numerators are coprime integers with a positive leading one), and the
+    leading numerator is that copy's leading coefficient.  `_groebner`
+    builds one for each vector as it enters its basis.
+    """
+    if not basis:
+        return []
+    nums = _numerators(basis[0][0].ring)
+    return [_divisor(vec, order, nums) for vec in basis]
+
+
+def _divisor(vec, order, nums):
+    pos, exps, coeff = _leading(vec, order)
+    flat = nums.primitive([c for p in vec for c in p.terms.values()], coeff)
+    rows = []
+    k = 0
+    for p in vec:
+        rows.append(tuple(zip(p.terms, flat[k:k + len(p.terms)])))
+        k += len(p.terms)
+    return pos, exps, coeff, dict(rows[pos])[exps], rows
+
+
+def module_normal_form(vec, basis, order, divisors=None):
     """Divide a vector by module basis vectors; returns (quotients, remainder).
 
     The module order is position-over-term over the monomial order `order`.
-    `leads` are the leading terms of `basis` as `_leading` gives them;
-    callers that divide many vectors by one basis pass them in once.
+    `divisors` are `_divisors(basis, order)`; callers that divide many
+    vectors by one basis build them once and pass them in, and then
+    `basis` is not read.
 
-    Each entry's pending terms sit in a dict (monomial -> coefficient) and
+    The loop is fraction-free.  The working vector is held as numerators,
+    one dict per entry, over one scale for the whole vector: ints over QQ,
+    elements of QQ[params] (`field.ring`) over QQ(params).  It divides by
+    the primitive numerator copy that each divisor carries.  A step on a
+    pending numerator C, against a divisor whose copy has the leading
+    numerator L, takes g = gcd(C, L).  When L/g is not a unit (over
+    QQ[params] every nonzero rational is one) it multiplies the pending
+    numerators and the scale by L/g; then it subtracts (C/g) * x^t * copy,
+    or (C/L) * x^t * copy when L/g is a unit.  No step divides in the
+    field.  A quotient or remainder term keeps its numerator and the scale
+    of the moment it is found, and becomes `Fraction(C, scale)` or
+    `field.new(C, scale)` on the way out; a quotient is also divided by its
+    divisor's leading coefficient when that is not 1.
+
+    The values are those of field arithmetic, and so are the steps:
+    scaling the working vector makes no term vanish or appear, so the same
+    terms are reduced in the same order.  `Fraction` and `field.new` both
+    return the canonical form of a value (lowest terms; over QQ(params) a
+    jointly primitive integer numerator and denominator, the denominator's
+    leading coefficient positive), so the quotients and the remainder are
+    the same Fractions and FracElements as field arithmetic gives, and
+    print the same.
+
+    Each entry's pending terms sit in a dict (monomial -> numerator) and
     in a heap of (order.desc_key(m), m), so the greatest pending monomial is
     popped without re-keying the others; a monomial is keyed once, when it
     enters the dict.  A monomial that cancels leaves its heap item behind;
@@ -220,52 +367,78 @@ def module_normal_form(vec, basis, order, leads=None):
     The reduction steps are those of taking the dict's maximum every time.
     """
     ring = vec[0].ring
-    if leads is None:
-        leads = [_leading(w, order) for w in basis]
+    nums = _numerators(ring)
+    if divisors is None:
+        divisors = _divisors(basis, order)
     key = order.desc_key
-    quotients = [{} for _ in basis]
-    remainder = [{} for _ in vec]
-    work = [dict(p.terms) for p in vec]
+    step = nums.step
+    numer, scale = nums.clear([c for p in vec for c in p.terms.values()])
+    numer = iter(numer)
+    # zip stops at the end of p.terms before it draws from `numer`
+    work = [dict(zip(p.terms, numer)) for p in vec]
     heaps = []
     for terms in work:
         heap = [(key(m), m) for m in terms]
         heapq.heapify(heap)
         heaps.append(heap)
-    # a basis vector leading at `pos` is zero above `pos`, so once an entry
-    # is reduced no later step touches it again
+    by_pos = [[] for _ in vec]
+    for i, (lpos, lexps, _, lead, rows) in enumerate(divisors):
+        by_pos[lpos].append((i, lexps, lead, rows))
+    quotients = [{} for _ in divisors]
+    remainder = [{} for _ in vec]
+    n = len(work)
+    # a divisor leading at `pos` is zero above `pos`, so once an entry is
+    # reduced no later step touches it again
     for pos, terms in enumerate(work):
         heap = heaps[pos]
+        candidates = by_pos[pos]
         while heap:
             exps = heapq.heappop(heap)[1]
-            coeff = terms.pop(exps, None)
-            if coeff is None:
+            c = terms.pop(exps, None)
+            if c is None:
                 continue  # cancelled after it was pushed
-            for i, (lpos, lexps, lcoeff) in enumerate(leads):
-                if lpos == pos and monomial_divides(lexps, exps):
+            for i, lexps, lead, rows in candidates:
+                if monomial_divides(lexps, exps):
                     t_exps = monomial_div(exps, lexps)
-                    t_coeff = coeff / lcoeff
                     # the leading exponents at `pos` strictly decrease, so t_exps is new
-                    quotients[i][t_exps] = t_coeff
-                    for r in range(pos, len(work)):
-                        _dict_sub_term(work[r], heaps[r], key, basis[i][r], t_exps,
-                                       t_coeff, exps if r == pos else None)
+                    quotients[i][t_exps] = (c, scale)
+                    factor, mult = step(c, lead)
+                    if factor is not None:
+                        scale *= factor
+                        for r in range(pos, n):
+                            w = work[r]
+                            for m in w:
+                                w[m] *= factor
+                    mult = -mult
+                    for r in range(pos, n):
+                        if rows[r]:
+                            _dict_add_term(work[r], heaps[r], key, rows[r], t_exps,
+                                           mult, exps if r == pos else None)
                     break
             else:
-                remainder[pos][exps] = coeff
-    return ([Polynomial(ring, q) for q in quotients],
-            [Polynomial(ring, r) for r in remainder])
+                remainder[pos][exps] = (c, scale)
+    to_field = nums.to_field
+    out = []
+    for (_, _, lc, _, _), q in zip(divisors, quotients):
+        terms = {t: to_field(c, s) for t, (c, s) in q.items()}
+        if terms and lc != 1:
+            terms = {t: v / lc for t, v in terms.items()}
+        out.append(Polynomial(ring, terms))
+    return out, [Polynomial(ring, {e: to_field(c, s) for e, (c, s) in r.items()})
+                 for r in remainder]
 
 
-def _dict_sub_term(terms, heap, key, q, t_exps, t_coeff, skip):
-    """terms -= (t_coeff * x^t_exps) * q in place, leaving out the product term `skip`.
+def _dict_add_term(terms, heap, key, row, t_exps, mult, skip):
+    """terms += mult * x^t_exps * row in place, leaving out the product term `skip`.
 
-    A monomial new to `terms` is pushed onto `heap` as (key(m), m).
+    `row` is a sequence of (exponents, numerator).  A monomial new to
+    `terms` is pushed onto `heap` as (key(m), m).
     """
-    for e, v in q.terms.items():
+    for e, v in row:
         m = monomial_mul(e, t_exps)
         if m == skip:
             continue
-        c = -(v * t_coeff)
+        c = v * mult
         if m in terms:
             s = terms[m] + c
             if not s:
@@ -291,7 +464,10 @@ def module_groebner(columns, order=GREVLEX):
 
 
 def _groebner(columns, order, track_reps):
-    """(basis, reps, leads) of the given vectors; reps is None unless tracked.
+    """(basis, reps, divisors) of the given vectors; reps is None unless tracked.
+
+    The basis vectors are monic, and `divisors` holds each one's divisor
+    (see `_divisors`), built once, as the vector enters the basis.
 
     S-pairs are taken from a heap by lcm degree, then the lcm, then the
     pair's indices.  On vectors of one entry (polynomials) a pair is skipped
@@ -307,9 +483,10 @@ def _groebner(columns, order, track_reps):
     ring = columns[nonzero[0]][0].ring
     units = PolyMatrix.identity(ring, len(columns)).rows if track_reps else None
     rank1 = len(columns[nonzero[0]]) == 1
+    nums = _numerators(ring)
     basis = []
     reps = [] if track_reps else None
-    leads = []
+    divisors = []
     pairs = []  # heap of (sum(lcm), lcm, i, j) over same-position i < j
     taken = set()
 
@@ -320,10 +497,10 @@ def _groebner(columns, order, track_reps):
         basis.append([p.scale(inv) for p in vec])
         if track_reps:
             reps.append([p.scale(inv) for p in rep])
-        leads.append(_leading(basis[j], order))
+        divisors.append(_divisor(basis[j], order, nums))
         for i in range(j):
-            if leads[i][0] == lead[0]:
-                lcm = monomial_lcm(leads[i][1], lead[1])
+            if divisors[i][0] == lead[0]:
+                lcm = monomial_lcm(divisors[i][1], lead[1])
                 heapq.heappush(pairs, (sum(lcm), lcm, i, j))
 
     for j in nonzero:
@@ -332,32 +509,37 @@ def _groebner(columns, order, track_reps):
         _, lcm, i, j = heapq.heappop(pairs)
         if rank1:
             taken.add((i, j))
-            if lcm == monomial_mul(leads[i][1], leads[j][1]) or _chain_criterion(
-                    i, j, lcm, leads, taken):
+            if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _chain_criterion(
+                    i, j, lcm, divisors, taken):
                 continue
-        svec, srep = _module_spair(basis, reps, leads, i, j)
-        q, rem = module_normal_form(svec, basis, order, leads)
+        svec, srep = _module_spair(basis, reps, divisors, i, j)
+        q, rem = module_normal_form(svec, basis, order, divisors)
         if not _vec_is_zero(rem):
             add(rem, _combine(srep, q, reps) if track_reps else None)
-    return basis, reps, leads
+    return basis, reps, divisors
 
 
 def _chain_criterion(i, j, lcm, leads, taken):
-    """Some k, with a leading monomial dividing lcm, has had its pairs with i and j taken."""
+    """Some k, with a leading monomial dividing lcm, has had its pairs with i and j taken.
+
+    leads[k][1] is the leading monomial of basis element k.
+    """
     return any(
-        k not in (i, j) and monomial_divides(lk, lcm)
+        k not in (i, j) and monomial_divides(lead[1], lcm)
         and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
-        for k, (_, lk, _) in enumerate(leads)
+        for k, lead in enumerate(leads)
     )
 
 
 def _module_spair(basis, reps, leads, i, j):
     """S-vector of basis[i], basis[j] (same leading position) and its rep.
 
-    The rep is None when `reps` is.
+    leads[k] starts with the (position, exponents, coefficient) of the
+    leading term of basis[k], as `_leading` and `_divisors` give it.  The rep
+    is None when `reps` is.
     """
-    pi, ei, ci = leads[i]
-    pj, ej, cj = leads[j]
+    pi, ei, ci = leads[i][:3]
+    pj, ej, cj = leads[j][:3]
     assert pi == pj
     lcm = monomial_lcm(ei, ej)
     ti = monomial_div(lcm, ei)
@@ -377,17 +559,17 @@ def _module_spair(basis, reps, leads, i, j):
 
 
 def _module_basis(M, order):
-    """(basis, reps, leads) of the columns of M, built once per order and cached on M.
+    """(basis, reps, divisors) of the columns of M, built once per order and cached on M.
 
-    The basis comes from `module_groebner`, with representations; `leads`
-    are its leading terms as `_leading` gives them.  The syzygies of M
+    The basis and representations are those of `module_groebner`; `divisors`
+    are the basis vectors as the division reads them (see `_divisors`), built
+    by the pair loop as each vector entered the basis.  The syzygies of M
     (`_kernel_generators`), its exactness check (`verify_exactness`) and
     lifts through it (`image_lifter`) all divide by this one basis.
     """
     cached = M._bases.get(order)
     if cached is None:
-        basis, reps = module_groebner(M.columns(), order)
-        cached = M._bases[order] = (basis, reps, [_leading(w, order) for w in basis])
+        cached = M._bases[order] = _groebner(M.columns(), order, True)
     return cached
 
 
@@ -412,16 +594,16 @@ def _schreyer_kernel(M, order):
     if M.is_zero():
         return PolyMatrix.identity(ring, M.ncols).columns()
     cols = M.columns()
-    basis, reps, leads = _module_basis(M, order)
+    basis, reps, divisors = _module_basis(M, order)
     m = len(cols)
 
     syz_cols = []
     # Schreyer: every same-position S-pair of the final GB reduces to zero
     for i, j in combinations(range(len(basis)), 2):
-        if leads[i][0] != leads[j][0]:
+        if divisors[i][0] != divisors[j][0]:
             continue
-        svec, srep = _module_spair(basis, reps, leads, i, j)
-        q, rem = module_normal_form(svec, basis, order, leads)
+        svec, srep = _module_spair(basis, reps, divisors, i, j)
+        q, rem = module_normal_form(svec, basis, order, divisors)
         if not _vec_is_zero(rem):
             raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
         syz_cols.append(_combine(srep, q, reps))
@@ -433,7 +615,7 @@ def _schreyer_kernel(M, order):
         if _vec_is_zero(col):
             syz_cols.append(unit)
             continue
-        q, rem = module_normal_form(col, basis, order, leads)
+        q, rem = module_normal_form(col, basis, order, divisors)
         if not _vec_is_zero(rem):
             raise AssertionError("input column failed to reduce against its own GB")
         syz_cols.append(_combine(unit, q, reps))
@@ -494,12 +676,12 @@ def prune_redundant_columns(columns, order=GREVLEX):
     keep = [False] * len(cols)
     for d in sorted(set(degrees)):
         below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
-        basis, _, leads = _groebner(below, order, False)
+        basis, _, divisors = _groebner(below, order, False)
         pivots = []  # (key, row): rows in echelon form, each zero at earlier keys
         for j, col in enumerate(cols):
             if degrees[j] != d:
                 continue
-            _, rem = module_normal_form(col, basis, order, leads)
+            _, rem = module_normal_form(col, basis, order, divisors)
             row = {(pos, e): c for pos, p in enumerate(rem) for e, c in p.terms.items()}
             for key, prow in pivots:
                 if key in row:
@@ -580,8 +762,8 @@ def _greedy_prune(cols, order):
     idx = len(cols) - 1
     while idx >= 0 and len(cols) > 1:
         others = cols[:idx] + cols[idx + 1 :]
-        basis, _, leads = _groebner(others, order, False)
-        _, rem = module_normal_form(cols[idx], basis, order, leads)
+        basis, _, divisors = _groebner(others, order, False)
+        _, rem = module_normal_form(cols[idx], basis, order, divisors)
         if _vec_is_zero(rem):
             cols = others
             idx = min(idx, len(cols)) - 1
@@ -607,8 +789,8 @@ def image_lifter(M, order=GREVLEX):
             raise ValueError("vector length must equal the row count")
         if _vec_is_zero(b):
             return [ring.zero()] * M.ncols
-        basis, reps, leads = _module_basis(M, order)
-        q, rem = module_normal_form(b, basis, order, leads)
+        basis, reps, divisors = _module_basis(M, order)
+        q, rem = module_normal_form(b, basis, order, divisors)
         if not _vec_is_zero(rem):
             raise NotInImageError(rem)
         x = [ring.zero()] * M.ncols

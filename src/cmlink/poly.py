@@ -11,6 +11,7 @@ block-elimination orders.  No floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,16 +249,16 @@ LEX = lex_order()
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def monomial_divides(a, b):
     """a | b exponentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def monomial_div(b, a):
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(operator.sub, b, a))
 
 
 def monomial_lcm(a, b):
@@ -398,6 +399,10 @@ class Polynomial:
 
     def term_mul(self, exps, c):
         """Multiply by the single term c * x^exps."""
+        if c == 1:
+            return Polynomial(
+                self.ring, {monomial_mul(e, exps): v for e, v in self.terms.items()}
+            )
         return Polynomial(
             self.ring, {monomial_mul(e, exps): v * c for e, v in self.terms.items()}
         )

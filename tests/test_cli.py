@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cmlink import complexes
+from cmlink import cli, complexes
 from cmlink.cli import run
 
 CURVE = "ring x,y,z over QQ\ny^2 - x*z\nx^3 - y*z\nx^2*y - z^2\n"
@@ -277,6 +277,19 @@ MALFORMED = {
     "resolve-unit": ({"one.id": "ring x,y over QQ\n1\n"}, ["resolve", "--ideal", "one.id"]),
     "resolve-zero": ({"zero.id": "ring x,y over QQ\n0\n"}, ["resolve", "--ideal", "zero.id"]),
     "koszul-of-zero": ({"zero.id": "ring x,y over QQ\n0\n"}, ["koszul", "--ideal", "zero.id"]),
+    "lift-target-in-another-ring": (
+        {"m.mat": "ring x,y over QQ\nmatrix 1 2\nx; y\n",
+         "b.mat": "ring a,b over QQ\nmatrix 1 1\na\n"},
+        ["lift", "--matrix", "m.mat", "--target", "b.mat"],
+    ),
+    "member-via-link-zero": (
+        {"zero.id": "ring x,y over QQ\n0\n"},
+        ["member", "--g", "x", "--ideal-J", "zero.id", "--via", "link"],
+    ),
+    "member-via-link-unit": (
+        {"one.id": "ring x,y over QQ\n1\n"},
+        ["member", "--g", "x", "--ideal-J", "one.id", "--via", "link"],
+    ),
 }
 
 
@@ -305,6 +318,36 @@ def test_main_reports_usage_error_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "error" in json.loads(proc.stdout)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["--help"], 0, "usage: cmlink"),
+    (["gb"], 2, "the following arguments are required: --ideal"),
+], ids=["help", "usage-error"])
+def test_parser_reused_in_one_process(argv, code, text, capsys):
+    """The parser is built once per process; a second run prints the same."""
+    outs = []
+    for _ in range(2):
+        assert run(argv) == code
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+    assert text in (outs[0].out if code == 0 else outs[0].err)
+
+
+def test_repeated_a_does_not_pile_up_across_runs(files, capsys, tmp_path):
+    argv = ["verify-linkage", "--ideal-I", files["ci.id"], "--ideal-J", files["curve.id"]]
+    paths = []
+    for k, text in enumerate(["matrix 1 1\n1\n", "matrix 3 2\n0; y\n0; x\n-1; 0\n",
+                              "matrix 2 1\nx^3 - y*z\ny^2 - x*z\n"]):
+        p = tmp_path / f"a{k}.mat"
+        p.write_text(text)
+        paths.append(str(p))
+        argv += ["--a", str(p)]
+    assert cli._parser().parse_args(argv).a == paths
+    first = capture(capsys, argv)
+    assert capture(capsys, argv) == first
+    assert cli._parser().parse_args(argv).a == paths
+    assert cli._parser().parse_args(argv[:5]).a == []
 
 
 def test_reports_byte_deterministic(files, tmp_path):

@@ -191,6 +191,53 @@ def test_heap_division_matches_reference_rank3(ring, order):
                 reference_normal_form(vec, basis, order)
 
 
+# three QQ(s) columns whose module basis under LEX took 12-19 s with
+# fraction-field arithmetic in the division loop
+QQ_S_COLUMNS = [
+    ["s*x*z", "x*y + s*x", "(s+1)*y - 2*z"],
+    ["1/(1-s)*z + 1", "-2*x*y*z + 1/(1-s)*x*y", "(s+1)*x*y*z - 2"],
+    ["s*x*y + 1/(1-s)*z", "1/(1-s)*z", "s*x*y + z"],
+]
+
+
+def test_heap_division_matches_reference_rank3_three_qq_s_columns():
+    """The fraction-free loop against field arithmetic on a full QQ(s) module basis.
+
+    Divides by the columns themselves and by their module basis.  Leading
+    numerators involve s (denominators 1 - s), so the loop rescales its
+    pending terms on the way.
+    """
+    cols = [[QQ_S.poly(t) for t in col] for col in QQ_S_COLUMNS]
+    rng = random.Random("rank3:three QQ(s) columns")
+    for _ in range(3):
+        vec = [_random_field_poly(QQ_S, rng, 2, 4) for _ in range(3)]
+        assert module_normal_form(vec, cols, GREVLEX) == \
+            reference_normal_form(vec, cols, GREVLEX)
+    basis, reps = module_groebner(cols, GREVLEX)
+    for vec, rep in zip(basis, reps):
+        assert vec == [sum((r * col[i] for r, col in zip(rep, cols)), QQ_S.zero())
+                       for i in range(3)]
+    for col in cols:
+        q, rem = module_normal_form(col, basis, GREVLEX)
+        assert (q, rem) == reference_normal_form(col, basis, GREVLEX)
+        assert all(p.is_zero() for p in rem)
+    for _ in range(3):
+        vec = [_random_field_poly(QQ_S, rng, 2, 4) for _ in range(3)]
+        assert module_normal_form(vec, basis, GREVLEX) == \
+            reference_normal_form(vec, basis, GREVLEX)
+
+
+@pytest.mark.parametrize("ring, lead", [(R, "2"), (QQ_S, "2*s")], ids=["QQ", "QQ(s)"])
+def test_division_when_the_leading_numerator_divides_the_pending_one(ring, lead):
+    """gcd(C, L) = L up to a unit: no rescale, and the step subtracts (C/L) * copy."""
+    x, y, _ = ring.gens()
+    divisor = ring.poly(lead) * x + y + 1
+    for text in ("4*s*x^2 + x", "6*s*x*y - 3*x") if ring.field else ("4*x^2 + x", "6*x*y - 3*x"):
+        vec = [ring.poly(text)]
+        assert module_normal_form(vec, [[divisor]], GREVLEX) == \
+            reference_normal_form(vec, [[divisor]], GREVLEX)
+
+
 def test_heap_division_when_a_cancelled_term_comes_back():
     # x^2 cancels in the first step (x^3 by x^2 - x) and comes back in the
     # second (x^2*y by x*y - x) before it is popped, so its heap holds two
