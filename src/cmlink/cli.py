@@ -163,7 +163,7 @@ def cmd_member(args):
             raise InputError("membership via link needs a proper nonzero ideal J")
         if args.ideal_I:
             I = read_ideal_file(args.ideal_I)
-            _same_ring(I, J)
+            _check_linking_ideal(I, J)
         else:
             p = ideal_codim(J, order)
             I = generic_ci(J, p, seed=args.seed)
@@ -276,10 +276,17 @@ def cmd_lift(args):
     return EXIT_OK, report
 
 
+def _check_linking_ideal(I, J):
+    """I must be in J's ring and nonzero: I = (0) has no Koszul complex."""
+    _same_ring(I, J)
+    if I.is_zero():
+        raise InputError("linkage needs a nonzero ideal I")
+
+
 def _linkage_report(args, supplied=None):
     I = read_ideal_file(args.ideal_I)
     J = read_ideal_file(args.ideal_J)
-    _same_ring(I, J)
+    _check_linking_ideal(I, J)
     order = _order(args)
     report = {
         "command": args.command,

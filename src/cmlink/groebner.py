@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .modules import _divisors, _groebner, _leading, _module_spair, module_normal_form
+from .modules import _divisors, _groebner, _numerators, _spair, module_normal_form
 from .poly import (
     GREVLEX,
     Polynomial,
@@ -59,9 +59,15 @@ def reduce_poly(f, basis, order=GREVLEX):
 
 
 def s_polynomial(f, g, order=GREVLEX):
-    vecs = [[f], [g]]
-    leads = [_leading(v, order) for v in vecs]
-    return _module_spair(vecs, None, leads, 0, 1)[0][0]
+    """x^tf * f / lc(f) - x^tg * g / lc(g), the monomials taking both leads to their lcm.
+
+    Built by the pair loop's S-vector builder, as numerators over one scale.
+    """
+    if f.ring != g.ring:
+        raise RingMismatchError("polynomials in different rings")
+    nums = _numerators(f.ring)
+    work, scale, _, _ = _spair(_divisors([[f], [g]], order), 0, 1, nums)
+    return Polynomial(f.ring, {m: nums.to_field(c, scale) for m, c in work[0].items()})
 
 
 def buchberger(gens, order=GREVLEX):

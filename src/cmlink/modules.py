@@ -15,7 +15,12 @@ through them as vectors of one entry, where the order is the ring order and
 the loop skips pairs by the coprime and chain criteria.  The division is
 fraction-free: it works on numerators (integers over QQ, polynomials in the
 parameters over QQ(params)) and divides by the primitive numerator copy that
-each basis vector gets once, when it enters its basis (`_divisors`).
+each basis vector gets once, when it enters its basis (`_divisors`).  The
+S-vectors of the pair loop and of the Schreyer kernel are built from two
+such copies as numerators over one scale (`_spair`) and go to the inner
+loop of the division (`_reduce`) without a `Polynomial` in between.  The
+representations and syzygies, which stay in field arithmetic, are summed
+in one term dict per entry (`_combine`).
 """
 
 from __future__ import annotations
@@ -122,29 +127,21 @@ class PolyMatrix:
         )
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, PolyMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in matrix product")
-            return PolyMatrix(
-                [
-                    [
-                        sum(
-                            (self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)),
-                            self.ring.zero(),
-                        )
-                        for j in range(other.ncols)
-                    ]
-                    for i in range(self.nrows)
-                ],
-                self.ring,
-            )
+            if other.ring != ring:
+                raise RingMismatchError("matrices in different rings")
+            cols = other.columns()
+            return PolyMatrix([[_dot(ring, row, col) for col in cols] for row in self.rows],
+                              ring)
         # vector (list of polynomials)
         if len(other) != self.ncols:
             raise ValueError("vector length must equal the column count")
-        return [
-            sum((self.rows[i][k] * other[k] for k in range(self.ncols)), self.ring.zero())
-            for i in range(self.nrows)
-        ]
+        if any(p.ring != ring for p in other):
+            raise RingMismatchError("vector entries in a different ring")
+        return [_dot(ring, row, other) for row in self.rows]
 
     def __eq__(self, other):
         return (
@@ -168,6 +165,17 @@ class PolyMatrix:
         for r in self.rows:
             lines.append("; ".join(str(p) for p in r))
         return "\n".join(lines)
+
+
+def _dot(ring, row, col):
+    """sum(a * b for a, b in zip(row, col)), summed in one term dict."""
+    terms = {}
+    for a, b in zip(row, col):
+        if a.terms and b.terms:
+            bterms = b.terms.items()
+            for e, c in a.terms.items():
+                _sub_multiple(terms, bterms, e, -c)
+    return Polynomial(ring, terms)
 
 
 def det_bareiss(M):
@@ -199,12 +207,42 @@ def _vec_is_zero(vec):
     return all(p.is_zero() for p in vec)
 
 
-def _combine(vec, coeffs, vectors):
-    """vec - sum(coeffs[k] * vectors[k]) over the nonzero coeffs[k]."""
-    for ck, wk in zip(coeffs, vectors):
-        if not ck.is_zero():
-            vec = [a - ck * b for a, b in zip(vec, wk)]
-    return vec
+def _sub_multiple(terms, row, t_exps, c=None):
+    """terms -= c * x^t_exps * row in place (c None: 1), dropping terms that cancel.
+
+    `row` is a sequence of (exponents, coefficient).
+    """
+    for e, v in row:
+        m = monomial_mul(e, t_exps)
+        if c is not None:
+            v = v * c
+        old = terms.get(m)
+        if old is None:
+            terms[m] = -v
+        else:
+            s = old - v
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+
+
+def _combine(terms, quotients, reps, ring):
+    """terms - sum(quotients[k] * reps[k]) as a vector of Polynomials.
+
+    terms[r] is the term dict (exponents -> coefficient) of entry r; the
+    products are subtracted from it in place, zero quotients and zero
+    entries skipped, and each entry becomes a Polynomial once, at the end.
+    """
+    for q, rep in zip(quotients, reps):
+        if not q.terms:
+            continue
+        for d, p in zip(terms, rep):
+            if p.terms:
+                row = p.terms.items()
+                for e, c in q.terms.items():
+                    _sub_multiple(d, row, e, c)
+    return [Polynomial(ring, d) for d in terms]
 
 
 class _IntegerNumerators:
@@ -237,6 +275,13 @@ class _IntegerNumerators:
         if g == lead:
             return None, c // lead
         return lead // g, c // g
+
+    @staticmethod
+    def pair(lead_i, lead_j):
+        """(lead_j/g, lead_i/g, lead_i*lead_j/g) with g = gcd; see `_spair`."""
+        g = math.gcd(lead_i, lead_j)
+        a = lead_j // g
+        return a, lead_i // g, lead_i * a
 
     to_field = Fraction
 
@@ -286,6 +331,12 @@ class _PolynomialNumerators:
         if factor.is_ground:
             return None, mult.quo_ground(factor.LC)
         return factor, mult
+
+    @staticmethod
+    def pair(lead_i, lead_j):
+        """(lead_j/g, lead_i/g, lead_i*lead_j/g) with g = gcd; see `_spair`."""
+        _, b, a = lead_i.cofactors(lead_j)
+        return a, b, lead_i * a
 
     def to_field(self, c, d):
         return self.field.new(c, d)
@@ -365,27 +416,40 @@ def module_normal_form(vec, basis, order, divisors=None):
     no duplicate guard is needed: once a monomial is processed only strictly
     smaller ones enter its entry, so a later copy of it always finds it gone.
     The reduction steps are those of taking the dict's maximum every time.
+
+    This front part clears the vector's denominators; the loop itself is
+    `_reduce`, which the pair loop feeds its S-vectors as numerators directly.
     """
     ring = vec[0].ring
     nums = _numerators(ring)
     if divisors is None:
         divisors = _divisors(basis, order)
-    key = order.desc_key
-    step = nums.step
     numer, scale = nums.clear([c for p in vec for c in p.terms.values()])
     numer = iter(numer)
     # zip stops at the end of p.terms before it draws from `numer`
     work = [dict(zip(p.terms, numer)) for p in vec]
+    return _reduce(work, scale, divisors, order, nums, ring)
+
+
+def _reduce(work, scale, divisors, order, nums, ring):
+    """The division loop of `module_normal_form` on a vector held as numerators.
+
+    The vector is work[r][m] / scale: work[r] is the dict (exponents ->
+    numerator) of entry r, and is used up.  Returns (quotients, remainder)
+    as Polynomials over the field.
+    """
+    key = order.desc_key
+    step = nums.step
     heaps = []
     for terms in work:
         heap = [(key(m), m) for m in terms]
         heapq.heapify(heap)
         heaps.append(heap)
-    by_pos = [[] for _ in vec]
+    by_pos = [[] for _ in work]
     for i, (lpos, lexps, _, lead, rows) in enumerate(divisors):
         by_pos[lpos].append((i, lexps, lead, rows))
     quotients = [{} for _ in divisors]
-    remainder = [{} for _ in vec]
+    remainder = [{} for _ in work]
     n = len(work)
     # a divisor leading at `pos` is zero above `pos`, so once an entry is
     # reduced no later step touches it again
@@ -476,6 +540,11 @@ def _groebner(columns, order, track_reps):
     pairs with the two have been taken.  At higher rank every same-position
     pair is reduced, so the unreduced basis, and every syzygy read from it,
     stays as it is.
+
+    Each S-vector is built from the two divisors as numerators over one
+    scale (`_spair`) and divided by `_reduce` directly.  The rep of a new
+    basis vector, x^ti * rep_i - x^tj * rep_j - sum(q_k * rep_k), is summed
+    in one term dict per entry (`_spair_rep`, `_combine`).
     """
     nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
     if not nonzero:
@@ -512,10 +581,11 @@ def _groebner(columns, order, track_reps):
             if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _chain_criterion(
                     i, j, lcm, divisors, taken):
                 continue
-        svec, srep = _module_spair(basis, reps, divisors, i, j)
-        q, rem = module_normal_form(svec, basis, order, divisors)
+        work, scale, ti, tj = _spair(divisors, i, j, nums)
+        q, rem = _reduce(work, scale, divisors, order, nums, ring)
         if not _vec_is_zero(rem):
-            add(rem, _combine(srep, q, reps) if track_reps else None)
+            add(rem, _combine(_spair_rep(reps, i, j, ti, tj), q, reps, ring)
+                if track_reps else None)
     return basis, reps, divisors
 
 
@@ -531,31 +601,42 @@ def _chain_criterion(i, j, lcm, leads, taken):
     )
 
 
-def _module_spair(basis, reps, leads, i, j):
-    """S-vector of basis[i], basis[j] (same leading position) and its rep.
+def _spair(divisors, i, j, nums):
+    """S-vector of the vectors behind divisors i and j (same leading position).
 
-    leads[k] starts with the (position, exponents, coefficient) of the
-    leading term of basis[k], as `_leading` and `_divisors` give it.  The rep
-    is None when `reps` is.
+    Returns (work, scale, ti, tj): the S-vector x^ti * v_i / c_i - x^tj *
+    v_j / c_j of the two vectors, whose leading coefficients are c_i and c_j,
+    is work[r][m] / scale in entry r, and x^ti, x^tj take both leading
+    monomials to their lcm.  With the primitive copies B_i, B_j of the
+    divisors and their leading numerators L_i, L_j, v_i / c_i = B_i / L_i,
+    so over g = gcd(L_i, L_j) the numerators are (L_j/g) * x^ti * B_i -
+    (L_i/g) * x^tj * B_j, built straight into one dict per entry, and the
+    scale is L_i * L_j / g.  The value is exactly the field S-vector, so
+    `_reduce` gives the same quotients and remainder as on that vector.
     """
-    pi, ei, ci = leads[i][:3]
-    pj, ej, cj = leads[j][:3]
-    assert pi == pj
+    pos, ei, _, lead_i, rows_i = divisors[i]
+    pos_j, ej, _, lead_j, rows_j = divisors[j]
+    assert pos == pos_j
     lcm = monomial_lcm(ei, ej)
     ti = monomial_div(lcm, ei)
     tj = monomial_div(lcm, ej)
-    ci = 1 / ci
-    cj = 1 / cj
+    a, b, scale = nums.pair(lead_i, lead_j)
+    work = []
+    for row_i, row_j in zip(rows_i, rows_j):
+        terms = {monomial_mul(e, ti): v * a for e, v in row_i}
+        _sub_multiple(terms, row_j, tj, b)
+        work.append(terms)
+    return work, scale, ti, tj
 
-    def sub(a, b):
-        if b.is_zero():
-            return a.term_mul(ti, ci)
-        if a.is_zero():
-            return -b.term_mul(tj, cj)
-        return a.term_mul(ti, ci) - b.term_mul(tj, cj)
 
-    return ([sub(a, b) for a, b in zip(basis[i], basis[j])],
-            None if reps is None else [sub(a, b) for a, b in zip(reps[i], reps[j])])
+def _spair_rep(reps, i, j, ti, tj):
+    """Term dicts of x^ti * reps[i] - x^tj * reps[j], the rep of a monic basis's S-vector."""
+    out = []
+    for u, v in zip(reps[i], reps[j]):
+        terms = {monomial_mul(e, ti): c for e, c in u.terms.items()}
+        _sub_multiple(terms, v.terms.items(), tj)
+        out.append(terms)
+    return out
 
 
 def _module_basis(M, order):
@@ -595,30 +676,30 @@ def _schreyer_kernel(M, order):
         return PolyMatrix.identity(ring, M.ncols).columns()
     cols = M.columns()
     basis, reps, divisors = _module_basis(M, order)
-    m = len(cols)
+    nums = _numerators(ring)
 
     syz_cols = []
     # Schreyer: every same-position S-pair of the final GB reduces to zero
     for i, j in combinations(range(len(basis)), 2):
         if divisors[i][0] != divisors[j][0]:
             continue
-        svec, srep = _module_spair(basis, reps, divisors, i, j)
-        q, rem = module_normal_form(svec, basis, order, divisors)
+        work, scale, ti, tj = _spair(divisors, i, j, nums)
+        q, rem = _reduce(work, scale, divisors, order, nums, ring)
         if not _vec_is_zero(rem):
             raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
-        syz_cols.append(_combine(srep, q, reps))
+        syz_cols.append(_combine(_spair_rep(reps, i, j, ti, tj), q, reps, ring))
 
     # columns of I - P*Q: each input column re-expressed through the GB
+    one = ring.one().terms
     for j, col in enumerate(cols):
-        unit = [ring.zero()] * m
-        unit[j] = ring.one()
-        if _vec_is_zero(col):
-            syz_cols.append(unit)
-            continue
-        q, rem = module_normal_form(col, basis, order, divisors)
-        if not _vec_is_zero(rem):
-            raise AssertionError("input column failed to reduce against its own GB")
-        syz_cols.append(_combine(unit, q, reps))
+        unit = [{} for _ in cols]
+        unit[j] = dict(one)
+        q = []
+        if not _vec_is_zero(col):
+            q, rem = module_normal_form(col, basis, order, divisors)
+            if not _vec_is_zero(rem):
+                raise AssertionError("input column failed to reduce against its own GB")
+        syz_cols.append(_combine(unit, q, reps, ring))
 
     # drop zero columns and duplicates, deterministically
     seen = set()

@@ -397,16 +397,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
 
-    def term_mul(self, exps, c):
-        """Multiply by the single term c * x^exps."""
-        if c == 1:
-            return Polynomial(
-                self.ring, {monomial_mul(e, exps): v for e, v in self.terms.items()}
-            )
-        return Polynomial(
-            self.ring, {monomial_mul(e, exps): v * c for e, v in self.terms.items()}
-        )
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative exponent")

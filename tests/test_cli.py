@@ -290,6 +290,18 @@ MALFORMED = {
         {"one.id": "ring x,y over QQ\n1\n"},
         ["member", "--g", "x", "--ideal-J", "one.id", "--via", "link"],
     ),
+    "member-via-link-zero-I": (
+        {"zero.id": "ring x,y over QQ\n0\n", "J.id": "ring x,y over QQ\nx^2\nx*y\ny^2\n"},
+        ["member", "--g", "x", "--ideal-J", "J.id", "--ideal-I", "zero.id", "--via", "link"],
+    ),
+    "link-zero-I": (
+        {"zero.id": "ring x,y over QQ\n0\n", "J.id": "ring x,y over QQ\nx^2\nx*y\ny^2\n"},
+        ["link", "--ideal-I", "zero.id", "--ideal-J", "J.id"],
+    ),
+    "verify-linkage-zero-I": (
+        {"zero.id": "ring x,y over QQ\n0\n", "J.id": "ring x,y over QQ\nx^2\nx*y\ny^2\n"},
+        ["verify-linkage", "--ideal-I", "zero.id", "--ideal-J", "J.id"],
+    ),
 }
 
 

@@ -1,17 +1,29 @@
 """Polynomial matrices, syzygies and exact lifting."""
 
+import functools
+import heapq
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from cmlink.groebner import Ideal, buchberger
+from cmlink.groebner import Ideal, buchberger, s_polynomial
 from cmlink.modules import (
     NotInImageError,
     PolyMatrix,
+    _chain_criterion,
     _column_degrees,
+    _combine,
+    _divisors,
     _greedy_prune,
     _kernel_generators,
+    _leading,
+    _numerators,
+    _reduce,
+    _spair,
+    _spair_rep,
+    _vec_is_zero,
     det_bareiss,
     image_lifter,
     lift_through,
@@ -29,6 +41,7 @@ from cmlink.poly import (
     grevlex_order,
     monomial_div,
     monomial_divides,
+    monomial_lcm,
     monomial_mul,
 )
 
@@ -167,14 +180,22 @@ def _random_field_poly(ring, rng, max_deg, max_terms):
 def test_heap_division_matches_reference_rank1(ring, order):
     """Division against reduced bases, and against arbitrary divisors."""
     rng = random.Random(f"rank1:{order}:{ring}")
+
+    def check(divisors, vecs):
+        basis = [[g] for g in divisors]
+        for vec in vecs:
+            assert module_normal_form(vec, basis, order) == \
+                reference_normal_form(vec, basis, order)
+
     for _ in range(4):
         gens = [_random_field_poly(ring, rng, 2, 3) for _ in range(2)]
-        for divisors in (buchberger(gens, order), gens):
-            basis = [[g] for g in divisors]
-            for _ in range(5):
-                vec = [_random_field_poly(ring, rng, 3, 6)]
-                assert module_normal_form(vec, basis, order) == \
-                    reference_normal_form(vec, basis, order)
+        # drawn in the order the reduced basis and the generators use them
+        gb_vecs, gen_vecs = ([[_random_field_poly(ring, rng, 3, 6)] for _ in range(5)]
+                             for _ in range(2))
+        # the raw generators come first: `buchberger` runs the division under
+        # test, so a broken division fails here rather than hanging there
+        check(gens, gen_vecs)
+        check(buchberger(gens, order), gb_vecs)
 
 
 @pytest.mark.parametrize("order", DIVISION_ORDERS, ids=["grevlex", "lex", "block1", "perm"])
@@ -247,6 +268,219 @@ def test_heap_division_when_a_cancelled_term_comes_back():
     q, rem = module_normal_form(vec, basis, GREVLEX)
     assert (q, rem) == reference_normal_form(vec, basis, GREVLEX)
     assert q == [x, x + 1] and rem == [x]
+
+
+# -- the pair loop against field arithmetic -----------------------------------
+
+
+def reference_spair(basis, reps, leads, i, j):
+    """S-vector of basis[i], basis[j] and its rep, in field arithmetic.
+
+    The S-vector builder before numerators (`modules._module_spair`, which
+    `modules._spair` replaced): leads[k] starts with the (position,
+    exponents, coefficient) of basis[k]'s leading term.
+    """
+    pi, ei, ci = leads[i][:3]
+    pj, ej, cj = leads[j][:3]
+    assert pi == pj
+    lcm = monomial_lcm(ei, ej)
+    ti = monomial_div(lcm, ei)
+    tj = monomial_div(lcm, ej)
+    ci = 1 / ci
+    cj = 1 / cj
+
+    def term_mul(p, exps, c):
+        return Polynomial(p.ring, {monomial_mul(e, exps): v * c for e, v in p.terms.items()})
+
+    def sub(a, b):
+        if b.is_zero():
+            return term_mul(a, ti, ci)
+        if a.is_zero():
+            return -term_mul(b, tj, cj)
+        return term_mul(a, ti, ci) - term_mul(b, tj, cj)
+
+    return ([sub(a, b) for a, b in zip(basis[i], basis[j])],
+            None if reps is None else [sub(a, b) for a, b in zip(reps[i], reps[j])])
+
+
+def reference_combine(vec, coeffs, vectors):
+    """vec - sum(coeffs[k] * vectors[k]) over the nonzero coeffs[k], one Polynomial at a time.
+
+    `modules._combine` before it summed into one term dict per entry.
+    """
+    for ck, wk in zip(coeffs, vectors):
+        if not ck.is_zero():
+            vec = [a - ck * b for a, b in zip(vec, wk)]
+    return vec
+
+
+def reference_groebner(columns, order):
+    """(basis, reps, divisors): the pair loop with field-arithmetic S-vectors and reps.
+
+    Each S-vector enters the division as a vector of Polynomials
+    (`module_normal_form`); the pair order and both criteria are those of
+    `modules._groebner`.
+    """
+    nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
+    if not nonzero:
+        return [], [], []
+    ring = columns[nonzero[0]][0].ring
+    units = PolyMatrix.identity(ring, len(columns)).rows
+    rank1 = len(columns[nonzero[0]]) == 1
+    basis, reps, divisors = [], [], []
+    pairs = []
+    taken = set()
+
+    def add(vec, rep):
+        pos, exps, coeff = _leading(vec, order)
+        basis.append([p.scale(1 / coeff) for p in vec])
+        reps.append([p.scale(1 / coeff) for p in rep])
+        divisors.extend(_divisors([basis[-1]], order))
+        j = len(basis) - 1
+        for i in range(j):
+            if divisors[i][0] == pos:
+                lcm = monomial_lcm(divisors[i][1], exps)
+                heapq.heappush(pairs, (sum(lcm), lcm, i, j))
+
+    for j in nonzero:
+        add(columns[j], units[j])
+    while pairs:
+        _, lcm, i, j = heapq.heappop(pairs)
+        if rank1:
+            taken.add((i, j))
+            if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _chain_criterion(
+                    i, j, lcm, divisors, taken):
+                continue
+        svec, srep = reference_spair(basis, reps, divisors, i, j)
+        q, rem = module_normal_form(svec, basis, order, divisors)
+        if not _vec_is_zero(rem):
+            add(rem, reference_combine(srep, q, reps))
+    return basis, reps, divisors
+
+
+def reference_kernel(M, order, basis, reps, divisors):
+    """Schreyer's kernel generators of M from its reference basis, reps and divisors."""
+    ring = M.ring
+    cols = M.columns()
+    syz_cols = []
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        if divisors[i][0] != divisors[j][0]:
+            continue
+        svec, srep = reference_spair(basis, reps, divisors, i, j)
+        q, rem = module_normal_form(svec, basis, order, divisors)
+        assert _vec_is_zero(rem)
+        syz_cols.append(reference_combine(srep, q, reps))
+    for j, col in enumerate(cols):
+        unit = [ring.zero()] * len(cols)
+        unit[j] = ring.one()
+        if _vec_is_zero(col):
+            syz_cols.append(unit)
+            continue
+        q, rem = module_normal_form(col, basis, order, divisors)
+        assert _vec_is_zero(rem)
+        syz_cols.append(reference_combine(unit, q, reps))
+    kept = []
+    for col in syz_cols:
+        if not _vec_is_zero(col) and col not in kept:
+            kept.append(col)
+    return kept
+
+
+def _seeded_matrix(ring, k):
+    """The k-th seeded 2x3 matrix; over QQ(s) its coefficients involve s."""
+    rng = random.Random(f"pair loop:{ring}:{k}")
+    return PolyMatrix([[_random_field_poly(ring, rng, 1, 2) for _ in range(3)]
+                       for _ in range(2)], ring)
+
+
+# the differentials d2, d3 of the resolution of rnc(4), the 2x2 minors of
+# [[x0..x3], [x1..x4]] (ranks [1, 6, 8, 3]), written out so that no case is
+# built by the pair loop under test
+RNC4_D2 = [
+    ["-x2", "-x3", "0", "x3", "x4", "0", "0", "0"],
+    ["x1", "0", "-x3", "-x2", "-x3", "x4", "x4", "0"],
+    ["0", "x1", "x2", "0", "0", "-x3", "-x3", "0"],
+    ["-x0", "0", "0", "x1", "0", "0", "-x3", "x4"],
+    ["0", "-x0", "0", "0", "x1", "0", "x2", "-x3"],
+    ["0", "0", "-x0", "0", "-x0", "x1", "0", "x2"],
+]
+RNC4_D3 = [
+    ["-x3", "-x4", "0"],
+    ["x2", "x3", "0"],
+    ["-x1", "0", "x3"],
+    ["0", "x3", "x4"],
+    ["0", "-x2", "-x3"],
+    ["-x0", "0", "x2"],
+    ["x0", "x1", "0"],
+    ["0", "-x0", "-x1"],
+]
+
+
+PAIR_LOOP_CASES = {
+    **{f"QQ-{k}-{name}": (lambda k=k: _seeded_matrix(R, k), order)
+       for k in range(3) for name, order in (("grevlex", GREVLEX), ("lex", LEX))},
+    **{f"QQ(s)-{k}": (lambda k=k: _seeded_matrix(QQ_S, k), GREVLEX) for k in range(3)},
+    "three-QQ(s)-columns": (lambda: PolyMatrix.from_columns(
+        [[QQ_S.poly(t) for t in col] for col in QQ_S_COLUMNS]), GREVLEX),
+    "rnc(4)-d1": (lambda: PolyMatrix.from_strings(P5, [_minors(
+        [f"x{i}" for i in range(4)], [f"x{i + 1}" for i in range(4)])]), GREVLEX),
+    "rnc(4)-d2": (lambda: PolyMatrix.from_strings(P5, RNC4_D2), GREVLEX),
+    "rnc(4)-d3": (lambda: PolyMatrix.from_strings(P5, RNC4_D3), GREVLEX),
+}
+
+
+@functools.cache
+def _reference_case(case):
+    """(M, order, reference basis, reps, divisors) of a pair loop case."""
+    build, order = PAIR_LOOP_CASES[case]
+    M = build()
+    return (M, order, *reference_groebner(M.columns(), order))
+
+
+@pytest.mark.parametrize("case", PAIR_LOOP_CASES)
+def test_spair_steps_match_field_arithmetic_on_the_reference_basis(case):
+    """Every same-position pair of the reference basis, one step at a time.
+
+    The numerator S-vector has the field S-vector's value, its division
+    gives the same quotients and remainder, and its syzygy the same vector.
+    """
+    M, order, basis, reps, divisors = _reference_case(case)
+    ring = M.ring
+    nums = _numerators(ring)
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        if divisors[i][0] != divisors[j][0]:
+            continue
+        svec, srep = reference_spair(basis, reps, divisors, i, j)
+        work, scale, ti, tj = _spair(divisors, i, j, nums)
+        assert [Polynomial(ring, {m: nums.to_field(c, scale) for m, c in terms.items()})
+                for terms in work] == svec
+        q, rem = _reduce(work, scale, divisors, order, nums, ring)
+        assert (q, rem) == module_normal_form(svec, basis, order, divisors)
+        assert _combine(_spair_rep(reps, i, j, ti, tj), q, reps, ring) == \
+            reference_combine(srep, q, reps)
+
+
+@pytest.mark.parametrize("case", PAIR_LOOP_CASES)
+def test_pair_loop_matches_field_arithmetic_reference(case):
+    """Module basis, reps and Schreyer kernel equal those of field-arithmetic S-vectors."""
+    M, order, basis, reps, divisors = _reference_case(case)
+    assert module_groebner(M.columns(), order) == (basis, reps)
+    kernel = _kernel_generators(M, order)
+    assert kernel == reference_kernel(M, order, basis, reps, divisors)
+    for col in kernel:
+        assert _vec_is_zero(M * col)
+
+
+@pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
+def test_s_polynomial_matches_field_arithmetic(ring):
+    """Non-monic inputs: the numerator S-vector equals the field-arithmetic one."""
+    rng = random.Random(f"s_polynomial:{ring}")
+    for order in (GREVLEX, LEX):
+        for _ in range(6):
+            f, g = (_random_field_poly(ring, rng, 2, 4) for _ in range(2))
+            leads = [_leading([f], order), _leading([g], order)]
+            expected = reference_spair([[f], [g]], None, leads, 0, 1)[0][0]
+            assert s_polynomial(f, g, order) == expected
 
 
 def test_syzygy_annihilates():
