@@ -21,8 +21,7 @@ from .modules import (
     PolyMatrix,
     _kernel_generators,
     _module_basis,
-    _vec_is_zero,
-    module_normal_form,
+    divides_to_zero,
     syzygy_matrix,
 )
 from .poly import Polynomial
@@ -295,10 +294,9 @@ def verify_exactness(C, order=GREVLEX):
             if kernel:
                 failures.append((k, "kernel of the last differential is nonzero", kernel[0]))
             continue
-        basis, _, divisors = _module_basis(nxt, order)
+        divisors = _module_basis(nxt, order)[2]
         for v in kernel:
-            _, rem = module_normal_form(v, basis, order, divisors)
-            if not _vec_is_zero(rem):
+            if not divides_to_zero(v, divisors, order):
                 failures.append((k, "kernel vector not in the image", v))
                 break
     return ExactnessReport(failures)

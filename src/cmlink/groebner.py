@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .modules import _divisors, _groebner, _numerators, _spair, module_normal_form
+from .modules import (
+    _divisors,
+    _groebner,
+    _numerators,
+    _spair,
+    divides_to_zero,
+    module_normal_form,
+    products_divide_to_zero,
+)
 from .poly import (
     GREVLEX,
     Polynomial,
@@ -100,7 +108,7 @@ class Ideal:
     """Ideal given by generators.
 
     Reduced Groebner bases are cached per order in `_gb`, each with its
-    divisors (`modules._divisors`), which every membership test divides by;
+    divisors (`modules._divisors`), by which every membership test decides;
     `complexes.syzygy_resolution` and `complexes.minimal_resolution` cache
     the free resolutions per order in `_resolutions`.
     """
@@ -142,12 +150,37 @@ class Ideal:
         return len(gb) == 1 and gb[0].is_constant() and not gb[0].is_zero()
 
     def contains(self, g, order=GREVLEX):
+        """Whether g lies in the ideal: its remainder by the reduced basis is zero.
+
+        Decided by `modules.divides_to_zero`, which stops at the first
+        remainder term (a remainder term is final, so that term alone shows
+        g is not a member) and builds no quotient.  g must lie in the
+        ideal's ring (RingMismatchError otherwise).
+        """
+        self._check_ring(g)
         if g.is_zero():
             return True
-        gb, divisors = self._basis(order)
-        if not gb:
-            return False
-        return normal_form(g, gb, order, divisors).remainder.is_zero()
+        return divides_to_zero([g], self._basis(order)[1], order)
+
+    def contains_products(self, g, factors, order=GREVLEX):
+        """Whether h * g lies in the ideal for every h in `factors` (True for none).
+
+        g is cleared to numerators once, and each product is summed into one
+        numerator dict for the decider (`modules.products_divide_to_zero`);
+        no product Polynomial is built.  g and every factor must lie in the
+        ideal's ring (RingMismatchError otherwise).
+        """
+        factors = list(factors)
+        for p in [g, *factors]:
+            self._check_ring(p)
+        factors = [h for h in factors if not h.is_zero()]
+        if g.is_zero() or not factors:
+            return True
+        return products_divide_to_zero(g, factors, self._basis(order)[1], order)
+
+    def _check_ring(self, p):
+        if p.ring != self.ring:
+            raise RingMismatchError(f"polynomial in {p.ring!r}, ideal in {self.ring!r}")
 
     def contains_ideal(self, other, order=GREVLEX):
         return all(self.contains(g, order) for g in other.gens)

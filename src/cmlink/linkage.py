@@ -188,8 +188,16 @@ def link_decomposition_check(I, J, morphism, order=GREVLEX):
 
 
 def membership_via_link(g, I, ap_entries, order=GREVLEX):
-    """Theorem-level membership test: g in J iff h*g in I for every top entry h."""
-    return all(ideal_member(h * g, I, order) for h in ap_entries)
+    """Theorem-level membership test: g in J iff h*g in I for every top entry h.
+
+    The products are decided by `Ideal.contains_products`, without building
+    h*g.  ValueError when no entry is nonzero: with no nonzero h the test
+    would pass every g.
+    """
+    ap_entries = list(ap_entries)
+    if all(h.is_zero() for h in ap_entries):
+        raise ValueError("membership via link needs a nonzero top entry")
+    return I.contains_products(g, ap_entries, order)
 
 
 def det_transform_member(g, I, J, A, order=GREVLEX):
@@ -208,7 +216,7 @@ def det_transform_member(g, I, J, A, order=GREVLEX):
         if prod.rows[0][j] != I.gens[j]:
             raise ValueError("row identity f = g*A does not hold")
     det = det_bareiss(A)
-    return ideal_member(det * g, I, order)
+    return I.contains_products(g, [det], order)
 
 
 class GenericCIError(RuntimeError):

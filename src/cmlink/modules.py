@@ -20,7 +20,9 @@ S-vectors of the pair loop and of the Schreyer kernel are built from two
 such copies as numerators over one scale (`_spair`) and go to the inner
 loop of the division (`_reduce`) without a `Polynomial` in between.  The
 representations and syzygies, which stay in field arithmetic, are summed
-in one term dict per entry (`_combine`).
+in one term dict per entry (`_combine`).  Membership, a question that
+needs no quotient, is decided by the same loop stopped at the first
+remainder term (`divides_to_zero`, `products_divide_to_zero`).
 """
 
 from __future__ import annotations
@@ -417,26 +419,83 @@ def module_normal_form(vec, basis, order, divisors=None):
     smaller ones enter its entry, so a later copy of it always finds it gone.
     The reduction steps are those of taking the dict's maximum every time.
 
-    This front part clears the vector's denominators; the loop itself is
-    `_reduce`, which the pair loop feeds its S-vectors as numerators directly.
+    This front part clears the vector's denominators (`_numerator_dicts`);
+    the loop itself is `_reduce`, which the pair loop feeds its S-vectors as
+    numerators directly.  A caller that only asks whether the remainder is
+    zero calls `divides_to_zero` instead, the same loop stopped at the first
+    remainder term.
     """
     ring = vec[0].ring
     nums = _numerators(ring)
     if divisors is None:
         divisors = _divisors(basis, order)
-    numer, scale = nums.clear([c for p in vec for c in p.terms.values()])
-    numer = iter(numer)
-    # zip stops at the end of p.terms before it draws from `numer`
-    work = [dict(zip(p.terms, numer)) for p in vec]
+    work, scale = _numerator_dicts(vec, nums)
     return _reduce(work, scale, divisors, order, nums, ring)
 
 
-def _reduce(work, scale, divisors, order, nums, ring):
+def _numerator_dicts(vec, nums):
+    """(work, scale) with entry r of the vector equal to work[r][m] / scale.
+
+    work[r] is a new dict (exponents -> numerator) per entry, as `_reduce`
+    takes it.
+    """
+    numer, scale = nums.clear([c for p in vec for c in p.terms.values()])
+    numer = iter(numer)
+    # zip stops at the end of p.terms before it draws from `numer`
+    return [dict(zip(p.terms, numer)) for p in vec], scale
+
+
+def divides_to_zero(vec, divisors, order):
+    """Whether `module_normal_form(vec, None, order, divisors)` leaves a zero remainder.
+
+    The membership decider: `_reduce` in its deciding mode, which returns at
+    the first remainder term and builds no quotient or remainder.  An empty
+    list of divisors leaves every nonzero vector as its own remainder.
+    """
+    nums = _numerators(vec[0].ring)
+    return _reduce(_numerator_dicts(vec, nums)[0], None, divisors, order, nums,
+                   decide=True)
+
+
+def products_divide_to_zero(f, factors, divisors, order):
+    """Whether h * f divides to zero by the rank-1 `divisors` for every h in `factors`.
+
+    f is cleared to numerators once; each product is summed from the two
+    numerator dicts into one dict and handed to the decider of
+    `divides_to_zero`, so no product Polynomial is built.  The product's
+    scale is that of f times that of h, and does not change the verdict.
+    """
+    nums = _numerators(f.ring)
+    (f_terms,), _ = _numerator_dicts([f], nums)
+    f_terms = f_terms.items()
+    for h in factors:
+        (h_terms,), _ = _numerator_dicts([h], nums)
+        work = {}
+        for e, c in h_terms.items():
+            _sub_multiple(work, f_terms, e, -c)
+        if not _reduce([work], None, divisors, order, nums, decide=True):
+            return False
+    return True
+
+
+def _reduce(work, scale, divisors, order, nums, ring=None, decide=False):
     """The division loop of `module_normal_form` on a vector held as numerators.
 
     The vector is work[r][m] / scale: work[r] is the dict (exponents ->
     numerator) of entry r, and is used up.  Returns (quotients, remainder)
-    as Polynomials over the field.
+    as Polynomials over the field of `ring`.
+
+    With `decide` it only answers whether the remainder is zero: it returns
+    False when the first term lands in the remainder and True when the loop
+    ends without one.  It records no quotient, converts nothing with
+    `to_field`, and reads neither `scale` nor `ring`.  Stopping early is
+    exact, because a remainder term is final.  The steps after it subtract
+    multiples x^t * copy whose terms in its entry lie at or below the
+    pending monomial they reduce, and every pending monomial is strictly
+    smaller than the remainder term; the other steps touch only later
+    entries.  So the remainder is nonzero exactly when a term reaches it.
+    Scaling only multiplies the whole vector by a nonzero factor, which
+    does not decide whether a term is zero.
     """
     key = order.desc_key
     step = nums.step
@@ -448,8 +507,9 @@ def _reduce(work, scale, divisors, order, nums, ring):
     by_pos = [[] for _ in work]
     for i, (lpos, lexps, _, lead, rows) in enumerate(divisors):
         by_pos[lpos].append((i, lexps, lead, rows))
-    quotients = [{} for _ in divisors]
-    remainder = [{} for _ in work]
+    if not decide:
+        quotients = [{} for _ in divisors]
+        remainder = [{} for _ in work]
     n = len(work)
     # a divisor leading at `pos` is zero above `pos`, so once an entry is
     # reduced no later step touches it again
@@ -464,11 +524,13 @@ def _reduce(work, scale, divisors, order, nums, ring):
             for i, lexps, lead, rows in candidates:
                 if monomial_divides(lexps, exps):
                     t_exps = monomial_div(exps, lexps)
-                    # the leading exponents at `pos` strictly decrease, so t_exps is new
-                    quotients[i][t_exps] = (c, scale)
                     factor, mult = step(c, lead)
+                    if not decide:
+                        # the leading exponents at `pos` strictly decrease, so t_exps is new
+                        quotients[i][t_exps] = (c, scale)
+                        if factor is not None:
+                            scale *= factor
                     if factor is not None:
-                        scale *= factor
                         for r in range(pos, n):
                             w = work[r]
                             for m in w:
@@ -480,7 +542,11 @@ def _reduce(work, scale, divisors, order, nums, ring):
                                            mult, exps if r == pos else None)
                     break
             else:
+                if decide:
+                    return False
                 remainder[pos][exps] = (c, scale)
+    if decide:
+        return True
     to_field = nums.to_field
     out = []
     for (_, _, lc, _, _), q in zip(divisors, quotients):
@@ -843,9 +909,8 @@ def _greedy_prune(cols, order):
     idx = len(cols) - 1
     while idx >= 0 and len(cols) > 1:
         others = cols[:idx] + cols[idx + 1 :]
-        basis, _, divisors = _groebner(others, order, False)
-        _, rem = module_normal_form(cols[idx], basis, order, divisors)
-        if _vec_is_zero(rem):
+        divisors = _groebner(others, order, False)[2]
+        if divides_to_zero(cols[idx], divisors, order):
             cols = others
             idx = min(idx, len(cols)) - 1
         else:

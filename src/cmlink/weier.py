@@ -173,7 +173,9 @@ def _from_poly_coeffs(coeff_list, ring, var):
     if field is None:
         terms = {key: Fraction(int(sub[()])) for key, sub in acc.items()}
     else:
-        terms = {key: field.new(field.ring.from_dict(sub)) for key, sub in acc.items()}
+        # an integer-coefficient numerator over 1 is already canonical (field.new
+        # would return it unchanged), so skip new()'s cancel
+        terms = {key: field.raw_new(field.ring.from_dict(sub)) for key, sub in acc.items()}
     return Polynomial(ring, terms)
 
 
@@ -259,7 +261,9 @@ def _param_denominator_lcm(p):
     for d in {c.denom for c in p.terms.values()}:
         if d != 1:
             den = den.lcm(d.set_ring(zz))
-    return field.new(den.set_ring(field.ring))
+    # canonical denominators have integer coefficients, so den is an integer
+    # polynomial over 1, already canonical: skip field.new's cancel
+    return field.raw_new(den.set_ring(field.ring))
 
 
 def resultant_sylvester(P, Q, var):

@@ -20,7 +20,7 @@ from cmlink.linkage import (
     membership_via_link,
 )
 from cmlink.modules import PolyMatrix
-from cmlink.poly import Polynomial, Ring
+from cmlink.poly import Polynomial, Ring, RingMismatchError
 
 R = Ring(("x", "y", "z"))
 x, y, z = R.gens()
@@ -152,6 +152,38 @@ def test_det_transform_law():
     bad = PolyMatrix.from_strings(R2, [["y", "0"], ["0", "x"]])
     with pytest.raises(ValueError):
         det_transform_member(R2.poly("x"), I, J, bad)
+
+
+def test_membership_via_link_needs_a_nonzero_top_entry():
+    R2 = Ring(("x", "y"))
+    I = Ideal.from_strings(R2, ["x^2", "y^2"])
+    # with no nonzero h, "h*g in I for every h" holds for every g
+    for entries in ([], [R2.zero(), R2.zero()]):
+        with pytest.raises(ValueError):
+            membership_via_link(R2.one(), I, entries)
+    assert membership_via_link(R2.one(), I, [R2.zero(), R2.poly("x^2")]) is True
+    assert membership_via_link(R2.one(), I, [R2.zero(), R2.poly("x")]) is False
+
+
+@pytest.mark.parametrize("other", [Ring(("x", "y", "z")), Ring(("x", "y"), ("s",))],
+                         ids=["more variables", "parameters"])
+def test_membership_tests_reject_a_polynomial_from_another_ring(other):
+    R2 = Ring(("x", "y"))
+    I = Ideal.from_strings(R2, ["x^2", "y^2"])
+    J = Ideal.from_strings(R2, ["x", "y"])
+    A = PolyMatrix.from_strings(R2, [["x", "0"], ["0", "y"]])
+    for g in (other.poly("x"), other.poly("x^2"), other.zero()):
+        with pytest.raises(RingMismatchError):
+            J.contains(g)
+        with pytest.raises(RingMismatchError):
+            ideal_member(g, J)
+        with pytest.raises(RingMismatchError):
+            membership_via_link(g, I, [R2.poly("x"), R2.poly("y")])
+        with pytest.raises(RingMismatchError):
+            det_transform_member(g, I, J, A)
+    # top entries from another ring are rejected too
+    with pytest.raises(RingMismatchError):
+        membership_via_link(R2.poly("x"), I, [other.poly("x")])
 
 
 def test_generic_ci_deterministic_and_codim_checked():

@@ -17,6 +17,7 @@ from cmlink.modules import (
     _combine,
     _divisors,
     _greedy_prune,
+    _groebner,
     _kernel_generators,
     _leading,
     _numerators,
@@ -25,10 +26,12 @@ from cmlink.modules import (
     _spair_rep,
     _vec_is_zero,
     det_bareiss,
+    divides_to_zero,
     image_lifter,
     lift_through,
     module_groebner,
     module_normal_form,
+    products_divide_to_zero,
     prune_redundant_columns,
     syzygy_matrix,
 )
@@ -268,6 +271,87 @@ def test_heap_division_when_a_cancelled_term_comes_back():
     q, rem = module_normal_form(vec, basis, GREVLEX)
     assert (q, rem) == reference_normal_form(vec, basis, GREVLEX)
     assert q == [x, x + 1] and rem == [x]
+
+
+# -- the membership decider ------------------------------------------------------
+
+
+def _decider_probes(ring, rng, cols):
+    """Members of the span of `cols`, each also with one term added to one
+    entry, and random vectors."""
+    rank = len(cols[0])
+    probes = []
+    for _ in range(4):
+        coeffs = [_random_field_poly(ring, rng, 1, 2) for _ in cols]
+        member = [sum((c * col[r] for c, col in zip(coeffs, cols)), ring.zero())
+                  for r in range(rank)]
+        probes.append(member)
+        for r in range(rank):
+            extra = _random_field_poly(ring, rng, 2, 1)
+            probes.append([p + extra if k == r else p for k, p in enumerate(member)])
+        probes.append([_random_field_poly(ring, rng, 2, 3) for _ in range(rank)])
+    return probes
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
+def test_decider_matches_the_division_remainder(ring, order, rank):
+    """divides_to_zero is module_normal_form's remainder-is-zero, without the division."""
+    rng = random.Random(f"decider:{rank}:{order}:{ring}")
+    verdicts = set()
+    later_entry_decides = False
+    for _ in range(3):
+        cols = [[_random_field_poly(ring, rng, 1, 2) for _ in range(rank)]
+                for _ in range(rank + 1)]
+        basis, _, divisors = _groebner(cols, order, False)
+        for vec in _decider_probes(ring, rng, cols):
+            rem = module_normal_form(vec, basis, order, divisors)[1]
+            expected = _vec_is_zero(rem)
+            assert divides_to_zero(vec, divisors, order) is expected
+            verdicts.add(expected)
+            later_entry_decides |= rem[0].is_zero() and not expected
+    assert verdicts == {True, False}
+    # at rank 2 some verdict is decided by the second entry alone
+    assert later_entry_decides == (rank == 2)
+
+
+def test_decider_stops_at_the_first_remainder_term():
+    # x^2 leads x^2 + y and no leading monomial divides it: the decider
+    # returns there, leaving y unreduced and the second entry untouched
+    divisors = _divisors([[y, R.zero()], [R.zero(), z]], GREVLEX)
+    work = [{(2, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 1): 1}]
+    assert _reduce(work, None, divisors, GREVLEX, _numerators(R), decide=True) is False
+    assert work == [{(0, 1, 0): 1}, {(0, 0, 1): 1}]
+    assert not divides_to_zero([x**2 + y, z], divisors, GREVLEX)
+    assert divides_to_zero([3 * y, z], divisors, GREVLEX)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
+def test_product_decider_matches_membership_of_the_product(ring, order):
+    """Ideal.contains_products(g, [h]) is contains(h * g), without building h * g."""
+    rng = random.Random(f"products:{order}:{ring}")
+    verdicts = set()
+    for _ in range(3):
+        f1, f2, f3, f4 = (_random_field_poly(ring, rng, 1, 2) for _ in range(4))
+        ideal = Ideal([f1 * f2, f3 * f4], ring)
+        divisors = ideal._basis(order)[1]
+        for _ in range(3):
+            r1, r2 = (_random_field_poly(ring, rng, 1, 2) for _ in range(2))
+            # products in the ideal by construction, and products that need not be
+            pairs = [(r1 * f1, r2 * f2), (r1 * f3, r2 * f4), (r1 * f1, r2 * f4),
+                     (r1, r2 + f2)]
+            for g, h in pairs:
+                expected = ideal.contains(h * g, order)
+                assert ideal.contains_products(g, [h], order) is expected
+                assert products_divide_to_zero(g, [h], divisors, order) is expected
+                verdicts.add(expected)
+            g, hs = pairs[0][0], [h for _, h in pairs]
+            assert ideal.contains_products(g, hs, order) is \
+                all(ideal.contains(h * g, order) for h in hs)
+            assert ideal.contains_products(g, hs[:1] + [ring.zero()], order) is True
+    assert verdicts == {True, False}
 
 
 # -- the pair loop against field arithmetic -----------------------------------
@@ -613,6 +697,8 @@ def test_prune_matches_greedy_on_every_differential(ring, gens, graded):
         columns = _kernel_generators(d, GREVLEX)
         if not columns:
             break
+        # wrong generators fail here, before pruning builds bases of them
+        assert (d * PolyMatrix.from_columns(columns, ring)).is_zero()
         paths.append(_column_degrees(columns) is not None)
         d = PolyMatrix.from_columns(_prune_matches_greedy(columns), ring)
     # homogeneous ideals take the degree-by-degree path from the first step

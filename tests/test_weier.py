@@ -271,6 +271,30 @@ def test_euclid_is_canonical():
     assert extended_euclid(Q, P, 0) == (U.poly("s*t^2*x"), U.zero(), U.poly("1/3"))
 
 
+def _pairs_with_parameter_denominators():
+    """Ten criterion-7 pairs scaled by coefficients with parameter denominators."""
+    dP, dQ = U.coeff("1/(s+1)"), U.coeff("(t-2)/(3*s*t+1)")
+    return [(P.scale(dP), Q.scale(dQ)) for P, Q in criterion_7_pairs()[:10]]
+
+
+def test_euclid_and_resultant_coefficients_are_canonical():
+    # the Euclid and Sylvester outputs and the denominator lcm are built as
+    # integer numerators over 1 without field.new's cancel; each must be the
+    # canonical element that field.new gives
+    field = U.field
+
+    def assert_canonical(c):
+        canon = field.new(c.numer, c.denom)
+        assert (c.numer, c.denom) == (canon.numer, canon.denom), c
+
+    for P, Q in criterion_7_pairs() + _pairs_with_parameter_denominators():
+        for p in (*extended_euclid(P, Q, 0), resultant_sylvester(P, Q, 0)):
+            for c in p.terms.values():
+                assert_canonical(c)
+        for p in (P, Q):
+            assert_canonical(weier._param_denominator_lcm(p))
+
+
 def test_resultant_linear_pair():
     P, Q = U.poly("x - s"), U.poly("x - t")
     res = resultant_sylvester(P, Q, 0)
