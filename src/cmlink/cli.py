@@ -15,9 +15,8 @@ import sys
 
 from .complexes import (
     KoszulComplex,
+    free_resolution,
     is_cohen_macaulay,
-    minimal_resolution,
-    syzygy_resolution,
     verify_exactness,
 )
 from .groebner import (
@@ -105,7 +104,7 @@ def read_matrix_file(path, ring=None):
 
 
 def _order(args):
-    return LEX if getattr(args, "order", "grevlex") == "lex" else GREVLEX
+    return LEX if args.order == "lex" else GREVLEX
 
 
 def _gens(I):
@@ -125,6 +124,12 @@ def _failed(report, error):
     report["ok"] = False
     report["error"] = str(error)
     return EXIT_FAIL, report
+
+
+def _verdict(report, verdict):
+    """A membership verdict: exit 0 when g is in the ideal, 1 when it is not."""
+    report["verdict"] = verdict
+    return (EXIT_OK if verdict else EXIT_FAIL), report
 
 
 # -- subcommands --------------------------------------------------------------
@@ -156,9 +161,13 @@ def cmd_member(args):
         "J": _gens(J),
         "via": args.via,
     }
+    if args.via == "det":
+        if not args.ideal_I or not args.matrix_A:
+            raise InputError("--via det needs --ideal-I and --matrix-A")
+        return _det_member(args, J, g, report)
     if args.via == "gb":
         verdict = ideal_member(g, J, order)
-    elif args.via == "link":
+    else:  # link
         if J.is_zero() or J.is_unit(order):
             raise InputError("membership via link needs a proper nonzero ideal J")
         if args.ideal_I:
@@ -170,25 +179,26 @@ def cmd_member(args):
         report["I"] = _gens(I)
         try:
             K = KoszulComplex(list(I.gens))
-            E = minimal_resolution(J, order)
+            E = free_resolution(J, order=order)
             ap = comparison_morphism(K, E, order).top_entries()
         except (ContainmentFailureError, MorphismError) as exc:
             return _failed(report, exc)
         report["top_entries"] = [str(h) for h in ap]
         verdict = membership_via_link(g, I, ap, order)
-    else:  # det
-        if not args.ideal_I or not args.matrix_A:
-            raise InputError("--via det needs --ideal-I and --matrix-A")
-        I = read_ideal_file(args.ideal_I)
-        _same_ring(I, J)
-        A = read_matrix_file(args.matrix_A, J.ring)
-        report["I"] = _gens(I)
-        try:
-            verdict = det_transform_member(g, I, J, A, order)
-        except ValueError as exc:
-            return _failed(report, exc)
-    report["verdict"] = verdict
-    return (EXIT_OK if verdict else EXIT_FAIL), report
+    return _verdict(report, verdict)
+
+
+def _det_member(args, J, g, report):
+    """Read I and A and decide g in J by the det(A) law, reporting I's generators."""
+    I = read_ideal_file(args.ideal_I)
+    _same_ring(I, J)
+    A = read_matrix_file(args.matrix_A, J.ring)
+    report["I"] = _gens(I)
+    try:
+        verdict = det_transform_member(g, I, J, A, _order(args))
+    except ValueError as exc:
+        return _failed(report, exc)
+    return _verdict(report, verdict)
 
 
 def cmd_colon(args):
@@ -215,10 +225,7 @@ def cmd_resolve(args):
     order = _order(args)
     if J.is_zero() or J.is_unit(order):
         raise InputError("resolve needs a proper nonzero ideal")
-    if args.minimal:
-        res = minimal_resolution(J, order)
-    else:
-        res = syzygy_resolution(J, order)
+    res = free_resolution(J, minimalize=args.minimal, order=order)
     exact = verify_exactness(res, order)
     cm, codim, length = is_cohen_macaulay(J, order)
     report = {
@@ -302,16 +309,16 @@ def _linkage_report(args, supplied=None):
                 f"{codim}, minimal resolution length {length}",
             )
         K = KoszulComplex(list(I.gens))
-        E = minimal_resolution(J, order)
-        if supplied is not None:
-            morphism = ComplexMorphism(K, E, supplied, check=False)
-            problem = morphism.violation()
-            if problem is not None:
-                return _failed(report, f"morphism invalid: {problem}")
-        else:
+        E = free_resolution(J, order=order)
+        if supplied is None:
             morphism = comparison_morphism(K, E, order)
+        else:
+            try:
+                morphism = ComplexMorphism(K, E, supplied)
+            except MorphismError as exc:
+                return _failed(report, f"morphism invalid: {exc}")
         link = link_decomposition_check(I, J, morphism, order)
-    except (ValueError, MorphismError) as exc:
+    except ValueError as exc:
         return _failed(report, exc)
     report.update(json.loads(link.to_json()))
     report["ok"] = link.ok
@@ -331,26 +338,17 @@ def cmd_verify_linkage(args):
 
 
 def cmd_det_member(args):
-    I = read_ideal_file(args.ideal_I)
     J = read_ideal_file(args.ideal_J)
-    _same_ring(I, J)
-    A = read_matrix_file(args.matrix_A, I.ring)
-    order = _order(args)
-    g = I.ring.poly(args.g)
+    g = J.ring.poly(args.g)
     report = {
         "command": "det-member",
-        "ring": I.ring.header(),
+        "ring": J.ring.header(),
         "order": args.order,
         "g": str(g),
-        "I": _gens(I),
+        "I": None,  # set by _det_member; the key keeps its place ahead of J
         "J": _gens(J),
     }
-    try:
-        verdict = det_transform_member(g, I, J, A, order)
-    except ValueError as exc:
-        return _failed(report, exc)
-    report["verdict"] = verdict
-    return (EXIT_OK if verdict else EXIT_FAIL), report
+    return _det_member(args, J, g, report)
 
 
 def cmd_resultant(args):
@@ -402,12 +400,14 @@ def cmd_recipe(args):
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(sp, order=True, seed=True):
-    if order:
-        sp.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
+def _add_order(sp):
+    sp.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
+
+
+def _add_common(sp, func):
+    """--out, which every subcommand takes, and the function that runs it."""
     sp.add_argument("--out", default=None, help="write the JSON report here")
+    sp.set_defaults(func=func)
 
 
 def build_parser():
@@ -420,8 +420,8 @@ def build_parser():
 
     sp = sub.add_parser("gb", help="reduced Groebner basis of an ideal")
     sp.add_argument("--ideal", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gb)
+    _add_order(sp)
+    _add_common(sp, cmd_gb)
 
     sp = sub.add_parser("member", help="ideal membership test")
     sp.add_argument("--g", required=True)
@@ -429,37 +429,37 @@ def build_parser():
     sp.add_argument("--ideal-I", default=None)
     sp.add_argument("--matrix-A", default=None)
     sp.add_argument("--via", choices=["gb", "link", "det"], default="gb")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_member)
+    _add_order(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    _add_common(sp, cmd_member)
 
     sp = sub.add_parser("colon", help="colon ideal I : J")
     sp.add_argument("--ideal-I", required=True)
     sp.add_argument("--ideal-J", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_colon)
+    _add_order(sp)
+    _add_common(sp, cmd_colon)
 
     sp = sub.add_parser("resolve", help="free resolution of an ideal")
     sp.add_argument("--ideal", required=True)
     sp.add_argument("--minimal", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_resolve)
+    _add_order(sp)
+    _add_common(sp, cmd_resolve)
 
     sp = sub.add_parser("koszul", help="Koszul complex of the generators")
     sp.add_argument("--ideal", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_koszul)
+    _add_common(sp, cmd_koszul)
 
     sp = sub.add_parser("lift", help="solve M x = b over the ring")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--target", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_lift)
+    _add_order(sp)
+    _add_common(sp, cmd_lift)
 
     sp = sub.add_parser("link", help="linkage decomposition I : J = I + L")
     sp.add_argument("--ideal-I", required=True)
     sp.add_argument("--ideal-J", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_link)
+    _add_order(sp)
+    _add_common(sp, cmd_link)
 
     sp = sub.add_parser(
         "verify-linkage",
@@ -473,29 +473,28 @@ def build_parser():
         default=[],
         help="morphism matrix file a_0, a_1, ... (repeat in degree order)",
     )
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify_linkage)
+    _add_order(sp)
+    _add_common(sp, cmd_verify_linkage)
 
     sp = sub.add_parser("det-member", help="membership via the det(A) law")
     sp.add_argument("--g", required=True)
     sp.add_argument("--ideal-I", required=True)
     sp.add_argument("--ideal-J", required=True)
     sp.add_argument("--matrix-A", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_det_member)
+    _add_order(sp)
+    _add_common(sp, cmd_det_member)
 
     sp = sub.add_parser("resultant", help="extended Euclid and Sylvester resultant")
     sp.add_argument("--ring", required=True, help="e.g. 'ring x over QQ(s,t)'")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--var", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_resultant)
+    _add_common(sp, cmd_resultant)
 
     sp = sub.add_parser("recipe", help="residue current recipe for two generators")
     sp.add_argument("--ideal", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_recipe)
+    sp.add_argument("--seed", type=int, default=0)
+    _add_common(sp, cmd_recipe)
 
     return parser
 
@@ -517,11 +516,15 @@ def run(argv=None):
         report = {"error": str(exc)}
         code = EXIT_USAGE
     text = json.dumps(report, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            text = json.dumps({"error": f"cannot write {args.out}: {exc}"}, indent=2) + "\n"
+            code = EXIT_USAGE
+    sys.stdout.write(text)
     return code
 
 

@@ -4,6 +4,11 @@ Koszul complexes by contraction, free resolutions by iterated syzygies with
 unit-entry pruning, degreewise exactness verification, and the
 Cohen-Macaulay test (resolution length against codimension).
 
+Every complex checks d_k * d_{k+1} == 0 when it is built.  `free_resolution`
+is the one way to a resolution: it caches both the unpruned and the
+minimal resolution on the ideal, per monomial order, and derives the
+minimal one from the unpruned one.
+
 Each syzygy step keeps a generating set of the kernel free of redundant
 columns (`modules.syzygy_matrix`).  For a homogeneous ideal every step is
 graded, and the columns are chosen degree by degree, with one module
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .groebner import GREVLEX, Ideal, ideal_codim
+from .groebner import GREVLEX, ideal_codim
 from .modules import (
     PolyMatrix,
     _kernel_generators,
@@ -24,7 +29,6 @@ from .modules import (
     divides_to_zero,
     syzygy_matrix,
 )
-from .poly import Polynomial
 
 
 class ComplexError(ValueError):
@@ -34,12 +38,11 @@ class ComplexError(ValueError):
 class ChainComplex:
     """Differentials d_1, ..., d_l with cols(d_k) == rows(d_{k+1}).
 
-    Module ranks are rows(d_1), cols(d_1), cols(d_2), ...
-    `composition_checked` records whether the constructor verified
-    d_k * d_{k+1} == 0, so that `verify_exactness` does not multiply again.
+    Module ranks are rows(d_1), cols(d_1), cols(d_2), ...  The constructor
+    checks d_k * d_{k+1} == 0 and raises ComplexError if it fails.
     """
 
-    def __init__(self, differentials, check_composition=True):
+    def __init__(self, differentials):
         diffs = list(differentials)
         if not diffs:
             raise ComplexError("a complex needs at least one differential")
@@ -47,11 +50,10 @@ class ChainComplex:
         for a, b in zip(diffs, diffs[1:]):
             if a.ncols != b.nrows:
                 raise ComplexError("differential shapes do not chain")
-            if check_composition and not (a * b).is_zero():
+            if not (a * b).is_zero():
                 raise ComplexError("d_k * d_{k+1} != 0")
         self.differentials = diffs
         self.ring = ring
-        self.composition_checked = check_composition
 
     @property
     def length(self):
@@ -101,7 +103,7 @@ class KoszulComplex(ChainComplex):
                     entry = f[elem] if sign > 0 else -f[elem]
                     mat[row_pos[rest]][cj] = mat[row_pos[rest]][cj] + entry
             diffs.append(PolyMatrix(mat, ring))
-        super().__init__(diffs, check_composition=True)
+        super().__init__(diffs)
         self.tuple_f = f
 
     @property
@@ -115,7 +117,7 @@ def koszul_complex(f):
 
 class FreeResolution(ChainComplex):
     def __init__(self, differentials, ideal, minimal):
-        super().__init__(differentials, check_composition=True)
+        super().__init__(differentials)
         if self.differentials[0].nrows != 1:
             raise ComplexError("rank of the augmentation module must be 1")
         self.ideal = ideal
@@ -123,33 +125,50 @@ class FreeResolution(ChainComplex):
 
 
 def free_resolution(J, minimalize=True, order=GREVLEX):
-    """Free resolution of the cyclic quotient by J, via iterated syzygies.
+    """Free resolution of the cyclic quotient by J, cached on J.
 
     d_1 is the row of generators; each next differential generates the kernel
-    of the previous one.  With `minimalize`, constant (hence invertible)
-    entries are pivoted away until no differential entry has a nonzero
-    constant term.  Length is capped at the variable count.
+    of the previous one.  Length is capped at the variable count.  With
+    `minimalize`, constant (hence invertible) entries are pivoted away
+    (`_prune_units`) until no differential entry has a nonzero constant
+    term.
+
+    Both resolutions are cached in `J._resolutions[(order, minimalize)]`.
+    The minimal one is derived from the cached unpruned one, and is that
+    same object when nothing is pruned (graded input), so the syzygy loop
+    runs once per ideal and order whichever is asked for first.
     """
-    ring = J.ring
+    cache = J._resolutions
+    full = cache.get((order, False))
+    if full is None:
+        full = cache[(order, False)] = _resolution(_syzygy_differentials(J, order), J)
+    if not minimalize:
+        return full
+    res = cache.get((order, True))
+    if res is None:
+        diffs = _prune_units(full.differentials)
+        res = full if diffs is full.differentials else _resolution(diffs, J)
+        cache[(order, True)] = res
+    return res
+
+
+def _syzygy_differentials(J, order):
+    """The differentials of J's resolution by iterated syzygies, unpruned."""
     if J.is_zero():
         raise ComplexError("zero ideal has no finite free resolution of this form")
     if J.is_unit(order):
         raise ComplexError("unit ideal is not a proper ideal")
-    d1 = PolyMatrix([list(J.gens)], ring)
-    diffs = [d1]
-    cap = ring.nvars + 1
+    diffs = [PolyMatrix([list(J.gens)], J.ring)]
+    cap = J.ring.nvars + 1
     while True:
         syz = syzygy_matrix(diffs[-1], order)
         if syz.ncols == 0:
-            break
+            return diffs
         diffs.append(syz)
         if len(diffs) > cap:
             raise ComplexError(
                 "resolution exceeded the Hilbert syzygy bound; this is a bug"
             )
-    if minimalize:
-        diffs = _prune_units(diffs)
-    return _resolution(diffs, J)
 
 
 def _resolution(diffs, J):
@@ -261,40 +280,30 @@ class ExactnessReport:
 
 
 def verify_exactness(C, order=GREVLEX):
-    """Check ker(d_k) == im(d_{k+1}) for k = 1..length by double inclusion.
+    """Check ker(d_k) == im(d_{k+1}) for k = 1..length.
 
-    ker(d_k) is taken as the unpruned Schreyer generators of the kernel, a
-    superset of the columns `syzygy_matrix` keeps, and each of them must
-    divide to a zero remainder by the module Groebner basis of d_{k+1}.  At
-    the top degree the next image is zero, so the last differential must be
-    injective.  Failures are report content, not exceptions.
+    im(d_{k+1}) lies in ker(d_k) because C checked d_k * d_{k+1} == 0 when
+    it was built.  For the other inclusion, ker(d_k) is taken as the
+    unpruned Schreyer generators of the kernel, a superset of the columns
+    `syzygy_matrix` keeps, and each of them must divide to a zero remainder
+    by the module Groebner basis of d_{k+1}.  At the top degree the next
+    image is zero, so the last differential must be injective.  Failures
+    are report content, not exceptions.
 
     The kernel generators and the bases are those cached on the matrices
     (`modules._kernel_generators`, `modules._module_basis`): on a resolution
     built by `free_resolution` they were computed by its syzygy steps, and
-    this check builds none again.  Every membership is still tested.  The
-    products d_k * d_{k+1} are recomputed only when the complex was built
-    with `check_composition=False`; otherwise its constructor checked them.
+    this check builds none again.  Every membership is still tested.
     """
     failures = []
     diffs = C.differentials
     for k in range(1, len(diffs) + 1):
-        dk = diffs[k - 1]
-        nxt = diffs[k] if k < len(diffs) else None
-        # im(d_{k+1}) subset of ker(d_k)
-        if nxt is not None and not C.composition_checked:
-            prod = dk * nxt
-            if not prod.is_zero():
-                col = next(j for j in range(prod.ncols) if not all(p.is_zero() for p in prod.column(j)))
-                failures.append((k, "composition d_k d_{k+1} != 0", nxt.column(col)))
-                continue
-        # ker(d_k) subset of im(d_{k+1})
-        kernel = _kernel_generators(dk, order)
-        if nxt is None:
+        kernel = _kernel_generators(diffs[k - 1], order)
+        if k == len(diffs):
             if kernel:
                 failures.append((k, "kernel of the last differential is nonzero", kernel[0]))
             continue
-        divisors = _module_basis(nxt, order)[2]
+        divisors = _module_basis(diffs[k], order)[2]
         for v in kernel:
             if not divides_to_zero(v, divisors, order):
                 failures.append((k, "kernel vector not in the image", v))
@@ -302,35 +311,8 @@ def verify_exactness(C, order=GREVLEX):
     return ExactnessReport(failures)
 
 
-def syzygy_resolution(J, order=GREVLEX):
-    """The resolution of J by iterated syzygies, before unit pruning.
-
-    Built by `free_resolution` once per order and cached on J.
-    """
-    key = (order, False)
-    if key not in J._resolutions:
-        J._resolutions[key] = free_resolution(J, minimalize=False, order=order)
-    return J._resolutions[key]
-
-
-def minimal_resolution(J, order=GREVLEX):
-    """The minimal free resolution of J, cached on J per order.
-
-    It is `syzygy_resolution(J, order)` pruned by `_prune_units`, and that
-    same object when no differential has a unit entry (graded input), so
-    the syzygy loop runs once per ideal and order whichever resolution is
-    asked for first.
-    """
-    key = (order, True)
-    if key not in J._resolutions:
-        full = syzygy_resolution(J, order)
-        diffs = _prune_units(full.differentials)
-        J._resolutions[key] = full if diffs is full.differentials else _resolution(diffs, J)
-    return J._resolutions[key]
-
-
 def is_cohen_macaulay(J, order=GREVLEX):
     """(flag, codim, minimal resolution length)."""
     codim = ideal_codim(J, order)
-    res = minimal_resolution(J, order)
+    res = free_resolution(J, order=order)
     return res.length == codim, codim, res.length

@@ -109,8 +109,8 @@ class Ideal:
 
     Reduced Groebner bases are cached per order in `_gb`, each with its
     divisors (`modules._divisors`), by which every membership test decides;
-    `complexes.syzygy_resolution` and `complexes.minimal_resolution` cache
-    the free resolutions per order in `_resolutions`.
+    `complexes.free_resolution` caches the free resolutions per order, and
+    with and without minimalizing, in `_resolutions`.
     """
 
     def __init__(self, gens, ring=None):

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .complexes import FreeResolution, KoszulComplex, is_cohen_macaulay
+from .complexes import is_cohen_macaulay
 from .groebner import (
     GREVLEX,
     Ideal,
@@ -34,16 +34,19 @@ class MorphismError(ValueError):
 
 
 class ComplexMorphism:
-    """Per-degree matrices a_0..a_p with phi_k a_k = a_{k-1} psi_k."""
+    """Per-degree matrices a_0..a_p with phi_k a_k = a_{k-1} psi_k.
 
-    def __init__(self, source, target, matrices, check=True):
+    The constructor checks every commuting square and raises MorphismError
+    with the `violation` text when one fails.
+    """
+
+    def __init__(self, source, target, matrices):
         self.source = source  # KoszulComplex
         self.target = target  # FreeResolution
         self.matrices = list(matrices)  # a_0, ..., a_p
-        if check:
-            problem = self.violation()
-            if problem is not None:
-                raise MorphismError(problem)
+        problem = self.violation()
+        if problem is not None:
+            raise MorphismError(problem)
 
     def violation(self):
         """None if this is a valid morphism, else a description of a failure."""
@@ -145,7 +148,8 @@ def link_decomposition_check(I, J, morphism, order=GREVLEX):
     """Verify J = I:(I:J) and I:J = I + (entries of the top matrix).
 
     Both equalities are checked by double inclusion through Groebner
-    membership; failing generators are collected as witnesses.
+    membership; failing generators are collected as witnesses.  The
+    morphism's squares were checked when it was built.
     """
     p = len(morphism.source.differentials)
     codim_I = ideal_codim(I, order)
@@ -158,9 +162,6 @@ def link_decomposition_check(I, J, morphism, order=GREVLEX):
     cm, _, _ = is_cohen_macaulay(J, order)
     if not cm:
         raise ValueError("target ideal is not Cohen-Macaulay")
-    problem = morphism.violation()
-    if problem is not None:
-        raise MorphismError(problem)
     K = ideal_colon(I, J, order)
     L = Ideal(morphism.top_entries(), I.ring)
     IK = ideal_colon(I, K, order)

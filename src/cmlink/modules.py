@@ -939,11 +939,7 @@ def image_lifter(M, order=GREVLEX):
         q, rem = module_normal_form(b, basis, order, divisors)
         if not _vec_is_zero(rem):
             raise NotInImageError(rem)
-        x = [ring.zero()] * M.ncols
-        for qk, rk in zip(q, reps):
-            if not qk.is_zero():
-                x = [a + qk * c for a, c in zip(x, rk)]
-        return x
+        return _combine([{} for _ in range(M.ncols)], [-qk for qk in q], reps, ring)
 
     return lift
 

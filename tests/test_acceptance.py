@@ -98,7 +98,7 @@ def test_criterion_2_golden_matrices():
     a0 = PolyMatrix.from_strings(R, [["1"]])
     a1 = PolyMatrix.from_strings(R, [["0", "y"], ["0", "x"], ["-1", "0"]])
     a2 = PolyMatrix.from_strings(R, [["x^3 - y*z"], ["y^2 - x*z"]])
-    morphism = ComplexMorphism(K, E, [a0, a1, a2], check=True)
+    morphism = ComplexMorphism(K, E, [a0, a1, a2])
     assert morphism.violation() is None
     print(
         "PASS criterion 2: golden resolution and lift matrices pass "

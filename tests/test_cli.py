@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cmlink import cli, complexes
+from cmlink import cli
 from cmlink.cli import run
 
 CURVE = "ring x,y,z over QQ\ny^2 - x*z\nx^3 - y*z\nx^2*y - z^2\n"
@@ -183,28 +183,36 @@ def test_verify_linkage_non_cm_target(files, capsys):
     assert "not Cohen-Macaulay" in report["error"]
 
 
-def test_verify_linkage_with_supplied_matrices(files, capsys, tmp_path):
-    mats = {
-        "a0.mat": "matrix 1 1\n1\n",
-        "a1.mat": "matrix 3 2\n0; y\n0; x\n-1; 0\n",
-        "a2.mat": "matrix 2 1\nx^3 - y*z\ny^2 - x*z\n",
-    }
-    argv = [
-        "verify-linkage",
-        "--ideal-I",
-        files["ci.id"],
-        "--ideal-J",
-        files["curve.id"],
-    ]
-    for name, text in mats.items():
+def _verify_linkage_with(files, capsys, tmp_path, a1):
+    """verify-linkage of CI against the curve, with the a_1 given and the a_0,
+    a_2 that `link` computes."""
+    argv = ["verify-linkage", "--ideal-I", files["ci.id"], "--ideal-J", files["curve.id"]]
+    for name, text in [
+        ("a0.mat", "matrix 1 1\n1\n"),
+        ("a1.mat", a1),
+        ("a2.mat", "matrix 2 1\n-y^2 + x*z\n-x^3 + y*z\n"),
+    ]:
         p = tmp_path / name
         p.write_text(text)
         argv += ["--a", str(p)]
-    code, report = capture(capsys, argv)
-    # the supplied matrices must match the computed resolution's basis order;
-    # if they do not commute the tool reports exit 1, never a crash
-    assert code in (0, 1)
-    assert "ok" in report
+    return capture(capsys, argv)
+
+
+def test_verify_linkage_with_supplied_matrices(files, capsys, tmp_path):
+    # the morphism `link` computes, supplied back: every square commutes
+    code, report = _verify_linkage_with(
+        files, capsys, tmp_path, "matrix 3 2\n0; y\n0; x\n-1; 0\n"
+    )
+    assert code == 0
+    assert report["ok"] is True
+    assert report["L_top_entries"] == ["-y^2 + x*z", "-x^3 + y*z"]
+    # one entry of a_1 changed: the square at degree 1 fails, reported, not raised
+    code, report = _verify_linkage_with(
+        files, capsys, tmp_path, "matrix 3 2\n0; y\n0; y\n-1; 0\n"
+    )
+    assert code == 1
+    assert report["ok"] is False
+    assert report["error"] == "morphism invalid: commuting square fails at degree 1"
 
 
 def test_det_member(files, capsys):
@@ -258,6 +266,37 @@ def test_missing_file_is_usage_error(files, capsys):
     code, report = capture(capsys, ["gb", "--ideal", "/nonexistent.id"])
     assert code == 2
     assert "error" in report
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul", "--ideal", "ci.id", "--order", "lex"],
+    ["resultant", "--ring", "ring x over QQ", "--p", "x", "--q", "x", "--order", "lex"],
+    ["recipe", "--ideal", "ci.id", "--order", "lex"],
+    ["gb", "--ideal", "ci.id", "--seed", "1"],
+    ["resolve", "--ideal", "ci.id", "--seed", "1"],
+    ["link", "--ideal-I", "ci.id", "--ideal-J", "curve.id", "--seed", "1"],
+    ["det-member", "--g", "x", "--ideal-I", "I2.id", "--ideal-J", "J2.id",
+     "--matrix-A", "A.mat", "--seed", "1"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(argv, files, capsys):
+    argv = [files.get(a, a) for a in argv]
+    assert run(argv) == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_usage_error(files, tmp_path):
+    out = tmp_path / "missing" / "o.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmlink.cli", "gb", "--ideal", files["ci.id"],
+         "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith(f"cannot write {out}: ")
+    assert "No such file or directory" in error
+    assert not out.parent.exists()
 
 
 # malformed inputs: (files to write, argv naming them)
@@ -496,19 +535,15 @@ def test_resolve_and_link_reports_match_golden(files, capsys):
     assert capsys.readouterr().out == GOLDEN_RESOLVE_RNC4
 
 
-def test_resolve_and_link_build_one_resolution(files, capsys, monkeypatch):
-    built = []
-    original = complexes.free_resolution
+# the curve's syzygy loop: the kernel of d_1, then the empty kernel of d_2
+CURVE_LOOP = 2
 
-    def counting(*args, **kwargs):
-        built.append(args)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(complexes, "free_resolution", counting)
+def test_resolve_and_link_build_one_resolution(files, capsys, syzygy_steps):
     assert run(["resolve", "--ideal", files["curve.id"], "--minimal"]) == 0
-    assert len(built) == 1
+    assert len(syzygy_steps) == CURVE_LOOP
     assert run(["link", "--ideal-I", files["ci.id"], "--ideal-J", files["curve.id"]]) == 0
-    assert len(built) == 2
+    assert len(syzygy_steps) == 2 * CURVE_LOOP
     capsys.readouterr()
 
 
@@ -538,18 +573,10 @@ GOLDEN_RESOLVE_INHOMOGENEOUS = """{
 """
 
 
-def test_resolve_without_minimal_builds_one_resolution(files, capsys, monkeypatch):
+def test_resolve_without_minimal_builds_one_resolution(files, capsys, syzygy_steps):
     """The Cohen-Macaulay verdict reuses the unpruned resolution of the report."""
-    built = []
-    original = complexes.free_resolution
-
-    def counting(*args, **kwargs):
-        built.append(kwargs["minimalize"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(complexes, "free_resolution", counting)
     assert run(["resolve", "--ideal", files["curve.id"]]) == 0
-    assert built == [False]
+    assert len(syzygy_steps) == CURVE_LOOP
     capsys.readouterr()
     # not graded: the unit-free entry 1 - x keeps it non-minimal at the origin
     path = files["tmp"] / "inhomogeneous.id"

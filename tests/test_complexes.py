@@ -14,8 +14,6 @@ from cmlink.complexes import (
     free_resolution,
     is_cohen_macaulay,
     koszul_complex,
-    minimal_resolution,
-    syzygy_resolution,
     verify_exactness,
 )
 from cmlink import complexes, modules
@@ -81,9 +79,6 @@ def test_chain_complex_shape_and_composition_checks():
     not_complex = PolyMatrix([[x], [y]], R)
     with pytest.raises(ComplexError):
         ChainComplex([d1, not_complex])
-    # the same data is accepted with the check disabled
-    C = ChainComplex([d1, not_complex], check_composition=False)
-    assert C.ranks() == [1, 2, 1]
 
 
 def test_curve_resolution_minimal_exact_cm():
@@ -118,7 +113,7 @@ def test_rational_normal_quintic_resolution():
         f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(5) for j in range(i + 1, 5)
     ]
     J = Ideal.from_strings(Ring(names), minors)
-    res = minimal_resolution(J)
+    res = free_resolution(J)
     assert res.ranks() == [1, 10, 20, 15, 4]
     assert res.minimal
     assert verify_exactness(res).exact
@@ -137,21 +132,17 @@ def test_exactness_catches_a_missing_syzygy():
     assert (d1 * witness)[0].is_zero()
 
 
-def test_minimal_resolution_is_built_once_per_order(monkeypatch):
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return free_resolution(*args, **kwargs)
-
-    monkeypatch.setattr(complexes, "free_resolution", counting)
+def test_minimal_resolution_is_built_once_per_order(syzygy_steps):
     J = Ideal.from_strings(R, CURVE)
-    res = minimal_resolution(J)
+    res = free_resolution(J)
+    loop = len(syzygy_steps)
+    assert loop == 2  # the kernel of d_1, then the empty kernel of d_2
     assert is_cohen_macaulay(J) == (True, 2, 2)
-    assert minimal_resolution(J) is res
-    assert len(built) == 1
-    assert minimal_resolution(J, LEX) is not res
-    assert len(built) == 2
+    assert free_resolution(J) is res
+    assert free_resolution(J, minimalize=False) is res
+    assert len(syzygy_steps) == loop
+    assert free_resolution(J, order=LEX) is not res
+    assert len(syzygy_steps) == 2 * loop and syzygy_steps[loop:] == [LEX] * loop
 
 
 def _rnc4_ideal():
@@ -174,12 +165,12 @@ def test_exactness_and_lifts_reuse_the_resolution_bases(monkeypatch):
     monkeypatch.setattr(modules, "_groebner", counting)
     curve = Ideal.from_strings(R, CURVE)
     for J in (_rnc4_ideal(), curve):
-        E = minimal_resolution(J)
+        E = free_resolution(J)
         del built[:]
         assert verify_exactness(E).exact
         assert built == []
     CI = Ideal.from_strings(R, ["z^2 - x^2*y", "x^4 + y^3 - 2*x*y*z"])
-    morphism = comparison_morphism(KoszulComplex(list(CI.gens)), minimal_resolution(curve))
+    morphism = comparison_morphism(KoszulComplex(list(CI.gens)), free_resolution(curve))
     assert morphism.top_matrix.nrows == 2
     assert built == []
 
@@ -188,26 +179,22 @@ def test_prune_units_keeps_graded_differentials():
     for J in (_rnc4_ideal(), Ideal.from_strings(R, CURVE)):
         diffs = free_resolution(J, minimalize=False).differentials
         assert all(a is b for a, b in zip(complexes._prune_units(diffs), diffs))
-        assert minimal_resolution(J) is syzygy_resolution(J)
+        assert free_resolution(J) is free_resolution(J, minimalize=False)
 
 
-def test_minimal_resolution_derived_from_the_syzygy_resolution(monkeypatch):
+def test_minimal_resolution_derived_from_the_syzygy_resolution(syzygy_steps):
     """With a redundant generator the unit pivots run on the cached syzygy
     resolution, and give what a fresh minimalized build gives."""
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append(kwargs)
-        return free_resolution(*args, **kwargs)
-
-    monkeypatch.setattr(complexes, "free_resolution", counting)
-    J = Ideal.from_strings(R, ["x", "y", "x + y", "z^2"])
-    full = syzygy_resolution(J)
-    res = minimal_resolution(J)
-    assert len(built) == 1
+    gens = ["x", "y", "x + y", "z^2"]
+    J = Ideal.from_strings(R, gens)
+    full = free_resolution(J, minimalize=False)
+    loop = len(syzygy_steps)
+    res = free_resolution(J)
+    assert len(syzygy_steps) == loop
     assert full.ranks() == [1, 4, 4, 1] and not full.minimal
     assert res.ranks() == [1, 3, 3, 1] and res.minimal
-    assert res.to_json() == free_resolution(J, minimalize=True).to_json()
+    fresh = free_resolution(Ideal.from_strings(R, gens), minimalize=True)
+    assert res.to_json() == fresh.to_json()
     assert verify_exactness(res).exact
 
 
@@ -229,8 +216,7 @@ def test_non_cohen_macaulay_detected():
 
 
 def test_exactness_failure_is_reported_not_raised():
-    d = PolyMatrix([[x]], R)
-    C = ChainComplex([d, d], check_composition=False)
+    C = ChainComplex([PolyMatrix([[x, y]], R)])
     report = verify_exactness(C)
     assert not report.exact
     payload = json.loads(report.to_json())
@@ -239,7 +225,9 @@ def test_exactness_failure_is_reported_not_raised():
     assert all(
         {"degree", "reason", "witness"} <= set(f) for f in payload["failures"]
     )
-    assert [f["reason"] for f in payload["failures"]] == ["composition d_k d_{k+1} != 0"]
+    assert [f["reason"] for f in payload["failures"]] == [
+        "kernel of the last differential is nonzero"
+    ]
 
 
 def test_resolution_json_shape():

@@ -50,10 +50,20 @@ def test_golden_morphism_matrices_pass_verbatim():
     a0 = PolyMatrix.from_strings(R, [["1"]])
     a1 = PolyMatrix.from_strings(R, [["0", "y"], ["0", "x"], ["-1", "0"]])
     a2 = PolyMatrix.from_strings(R, [["x^3 - y*z"], ["y^2 - x*z"]])
-    morphism = ComplexMorphism(K, E, [a0, a1, a2], check=True)
+    morphism = ComplexMorphism(K, E, [a0, a1, a2])
     assert morphism.violation() is None
     report = link_decomposition_check(ci_ideal(), curve_ideal(), morphism)
     assert report.ok
+
+
+def test_morphism_with_a_failing_square_is_not_built():
+    K = koszul_complex([R.poly(t) for t in CI])
+    E = free_resolution(curve_ideal(), minimalize=True)
+    a0 = PolyMatrix.from_strings(R, [["1"]])
+    a1 = PolyMatrix.from_strings(R, [["0", "y"], ["0", "y"], ["-1", "0"]])
+    a2 = PolyMatrix.from_strings(R, [["-y^2 + x*z"], ["-x^3 + y*z"]])
+    with pytest.raises(MorphismError, match="commuting square fails at degree 1"):
+        ComplexMorphism(K, E, [a0, a1, a2])
 
 
 def test_computed_morphism_squares_commute():
