@@ -5,17 +5,17 @@ Run with: python3 demos/demo_free_resolution.py
 
 from cmlink import (
     Ideal,
+    KoszulComplex,
     Ring,
     free_resolution,
     is_cohen_macaulay,
-    koszul_complex,
     verify_exactness,
 )
 
 ring = Ring(("x", "y", "z"))
 
 # Koszul complex of (x, y, z): the classic exact complex with binomial ranks.
-K = koszul_complex([ring.poly(v) for v in ("x", "y", "z")])
+K = KoszulComplex([ring.poly(v) for v in ("x", "y", "z")])
 print("Koszul complex of (x, y, z), ranks:", K.ranks())
 for k, d in enumerate(K.differentials, start=1):
     print(f"\nd_{k}:")

@@ -74,13 +74,21 @@ def read_ideal_file(path):
 
 
 def read_matrix_file(path, ring=None):
-    """`ring ...` header, `matrix r c` line, then rows of ';'-separated entries."""
+    """`ring ...` header, `matrix r c` line, then rows of ';'-separated entries.
+
+    Given `ring`, the header may be left out, and a header naming another
+    ring is an input error.
+    """
     lines = [ln for ln in _read_lines(path) if ln.strip()]
     if not lines:
         raise InputError(f"{path}: empty matrix file")
     pos = 0
     if lines[0].lstrip().startswith("ring"):
-        ring = parse_ring_header(lines[0])
+        header = parse_ring_header(lines[0])
+        if ring is not None and header != ring:
+            raise InputError(f"{path}: matrix over {header.header()!r}, "
+                             f"the other inputs over {ring.header()!r}")
+        ring = header
         pos = 1
     if ring is None:
         raise InputError(f"{path}: matrix file needs a ring header")
@@ -262,8 +270,6 @@ def cmd_koszul(args):
 def cmd_lift(args):
     M = read_matrix_file(args.matrix)
     b = read_matrix_file(args.target, M.ring)
-    if b.ring != M.ring:
-        raise InputError("target and matrix use different rings")
     if b.ncols != 1 or b.nrows != M.nrows:
         raise InputError("target must be a column matrix matching the rows of M")
     order = _order(args)

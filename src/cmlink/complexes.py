@@ -111,10 +111,6 @@ class KoszulComplex(ChainComplex):
         return len(self.tuple_f)
 
 
-def koszul_complex(f):
-    return KoszulComplex(f)
-
-
 class FreeResolution(ChainComplex):
     def __init__(self, differentials, ideal, minimal):
         super().__init__(differentials)

@@ -39,31 +39,22 @@ class DivisionResult:
     remainder: Polynomial
 
 
-def normal_form(f, basis, order=GREVLEX, divisors=None):
+def normal_form(f, basis, order=GREVLEX):
     """Divide f by the list `basis`, returning quotients and remainder.
 
     No remainder term is divisible by any divisor's leading term; against a
     reduced Groebner basis the remainder is the canonical normal form.  Zero
-    divisors are dropped, and the quotients follow the remaining ones.
-    `divisors`, when given, are those of a basis of nonzero polynomials as
-    `Ideal` caches them with its reduced basis, and are not built again.
+    divisors are dropped, and the quotients follow the remaining ones; a
+    basis with no nonzero element raises ValueError.
     """
-    if divisors is None:
-        basis = [g for g in basis if not g.is_zero()]
+    basis = [g for g in basis if not g.is_zero()]
     if not basis:
         raise ValueError("division requires a nonempty basis")
     if any(g.ring != f.ring for g in basis):
         raise RingMismatchError("divisor in a different ring")
-    if divisors is None:
-        divisors = _divisors([[g] for g in basis], order)
+    divisors = _divisors([[g] for g in basis], order)
     quotients, rem = module_normal_form([f], None, order, divisors)
     return DivisionResult(quotients, rem[0])
-
-
-def reduce_poly(f, basis, order=GREVLEX):
-    if not basis:
-        return f
-    return normal_form(f, basis, order).remainder
 
 
 def s_polynomial(f, g, order=GREVLEX):

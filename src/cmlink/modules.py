@@ -122,12 +122,6 @@ class PolyMatrix:
     def is_zero(self):
         return all(p.is_zero() for p in self.entries())
 
-    def transpose(self):
-        return PolyMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.ring,
-        )
-
     def __mul__(self, other):
         ring = self.ring
         if isinstance(other, PolyMatrix):

@@ -4,16 +4,17 @@ Coefficients are `fractions.Fraction`s over QQ.  When the ring designates a
 parameter block they are canonical elements of sympy's fraction field
 QQ(params) (`FracElement`s, numerator and denominator coprime with the
 denominator's leading coefficient positive), printed in sympy's
-fraction-field form.  Monomials are exponent tuples of fixed length; term
-order objects provide sort keys for lex, graded-reverse-lex and
-block-elimination orders.  No floating point anywhere.
+fraction-field form.  Monomials are exponent tuples of fixed length.  A
+`MonomialOrder` is lex, graded-reverse-lex or block elimination on the
+ring's variables in their given order, and carries one sort key function.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import sympy
@@ -179,73 +180,55 @@ class MonomialOrder:
     """Total order on monomials, given by one sort key.
 
     kind is 'lex', 'grevlex' or 'block' (block-elimination order whose first
-    block has size `block`, grevlex within each block).  `perm`, when given,
-    is a permutation of range(nvars): the order compares the exponent tuple
-    (exps[perm[0]], exps[perm[1]], ...), and a tuple of any other length is
-    rejected.
+    block has size `block`, grevlex within each block).  Orders are plain
+    data: two orders of the same kind and block are equal and hash alike.
 
     `desc_key(exps)` sorts the greatest monomial first: grevlex is
     (-deg, exps reversed), lex the negated exponents, block the pair of
-    grevlex `desc_key`s of the two blocks.  It is the one formula for each
-    kind; `key` (larger = greater) is its elementwise negation.  Sorting,
-    `min` and the division heap use `desc_key` directly.
+    grevlex `desc_key`s of the two blocks.  It is a plain function, chosen
+    once when the order is built; sorting, `min` and the division heap call
+    it directly.
     """
 
     kind: str
     block: int = 0
-    perm: tuple = None
+    desc_key: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "block" and self.block < 1:
-            raise ValueError("block order needs a positive first-block size")
-        if self.perm is not None and sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError(f"perm {self.perm!r} is not a permutation of range(n)")
-
-    def desc_key(self, exps):
-        """Sort key of a monomial, smaller = greater in the order."""
-        if self.perm is not None:
-            if len(exps) != len(self.perm):
-                raise ValueError(f"monomial {exps!r} does not match perm {self.perm!r}")
-            exps = tuple(exps[i] for i in self.perm)
         if self.kind == "grevlex":
-            return _grevlex_desc_key(exps)
-        if self.kind == "lex":
-            return tuple(-e for e in exps)
-        return (_grevlex_desc_key(exps[: self.block]), _grevlex_desc_key(exps[self.block :]))
-
-    def key(self, exps):
-        """Sort key of a monomial, larger = greater in the order."""
-        return _negated(self.desc_key(exps))
-
-    def greater(self, a, b):
-        return self.desc_key(a) < self.desc_key(b)
+            key = _grevlex_desc_key
+        elif self.kind == "lex":
+            key = _lex_desc_key
+        elif self.kind == "block":
+            if self.block < 1:
+                raise ValueError("block order needs a positive first-block size")
+            key = _block_desc_key(self.block)
+        else:
+            raise ValueError(f"unknown order kind {self.kind!r}")
+        object.__setattr__(self, "desc_key", key)
 
 
 def _grevlex_desc_key(exps):
     return (-sum(exps), exps[::-1])
 
 
-def _negated(key):
-    """Elementwise negation of a nested tuple of integers."""
-    return tuple(_negated(k) if isinstance(k, tuple) else -k for k in key)
+def _lex_desc_key(exps):
+    return tuple(map(operator.neg, exps))
 
 
-def lex_order(perm=None):
-    return MonomialOrder("lex", perm=perm)
+def _block_desc_key(block):
+    def desc_key(exps):
+        return (_grevlex_desc_key(exps[:block]), _grevlex_desc_key(exps[block:]))
+
+    return desc_key
 
 
-def grevlex_order(perm=None):
-    return MonomialOrder("grevlex", perm=perm)
+def block_order(first_block_size):
+    return MonomialOrder("block", block=first_block_size)
 
 
-def block_order(first_block_size, perm=None):
-    return MonomialOrder("block", block=first_block_size, perm=perm)
-
-
-GREVLEX = grevlex_order()
-LEX = lex_order()
+GREVLEX = MonomialOrder("grevlex")
+LEX = MonomialOrder("lex")
 
 
 def monomial_mul(a, b):
@@ -263,10 +246,6 @@ def monomial_div(b, a):
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomial_degree(a):
-    return sum(a)
 
 
 class Polynomial:
@@ -292,11 +271,6 @@ class Polynomial:
     def constant_term_at_origin(self):
         """Constant term with parameters also set to zero."""
         return self.ring.coeff_at_origin(self.constant_term())
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, i):
         if not self.terms:
@@ -328,9 +302,6 @@ class Polynomial:
 
     def leading_monomial(self, order=GREVLEX):
         return self.leading_term(order)[0]
-
-    def leading_coeff(self, order=GREVLEX):
-        return self.leading_term(order)[1]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -501,30 +472,6 @@ class Polynomial:
             expr += self.ring.coeff_to_sympy(c) * mono
         return expr
 
-    @classmethod
-    def from_sympy(cls, expr, ring):
-        """Read a sympy expression whose poly variables occur polynomially."""
-        expr = sympy.cancel(sympy.together(expr))
-        if not ring.variables:
-            return ring.constant(expr)
-        syms = sympy.symbols(ring.variables)
-        if ring.nvars == 1:
-            syms = (syms,) if isinstance(syms, sympy.Symbol) else syms
-        num, den = sympy.fraction(expr)
-        for s in syms:
-            if den.has(s):
-                raise ValueError(f"denominator involves ring variable {s}")
-        if ring.params:
-            p = sympy.Poly(num, *syms)
-        else:
-            p = sympy.Poly(num, *syms, domain="QQ")
-        terms = {}
-        for exps, c in p.terms():
-            coeff = ring.coeff(p.domain.to_sympy(c) / den)
-            if coeff:
-                terms[tuple(exps)] = coeff
-        return Polynomial(ring, terms)
-
 
 # -- determinants and linear changes of variables ----------------------------
 
@@ -558,23 +505,6 @@ def _bareiss_det(rows, one, is_zero, divide):
     return -det if sign < 0 else det
 
 
-def _mat_inv(rows):
-    n = len(rows)
-    aug = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pivval = aug[k][k]
-        aug[k] = [v / pivval for v in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    return tuple(tuple(r[n:]) for r in aug)
-
-
 class LinearChange:
     """Invertible rational matrix: old var_i = sum_j matrix[i][j] * new var_j."""
 
@@ -592,9 +522,6 @@ class LinearChange:
     def identity(cls, n):
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def inverse(self):
-        return LinearChange(_mat_inv(self.matrix))
-
     def compose(self, other):
         """Change sending old -> self -> other coordinates (matrix product)."""
         if self.size != other.size:
@@ -608,13 +535,6 @@ class LinearChange:
             for i in range(n)
         )
         return LinearChange(prod)
-
-    def is_identity(self):
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0)
-            for i in range(self.size)
-            for j in range(self.size)
-        )
 
     def __eq__(self, other):
         return isinstance(other, LinearChange) and self.matrix == other.matrix

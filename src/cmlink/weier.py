@@ -305,15 +305,15 @@ def _work_ring(ring):
 
 
 def _to_work(p, work):
-    """Reinterpret p with variables 3..n as parameters.
+    """Reinterpret p in `work`, which keeps p's first `work.nvars` variables.
 
-    The work ring's parameters are those variables followed by p's
+    The work ring's parameters are p's other variables followed by p's
     parameters, so each coefficient is rebuilt from exponent tuples.
     """
-    ring, field = p.ring, work.field
+    ring, field, k = p.ring, work.field, work.nvars
     if field is None:
         return Polynomial(work, p.terms)
-    pad = (0,) * (ring.nvars - 2)
+    pad = (0,) * (ring.nvars - k)
     out = {}
     for exps, c in p.terms.items():
         if ring.field is None:
@@ -322,10 +322,10 @@ def _to_work(p, work):
         else:
             numer, denom = c.numer, c.denom
         coeff = field.new(
-            field.ring.from_dict({exps[2:] + m: q for m, q in numer.items()}),
+            field.ring.from_dict({exps[k:] + m: q for m, q in numer.items()}),
             field.ring.from_dict({pad + m: q for m, q in denom.items()}),
         )
-        key = exps[:2]
+        key = exps[:k]
         if key in out:
             coeff = out[key] + coeff
         if not coeff:
@@ -333,26 +333,6 @@ def _to_work(p, work):
         else:
             out[key] = coeff
     return Polynomial(work, out)
-
-
-def _rational_function(p):
-    """p as one element of QQ(ring variables, parameters)."""
-    ring = p.ring
-    field = sympy.QQ.frac_field(*sympy.symbols(ring.variables + ring.params)).field
-    numers = {}  # coefficient denominator -> numerator terms over it
-    for exps, c in p.terms.items():
-        if ring.field is None:
-            numer, denom = {(): sympy.QQ(c.numerator, c.denominator)}, None
-        else:
-            numer, denom = c.numer, c.denom
-        sub = numers.setdefault(denom, {})
-        for m, q in numer.items():
-            sub[exps + m] = q
-    out = field.zero
-    for denom, sub in numers.items():
-        den = field.ring.one if denom is None else denom.set_ring(field.ring)
-        out += field.new(field.ring.from_dict(sub), den)
-    return out
 
 
 def _fraction_str(q):
@@ -524,7 +504,10 @@ def current_recipe(f1, f2, seed=0, max_tries=50):
     ratio = None
     if g2.degree_in(0) >= 1:
         res = resultant_sylvester(wf1.weierstrass, g2, 0)
-        ratio = str(_rational_function(res) / _rational_function(r2)).replace(" ", "")
+        # both as elements of QQ(variables, parameters), a ring with no variables
+        rational = Ring((), work.variables + work.params)
+        ratio = _to_work(res, rational).constant_term() / _to_work(r2, rational).constant_term()
+        ratio = str(ratio).replace(" ", "")
     return CurrentRecipe(
         ring=work,
         first_change=first,

@@ -14,7 +14,6 @@ from cmlink.complexes import (
     KoszulComplex,
     free_resolution,
     is_cohen_macaulay,
-    koszul_complex,
     verify_exactness,
 )
 from cmlink.groebner import (
@@ -94,7 +93,7 @@ def test_criterion_2_golden_matrices():
     phi2 = PolyMatrix.from_strings(R, [["-z", "-x^2"], ["-y", "-z"], ["x", "y"]])
     E = FreeResolution([phi1, phi2], Ideal.from_strings(R, CURVE), minimal=True)
     assert verify_exactness(E).exact
-    K = koszul_complex([R.poly(t) for t in CI])
+    K = KoszulComplex([R.poly(t) for t in CI])
     a0 = PolyMatrix.from_strings(R, [["1"]])
     a1 = PolyMatrix.from_strings(R, [["0", "y"], ["0", "x"], ["-1", "0"]])
     a2 = PolyMatrix.from_strings(R, [["x^3 - y*z"], ["y^2 - x*z"]])

@@ -341,6 +341,23 @@ MALFORMED = {
         {"zero.id": "ring x,y over QQ\n0\n", "J.id": "ring x,y over QQ\nx^2\nx*y\ny^2\n"},
         ["verify-linkage", "--ideal-I", "zero.id", "--ideal-J", "J.id"],
     ),
+    "det-member-matrix-in-another-ring": (
+        {"I.id": "ring x,y over QQ\nx^2\ny^2\n", "J.id": "ring x,y over QQ\nx\ny\n",
+         "A.mat": "ring a,b over QQ\nmatrix 2 2\na; 0\n0; b\n"},
+        ["det-member", "--g", "x", "--ideal-I", "I.id", "--ideal-J", "J.id",
+         "--matrix-A", "A.mat"],
+    ),
+    "member-via-det-matrix-in-another-ring": (
+        {"I.id": "ring x,y over QQ\nx^2\ny^2\n", "J.id": "ring x,y over QQ\nx\ny\n",
+         "A.mat": "ring a,b over QQ\nmatrix 2 2\na; 0\n0; b\n"},
+        ["member", "--g", "x", "--ideal-J", "J.id", "--via", "det", "--ideal-I", "I.id",
+         "--matrix-A", "A.mat"],
+    ),
+    "verify-linkage-a-in-another-ring": (
+        {"I.id": "ring x,y over QQ\nx^2\ny^2\n", "J.id": "ring x,y over QQ\nx\ny\n",
+         "a0.mat": "ring a,b over QQ\nmatrix 1 1\n1\n"},
+        ["verify-linkage", "--ideal-I", "I.id", "--ideal-J", "J.id", "--a", "a0.mat"],
+    ),
 }
 
 

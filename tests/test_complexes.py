@@ -13,7 +13,6 @@ from cmlink.complexes import (
     KoszulComplex,
     free_resolution,
     is_cohen_macaulay,
-    koszul_complex,
     verify_exactness,
 )
 from cmlink import complexes, modules
@@ -42,7 +41,7 @@ def random_poly(rng, max_deg=2, max_terms=3):
 def test_koszul_ranks_are_binomial():
     for p in (1, 2, 3, 4):
         f = [R.poly("x") + R.constant(Fraction(i)) for i in range(p)]
-        K = koszul_complex(f)
+        K = KoszulComplex(f)
         assert K.ranks() == [math.comb(p, k) for k in range(p + 1)]
 
 
@@ -58,7 +57,7 @@ def test_koszul_squares_to_zero_random_tuples():
 
 def test_koszul_two_elements_explicit():
     f, g = R.poly("x"), R.poly("y")
-    K = koszul_complex([f, g])
+    K = KoszulComplex([f, g])
     assert K.differentials[0].rows == [[f, g]]
     # contraction convention: d2 column is (-g, f)
     assert K.differentials[1].column(0) == [-g, f]
@@ -66,9 +65,9 @@ def test_koszul_two_elements_explicit():
 
 def test_koszul_rejects_bad_input():
     with pytest.raises(ComplexError):
-        koszul_complex([])
+        KoszulComplex([])
     with pytest.raises(ComplexError):
-        koszul_complex([x, R.zero()])
+        KoszulComplex([x, R.zero()])
 
 
 def test_chain_complex_shape_and_composition_checks():

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from cmlink import groebner
 from cmlink.groebner import (
     GREVLEX,
     Ideal,
@@ -19,10 +20,9 @@ from cmlink.groebner import (
     ideal_member,
     ideal_sum,
     normal_form,
-    reduce_poly,
     s_polynomial,
 )
-from cmlink.poly import LEX, Polynomial, Ring
+from cmlink.poly import LEX, MonomialOrder, Polynomial, Ring
 
 R = Ring(("x", "y", "z"))
 x, y, z = R.gens()
@@ -140,6 +140,25 @@ def test_groebner_cache_per_order():
     assert g3 is not g1
 
 
+def test_equal_orders_share_the_cached_basis(monkeypatch):
+    """An order built again from its kind is the same cache key: no second basis."""
+    assert MonomialOrder("lex") == LEX
+    assert hash(MonomialOrder("lex")) == hash(LEX)
+    built = []
+    original = groebner._groebner  # `buchberger` calls modules._groebner by this name
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_groebner", counting)
+    I = Ideal(gens("x^2 + y", "x*y - z"))
+    gb = I.groebner_basis(LEX)
+    assert len(built) == 1
+    assert I.groebner_basis(MonomialOrder("lex")) is gb
+    assert len(built) == 1
+
+
 small_polys = st.builds(
     lambda coeffs: sum(
         (Polynomial(R, {e: Fraction(c)}) for e, c in coeffs if c), R.zero()
@@ -175,7 +194,8 @@ def test_product_membership_property(f, g):
     I = Ideal([f, g])
     assert I.contains(f * g)
     gb = I.groebner_basis(GREVLEX)
-    assert reduce_poly(f * g + f, gb, GREVLEX) == reduce_poly(f, gb, GREVLEX)
+    rem = normal_form(f, gb, GREVLEX).remainder
+    assert normal_form(f * g + f, gb, GREVLEX).remainder == rem
 
 
 # -- differential test against sympy ------------------------------------------
@@ -185,10 +205,11 @@ def _sympy_basis(texts, order_name, order):
     """sympy's reduced Groebner basis over QQ, made monic and sorted like `buchberger`'s."""
     syms = sympy.symbols(R.variables)
     exprs = [sympy.sympify(t.replace("^", "**")) for t in texts]
-    gb = [Polynomial.from_sympy(p.as_expr(), R)
-          for p in sympy.groebner(exprs, *syms, order=order_name, domain="QQ").polys]
-    gb = [g.scale(1 / g.leading_coeff(order)) for g in gb]
-    return sorted(gb, key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+    gb = []
+    for p in sympy.groebner(exprs, *syms, order=order_name, domain="QQ").polys:
+        g = Polynomial(R, {e: R.coeff(p.domain.to_sympy(c)) for e, c in p.terms()})
+        gb.append(g.scale(1 / g.leading_term(order)[1]))
+    return sorted(gb, key=lambda g: order.desc_key(g.leading_monomial(order)))
 
 
 def _random_texts(rng):

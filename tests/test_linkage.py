@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmlink.complexes import free_resolution, koszul_complex
+from cmlink.complexes import KoszulComplex, free_resolution
 from cmlink.groebner import Ideal, ideal_colon, ideal_member, ideal_sum
 from cmlink.linkage import (
     ComplexMorphism,
@@ -46,7 +46,7 @@ def test_golden_morphism_matrices_pass_verbatim():
     E = FreeResolution([phi1, phi2], curve_ideal(), minimal=True)
     assert verify_exactness(E).exact
 
-    K = koszul_complex([R.poly(t) for t in CI])
+    K = KoszulComplex([R.poly(t) for t in CI])
     a0 = PolyMatrix.from_strings(R, [["1"]])
     a1 = PolyMatrix.from_strings(R, [["0", "y"], ["0", "x"], ["-1", "0"]])
     a2 = PolyMatrix.from_strings(R, [["x^3 - y*z"], ["y^2 - x*z"]])
@@ -57,7 +57,7 @@ def test_golden_morphism_matrices_pass_verbatim():
 
 
 def test_morphism_with_a_failing_square_is_not_built():
-    K = koszul_complex([R.poly(t) for t in CI])
+    K = KoszulComplex([R.poly(t) for t in CI])
     E = free_resolution(curve_ideal(), minimalize=True)
     a0 = PolyMatrix.from_strings(R, [["1"]])
     a1 = PolyMatrix.from_strings(R, [["0", "y"], ["0", "y"], ["-1", "0"]])
@@ -67,7 +67,7 @@ def test_morphism_with_a_failing_square_is_not_built():
 
 
 def test_computed_morphism_squares_commute():
-    K = koszul_complex([R.poly(t) for t in CI])
+    K = KoszulComplex([R.poly(t) for t in CI])
     E = free_resolution(curve_ideal(), minimalize=True)
     a = comparison_morphism(K, E)
     assert a.violation() is None
@@ -78,7 +78,7 @@ def test_computed_morphism_squares_commute():
 
 
 def test_containment_precondition_enforced():
-    K = koszul_complex([x, R.poly("x + 1")])
+    K = KoszulComplex([x, R.poly("x + 1")])
     E = free_resolution(Ideal([x, y]), minimalize=True)
     with pytest.raises(ContainmentFailureError):
         comparison_morphism(K, E)
@@ -86,7 +86,7 @@ def test_containment_precondition_enforced():
 
 def test_curve_link_decomposition():
     I, J = ci_ideal(), curve_ideal()
-    K = koszul_complex([R.poly(t) for t in CI])
+    K = KoszulComplex([R.poly(t) for t in CI])
     E = free_resolution(J, minimalize=True)
     a = comparison_morphism(K, E)
     report = link_decomposition_check(I, J, a)
@@ -107,7 +107,7 @@ def test_curve_link_decomposition():
 
 def test_colon_equals_sum_with_link():
     I, J = ci_ideal(), curve_ideal()
-    K = koszul_complex([R.poly(t) for t in CI])
+    K = KoszulComplex([R.poly(t) for t in CI])
     E = free_resolution(J, minimalize=True)
     a = comparison_morphism(K, E)
     colon = ideal_colon(I, J)
@@ -117,7 +117,7 @@ def test_colon_equals_sum_with_link():
 
 def test_membership_via_link_matches_gb_sample():
     I, J = ci_ideal(), curve_ideal()
-    K = koszul_complex([R.poly(t) for t in CI])
+    K = KoszulComplex([R.poly(t) for t in CI])
     a = comparison_morphism(K, free_resolution(J, minimalize=True))
     entries = a.top_entries()
     probes = [
@@ -141,7 +141,7 @@ def test_membership_via_link_matches_gb_sample():
 def test_non_cm_target_rejected():
     I = Ideal.from_strings(R, ["x*z"])
     J = Ideal.from_strings(R, ["x*z", "y*z"])
-    K = koszul_complex([R.poly("x*z")])
+    K = KoszulComplex([R.poly("x*z")])
     E = free_resolution(J, minimalize=True)
     # lengths differ so the morphism cannot even be built
     with pytest.raises(MorphismError):

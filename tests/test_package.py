@@ -14,11 +14,10 @@ PUBLIC_NAMES = {
     "WeierstrassForm", "apply_linear_change", "block_order", "buchberger",
     "comparison_morphism", "current_recipe", "det_bareiss", "det_transform_member",
     "divide_exact", "eliminate", "extended_euclid", "free_resolution", "generic_ci",
-    "grevlex_order", "ideal_codim", "ideal_colon", "ideal_intersect",
-    "ideal_member", "ideal_sum", "is_cohen_macaulay", "koszul_complex", "lex_order",
-    "lift_through", "link_decomposition_check", "membership_via_link",
+    "ideal_codim", "ideal_colon", "ideal_intersect", "ideal_member", "ideal_sum",
+    "is_cohen_macaulay", "lift_through", "link_decomposition_check", "membership_via_link",
     "module_groebner", "module_normal_form", "normal_form", "parse_poly",
-    "parse_ring_header", "reduce_poly", "resultant_sylvester", "s_polynomial",
+    "parse_ring_header", "resultant_sylvester", "s_polynomial",
     "syzygy_matrix", "verify_exactness", "weierstrass_ready",
 }
 
