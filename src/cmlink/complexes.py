@@ -301,7 +301,7 @@ def verify_exactness(C, order=GREVLEX):
             continue
         divisors = _module_basis(diffs[k], order)[2]
         for v in kernel:
-            if not divides_to_zero(v, divisors, order):
+            if not divides_to_zero(v, divisors):
                 failures.append((k, "kernel vector not in the image", v))
                 break
     return ExactnessReport(failures)

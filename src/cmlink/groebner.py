@@ -13,10 +13,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .modules import (
+    _divide,
     _divisors,
+    _Divisors,
     _groebner,
     _numerators,
     _spair,
+    _widening,
     divides_to_zero,
     module_normal_form,
     products_divide_to_zero,
@@ -65,8 +68,11 @@ def s_polynomial(f, g, order=GREVLEX):
     if f.ring != g.ring:
         raise RingMismatchError("polynomials in different rings")
     nums = _numerators(f.ring)
-    work, scale, _, _ = _spair(_divisors([[f], [g]], order), 0, 1, nums)
-    return Polynomial(f.ring, {m: nums.to_field(c, scale) for m, c in work[0].items()})
+    divisors = _divisors([[f], [g]], order)
+    work, scale = _widening(divisors, _spair, divisors, 0, 1, nums)
+    unpack = divisors.packing.unpack
+    return Polynomial(f.ring, {unpack(m): nums.to_field(c, scale)
+                               for m, c in work[0].items()})
 
 
 def buchberger(gens, order=GREVLEX):
@@ -89,9 +95,8 @@ def buchberger(gens, order=GREVLEX):
             kept.append(i)
     basis = []
     for i in reversed(kept):
-        _, rem = module_normal_form(vecs[i], None, order,
-                                    [divisors[k] for k in kept if k != i])
-        basis.append(rem[0])
+        others = _Divisors(divisors.packing, [divisors[k] for k in kept if k != i])
+        basis.append(_divide(vecs[i], others, False)[1][0])
     return basis
 
 
@@ -151,7 +156,7 @@ class Ideal:
         self._check_ring(g)
         if g.is_zero():
             return True
-        return divides_to_zero([g], self._basis(order)[1], order)
+        return divides_to_zero([g], self._basis(order)[1])
 
     def contains_products(self, g, factors, order=GREVLEX):
         """Whether h * g lies in the ideal for every h in `factors` (True for none).
@@ -167,7 +172,7 @@ class Ideal:
         factors = [h for h in factors if not h.is_zero()]
         if g.is_zero() or not factors:
             return True
-        return products_divide_to_zero(g, factors, self._basis(order)[1], order)
+        return products_divide_to_zero(g, factors, self._basis(order)[1])
 
     def _check_ring(self, p):
         if p.ring != self.ring:

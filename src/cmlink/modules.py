@@ -2,8 +2,10 @@
 
 Matrices of polynomials, module Groebner bases, Schreyer-style syzygy
 computation, and exact lifting of a vector through the image of a matrix.
-Vectors are lists of polynomials; internally module terms are keyed by
-(position, exponent tuple).
+Vectors are lists of polynomials.  Inside the division and pair loops a
+monomial is one int (`_Packing`), packed when it enters the engine and
+unpacked when an output `Polynomial` is built; a module term is an entry
+position and such an int.
 
 The module order is position-over-term, the only one used: a lower position
 wins, then the ring's `MonomialOrder` on exponents.  No object stands for
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,7 +41,6 @@ from .poly import (
     RingMismatchError,
     _bareiss_det,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomial_mul,
 )
@@ -345,31 +347,154 @@ def _numerators(ring):
     return _PolynomialNumerators(ring.field)
 
 
+class _Overflow(Exception):
+    """A monomial does not fit the fields of its packing; the call widens them."""
+
+
+class _Packing:
+    """Exponent tuples of one order and ring size as ints of `width`-bit fields.
+
+    Each field holds a value from 0 to `top` = 2^(width-1) - 1 under a guard
+    bit, and the fields are laid out, most significant first, so that the
+    ints compare as the monomials do under `order`:
+
+    - lex: the exponents in order;
+    - grevlex: the degree, then the complemented exponents top - e_i in
+      reverse order;
+    - block: the grevlex fields of the first block, then those of the rest.
+
+    A packed int is linear in the exponents, `const + sum(e_i * weights[i])`,
+    where `const` holds `top` in every complemented field.  So the product
+    of two packed monomials is a + b - const, and b - a + const is the
+    quotient b / a, whose guard bits are all clear exactly when a divides b.
+    A product whose guard bits are not all clear has a field out of range
+    (the lowest such field sets its own guard bit, and only the fields above
+    it can take a borrow); the engine then raises `_Overflow` and runs the
+    call again at double the width.  `pack` accepts an exponent tuple whose
+    degree is at most `top`, which keeps every field in range.
+    """
+
+    def __init__(self, order, nvars, width=8):
+        self.order = order
+        self.nvars = nvars
+        self.width = width
+        top = self.top = (1 << (width - 1)) - 1
+        if order.kind == "lex":
+            fields = [((i,), False) for i in range(nvars)]
+        else:
+            block = min(order.block, nvars) if order.kind == "block" else nvars
+            fields = _grevlex_fields(range(block))
+            if order.kind == "block":
+                fields += _grevlex_fields(range(block, nvars))
+        weights = [0] * nvars
+        shifts = [0] * nvars
+        const = guard = 0
+        for k, (variables, complemented) in enumerate(reversed(fields)):
+            shift = k * width
+            guard |= (top + 1) << shift
+            if complemented:
+                const |= top << shift
+            for i in variables:
+                weights[i] += -(1 << shift) if complemented else 1 << shift
+                if len(variables) == 1:  # holds e_i, or top - e_i when complemented
+                    shifts[i] = shift
+        self.weights = weights
+        self.shifts = shifts
+        self.const = const
+        self.guard = guard
+
+    def pack(self, exps):
+        if sum(exps) > self.top:
+            raise _Overflow
+        return self.const + sum(map(operator.mul, exps, self.weights))
+
+    def unpack(self, m):
+        m ^= self.const  # top - v == top ^ v on a field value v in range
+        top = self.top
+        return tuple([(m >> s) & top for s in self.shifts])
+
+    def wider(self):
+        return _Packing(self.order, self.nvars, 2 * self.width)
+
+
+def _grevlex_fields(variables):
+    """(variables, complemented) fields of a grevlex block, most significant first."""
+    variables = tuple(variables)
+    return [(variables, False)] + [((i,), True) for i in reversed(variables)]
+
+
+class _Divisors(list):
+    """The divisors of one basis, their monomials packed by `packing`.
+
+    Cached with the basis it belongs to; `widen` repacks every divisor at
+    double the width in place, so every holder of the list sees the wider
+    fields.
+    """
+
+    def __init__(self, packing, items=()):
+        super().__init__(items)
+        self.packing = packing
+
+    def widen(self):
+        old, new = self.packing, self.packing.wider()
+
+        def repack(m):
+            return new.pack(old.unpack(m))
+
+        self[:] = [(pos, exps, coeff, lead, repack(packed),
+                    [tuple((repack(m), c) for m, c in row) for row in rows])
+                   for pos, exps, coeff, lead, packed, rows in self]
+        self.packing = new
+
+
+def _widening(divisors, run, *args):
+    """run(*args), widening `divisors` and running again until no monomial overflows.
+
+    `run` reads the packing from `divisors` and starts from its inputs each
+    time, so the result is the one that runs with no overflow.
+    """
+    while True:
+        try:
+            return run(*args)
+        except _Overflow:
+            divisors.widen()
+
+
 def _divisors(basis, order):
-    """Each nonzero basis vector as `module_normal_form` divides by it.
+    """Each nonzero basis vector as `module_normal_form` divides by it, in a `_Divisors`.
 
     A divisor is (position, leading exponents, leading coefficient, leading
-    numerator, rows): rows[r] lists the (exponents, numerator) terms of
-    entry r of a primitive numerator copy of the vector (over QQ its
-    numerators are coprime integers with a positive leading one), and the
-    leading numerator is that copy's leading coefficient.  `_groebner`
-    builds one for each vector as it enters its basis.
+    numerator, packed leading monomial, rows): rows[r] lists the (packed
+    monomial, numerator) terms of entry r of a primitive numerator copy of
+    the vector (over QQ its numerators are coprime integers with a positive
+    leading one), and the leading numerator is that copy's leading
+    coefficient.  The packing starts at 8-bit fields and doubles until
+    every monomial fits.  `_groebner` builds one divisor for each vector as
+    it enters its basis.  An empty basis gives an empty list.
     """
     if not basis:
         return []
-    nums = _numerators(basis[0][0].ring)
-    return [_divisor(vec, order, nums) for vec in basis]
+    ring = basis[0][0].ring
+    nums = _numerators(ring)
+    packing = _Packing(order, ring.nvars)
+    while True:
+        try:
+            return _Divisors(packing, [_divisor(vec, packing, nums) for vec in basis])
+        except _Overflow:
+            packing = packing.wider()
 
 
-def _divisor(vec, order, nums):
-    pos, exps, coeff = _leading(vec, order)
+def _divisor(vec, packing, nums):
+    pos, exps, coeff = _leading(vec, packing.order)
     flat = nums.primitive([c for p in vec for c in p.terms.values()], coeff)
+    pack = packing.pack
     rows = []
     k = 0
     for p in vec:
-        rows.append(tuple(zip(p.terms, flat[k:k + len(p.terms)])))
+        rows.append(tuple(zip(map(pack, p.terms), flat[k:k + len(p.terms)])))
         k += len(p.terms)
-    return pos, exps, coeff, dict(rows[pos])[exps], rows
+    packed = pack(exps)
+    return pos, exps, coeff, dict(rows[pos])[packed], packed, rows
 
 
 def module_normal_form(vec, basis, order, divisors=None):
@@ -403,15 +528,18 @@ def module_normal_form(vec, basis, order, divisors=None):
     the same Fractions and FracElements as field arithmetic gives, and
     print the same.
 
-    Each entry's pending terms sit in a dict (monomial -> numerator) and
-    in a heap of (order.desc_key(m), m), so the greatest pending monomial is
-    popped without re-keying the others; a monomial is keyed once, when it
-    enters the dict.  A monomial that cancels leaves its heap item behind;
-    popping an item whose monomial is no longer in the dict skips it (lazy
-    deletion).  A monomial that cancels and comes back is pushed again, and
-    no duplicate guard is needed: once a monomial is processed only strictly
-    smaller ones enter its entry, so a later copy of it always finds it gone.
-    The reduction steps are those of taking the dict's maximum every time.
+    Monomials are packed ints (`_Packing`), whose order is the monomial
+    order.  Each entry's pending terms sit in a dict (packed monomial ->
+    numerator) and in a heap of negated packed monomials, so the greatest
+    pending monomial is popped without comparing tuples.  A monomial that
+    cancels leaves its heap item behind; popping an item whose monomial is
+    no longer in the dict skips it (lazy deletion).  A monomial that
+    cancels and comes back is pushed again, and no duplicate guard is
+    needed: once a monomial is processed only strictly smaller ones enter
+    its entry, so a later copy of it always finds it gone.  The reduction
+    steps are those of taking the dict's maximum every time.  A monomial
+    that does not fit the divisors' fields widens them (`_Divisors.widen`)
+    and the division runs again from the start.
 
     This front part clears the vector's denominators (`_numerator_dicts`);
     the loop itself is `_reduce`, which the pair loop feeds its S-vectors as
@@ -419,39 +547,60 @@ def module_normal_form(vec, basis, order, divisors=None):
     zero calls `divides_to_zero` instead, the same loop stopped at the first
     remainder term.
     """
-    ring = vec[0].ring
-    nums = _numerators(ring)
     if divisors is None:
         divisors = _divisors(basis, order)
-    work, scale = _numerator_dicts(vec, nums)
-    return _reduce(work, scale, divisors, order, nums, ring)
+    return _divide(vec, divisors, True)
 
 
-def _numerator_dicts(vec, nums):
+def _divide(vec, divisors, quotients):
+    """`module_normal_form` by `divisors`; the quotients are None unless asked for.
+
+    An empty list of divisors leaves the vector as its own remainder.
+    """
+    if not divisors:
+        return [] if quotients else None, list(vec)
+    ring = vec[0].ring
+    nums = _numerators(ring)
+
+    def run():
+        work, scale = _numerator_dicts(vec, nums, divisors.packing)
+        return _reduce(work, scale, divisors, nums, ring, quotients)
+
+    return _widening(divisors, run)
+
+
+def _numerator_dicts(vec, nums, packing):
     """(work, scale) with entry r of the vector equal to work[r][m] / scale.
 
-    work[r] is a new dict (exponents -> numerator) per entry, as `_reduce`
-    takes it.
+    work[r] is a new dict (packed monomial -> numerator) per entry, as
+    `_reduce` takes it.
     """
     numer, scale = nums.clear([c for p in vec for c in p.terms.values()])
     numer = iter(numer)
+    pack = packing.pack
     # zip stops at the end of p.terms before it draws from `numer`
-    return [dict(zip(p.terms, numer)) for p in vec], scale
+    return [dict(zip(map(pack, p.terms), numer)) for p in vec], scale
 
 
-def divides_to_zero(vec, divisors, order):
+def divides_to_zero(vec, divisors):
     """Whether `module_normal_form(vec, None, order, divisors)` leaves a zero remainder.
 
     The membership decider: `_reduce` in its deciding mode, which returns at
     the first remainder term and builds no quotient or remainder.  An empty
     list of divisors leaves every nonzero vector as its own remainder.
     """
+    if not divisors:
+        return _vec_is_zero(vec)
     nums = _numerators(vec[0].ring)
-    return _reduce(_numerator_dicts(vec, nums)[0], None, divisors, order, nums,
-                   decide=True)
+
+    def run():
+        work = _numerator_dicts(vec, nums, divisors.packing)[0]
+        return _reduce(work, None, divisors, nums, decide=True)
+
+    return _widening(divisors, run)
 
 
-def products_divide_to_zero(f, factors, divisors, order):
+def products_divide_to_zero(f, factors, divisors):
     """Whether h * f divides to zero by the rank-1 `divisors` for every h in `factors`.
 
     f is cleared to numerators once; each product is summed from the two
@@ -459,29 +608,40 @@ def products_divide_to_zero(f, factors, divisors, order):
     `divides_to_zero`, so no product Polynomial is built.  The product's
     scale is that of f times that of h, and does not change the verdict.
     """
+    if not divisors:
+        return f.is_zero() or all(h.is_zero() for h in factors)
     nums = _numerators(f.ring)
-    (f_terms,), _ = _numerator_dicts([f], nums)
-    f_terms = f_terms.items()
-    for h in factors:
-        (h_terms,), _ = _numerator_dicts([h], nums)
-        work = {}
-        for e, c in h_terms.items():
-            _sub_multiple(work, f_terms, e, -c)
-        if not _reduce([work], None, divisors, order, nums, decide=True):
-            return False
-    return True
+
+    def run():
+        packing = divisors.packing
+        const, guard = packing.const, packing.guard
+        (f_terms,), _ = _numerator_dicts([f], nums, packing)
+        f_terms = f_terms.items()
+        for h in factors:
+            (h_terms,), _ = _numerator_dicts([h], nums, packing)
+            work = {}
+            for e, c in h_terms.items():
+                _add_multiple(work, f_terms, e - const, c, guard)
+            if not _reduce([work], None, divisors, nums, decide=True):
+                return False
+        return True
+
+    return _widening(divisors, run)
 
 
-def _reduce(work, scale, divisors, order, nums, ring=None, decide=False):
+def _reduce(work, scale, divisors, nums, ring=None, quotients=False, decide=False):
     """The division loop of `module_normal_form` on a vector held as numerators.
 
-    The vector is work[r][m] / scale: work[r] is the dict (exponents ->
-    numerator) of entry r, and is used up.  Returns (quotients, remainder)
-    as Polynomials over the field of `ring`.
+    The vector is work[r][m] / scale: work[r] is the dict (packed monomial
+    -> numerator, packed by `divisors.packing`) of entry r, and is used up.
+    Returns (quotients, remainder) as Polynomials over the field of `ring`;
+    the quotients are recorded, converted and unpacked only when
+    `quotients` is set, and are None otherwise.  Raises `_Overflow` when a
+    product does not fit the packing.
 
-    With `decide` it only answers whether the remainder is zero: it returns
-    False when the first term lands in the remainder and True when the loop
-    ends without one.  It records no quotient, converts nothing with
+    With `decide` (and no `quotients`) it only answers whether the
+    remainder is zero: it returns False when the first term lands in the
+    remainder and True when the loop ends without one.  It converts nothing with
     `to_field`, and reads neither `scale` nor `ring`.  Stopping early is
     exact, because a remainder term is final.  The steps after it subtract
     multiples x^t * copy whose terms in its entry lie at or below the
@@ -491,18 +651,20 @@ def _reduce(work, scale, divisors, order, nums, ring=None, decide=False):
     Scaling only multiplies the whole vector by a nonzero factor, which
     does not decide whether a term is zero.
     """
-    key = order.desc_key
+    packing = divisors.packing
+    const, guard = packing.const, packing.guard
     step = nums.step
     heaps = []
     for terms in work:
-        heap = [(key(m), m) for m in terms]
+        heap = [-m for m in terms]
         heapq.heapify(heap)
         heaps.append(heap)
     by_pos = [[] for _ in work]
-    for i, (lpos, lexps, _, lead, rows) in enumerate(divisors):
-        by_pos[lpos].append((i, lexps, lead, rows))
+    for i, (lpos, _, _, lead, lm, rows) in enumerate(divisors):
+        by_pos[lpos].append((i, lm, lead, rows))
+    if quotients:
+        found = [{} for _ in divisors]
     if not decide:
-        quotients = [{} for _ in divisors]
         remainder = [{} for _ in work]
     n = len(work)
     # a divisor leading at `pos` is zero above `pos`, so once an entry is
@@ -511,57 +673,65 @@ def _reduce(work, scale, divisors, order, nums, ring=None, decide=False):
         heap = heaps[pos]
         candidates = by_pos[pos]
         while heap:
-            exps = heapq.heappop(heap)[1]
-            c = terms.pop(exps, None)
+            m = -heapq.heappop(heap)
+            c = terms.pop(m, None)
             if c is None:
                 continue  # cancelled after it was pushed
-            for i, lexps, lead, rows in candidates:
-                if monomial_divides(lexps, exps):
-                    t_exps = monomial_div(exps, lexps)
+            for i, lm, lead, rows in candidates:
+                t = m - lm + const
+                if not t & guard:  # lm divides m, and t is the quotient
                     factor, mult = step(c, lead)
-                    if not decide:
-                        # the leading exponents at `pos` strictly decrease, so t_exps is new
-                        quotients[i][t_exps] = (c, scale)
-                        if factor is not None:
-                            scale *= factor
+                    if quotients:
+                        # the leading monomials at `pos` strictly decrease, so t is new
+                        found[i][t] = (c, scale)
                     if factor is not None:
+                        if not decide:
+                            scale *= factor
                         for r in range(pos, n):
                             w = work[r]
-                            for m in w:
-                                w[m] *= factor
+                            for k in w:
+                                w[k] *= factor
                     mult = -mult
+                    t -= const
                     for r in range(pos, n):
                         if rows[r]:
-                            _dict_add_term(work[r], heaps[r], key, rows[r], t_exps,
-                                           mult, exps if r == pos else None)
+                            _dict_add_term(work[r], heaps[r], rows[r], t, mult, guard,
+                                           m if r == pos else None)
                     break
             else:
                 if decide:
                     return False
-                remainder[pos][exps] = (c, scale)
+                remainder[pos][m] = (c, scale)
     if decide:
         return True
     to_field = nums.to_field
-    out = []
-    for (_, _, lc, _, _), q in zip(divisors, quotients):
-        terms = {t: to_field(c, s) for t, (c, s) in q.items()}
-        if terms and lc != 1:
-            terms = {t: v / lc for t, v in terms.items()}
-        out.append(Polynomial(ring, terms))
-    return out, [Polynomial(ring, {e: to_field(c, s) for e, (c, s) in r.items()})
+    unpack = packing.unpack
+    out = None
+    if quotients:
+        out = []
+        for (_, _, lc, _, _, _), q in zip(divisors, found):
+            terms = {unpack(t): to_field(c, s) for t, (c, s) in q.items()}
+            if terms and lc != 1:
+                terms = {t: v / lc for t, v in terms.items()}
+            out.append(Polynomial(ring, terms))
+    return out, [Polynomial(ring, {unpack(m): to_field(c, s) for m, (c, s) in r.items()})
                  for r in remainder]
 
 
-def _dict_add_term(terms, heap, key, row, t_exps, mult, skip):
-    """terms += mult * x^t_exps * row in place, leaving out the product term `skip`.
+def _dict_add_term(terms, heap, row, shift, mult, guard, skip):
+    """terms += mult * x^t * row in place, leaving out the product term `skip`.
 
-    `row` is a sequence of (exponents, numerator).  A monomial new to
-    `terms` is pushed onto `heap` as (key(m), m).
+    `row` is a sequence of (packed monomial, numerator) and `shift` is
+    x^t packed less the packing's constant, so a product is one addition.
+    A monomial new to `terms` is pushed onto `heap`, negated.  Raises
+    `_Overflow` on a product that sets a guard bit.
     """
     for e, v in row:
-        m = monomial_mul(e, t_exps)
+        m = e + shift
         if m == skip:
             continue
+        if m & guard:
+            raise _Overflow
         c = v * mult
         if m in terms:
             s = terms[m] + c
@@ -571,7 +741,24 @@ def _dict_add_term(terms, heap, key, row, t_exps, mult, skip):
                 terms[m] = s
         else:
             terms[m] = c
-            heapq.heappush(heap, (key(m), m))
+            heapq.heappush(heap, -m)
+
+
+def _add_multiple(terms, row, shift, mult, guard):
+    """terms += mult * x^t * row in place, as `_dict_add_term` without a heap."""
+    for e, v in row:
+        m = e + shift
+        if m & guard:
+            raise _Overflow
+        c = v * mult
+        if m in terms:
+            s = terms[m] + c
+            if not s:
+                del terms[m]
+            else:
+                terms[m] = s
+        else:
+            terms[m] = c
 
 
 def module_groebner(columns, order=GREVLEX):
@@ -602,20 +789,34 @@ def _groebner(columns, order, track_reps):
     stays as it is.
 
     Each S-vector is built from the two divisors as numerators over one
-    scale (`_spair`) and divided by `_reduce` directly.  The rep of a new
-    basis vector, x^ti * rep_i - x^tj * rep_j - sum(q_k * rep_k), is summed
-    in one term dict per entry (`_spair_rep`, `_combine`).
+    scale (`_spair`) and divided by `_reduce` directly, which records
+    quotients only for the reps.  The rep of a new basis vector, x^ti *
+    rep_i - x^tj * rep_j - sum(q_k * rep_k), is summed in one term dict per
+    entry (`_spair_rep`, `_combine`).  The loop packs monomials into 8-bit
+    fields first; when one does not fit, the whole call runs again at
+    double the width, so the basis is the same at every width.
     """
     nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
     if not nonzero:
         return [], [] if track_reps else None, []
     ring = columns[nonzero[0]][0].ring
+    packing = _Packing(order, ring.nvars)
+    while True:
+        try:
+            return _pair_loop(columns, nonzero, ring, track_reps, packing)
+        except _Overflow:
+            packing = packing.wider()
+
+
+def _pair_loop(columns, nonzero, ring, track_reps, packing):
+    """The pair loop of `_groebner` on the nonzero columns, at one packing."""
+    order = packing.order
     units = PolyMatrix.identity(ring, len(columns)).rows if track_reps else None
     rank1 = len(columns[nonzero[0]]) == 1
     nums = _numerators(ring)
     basis = []
     reps = [] if track_reps else None
-    divisors = []
+    divisors = _Divisors(packing)
     pairs = []  # heap of (sum(lcm), lcm, i, j) over same-position i < j
     taken = set()
 
@@ -626,7 +827,7 @@ def _groebner(columns, order, track_reps):
         basis.append([p.scale(inv) for p in vec])
         if track_reps:
             reps.append([p.scale(inv) for p in rep])
-        divisors.append(_divisor(basis[j], order, nums))
+        divisors.append(_divisor(basis[j], packing, nums))
         for i in range(j):
             if divisors[i][0] == lead[0]:
                 lcm = monomial_lcm(divisors[i][1], lead[1])
@@ -641,56 +842,75 @@ def _groebner(columns, order, track_reps):
             if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _chain_criterion(
                     i, j, lcm, divisors, taken):
                 continue
-        work, scale, ti, tj = _spair(divisors, i, j, nums)
-        q, rem = _reduce(work, scale, divisors, order, nums, ring)
+        q, rem = _reduce_spair(divisors, i, j, nums, ring, track_reps)
         if not _vec_is_zero(rem):
-            add(rem, _combine(_spair_rep(reps, i, j, ti, tj), q, reps, ring)
+            add(rem, _combine(_spair_rep(reps, divisors, i, j), q, reps, ring)
                 if track_reps else None)
     return basis, reps, divisors
 
 
-def _chain_criterion(i, j, lcm, leads, taken):
+def _chain_criterion(i, j, lcm, divisors, taken):
     """Some k, with a leading monomial dividing lcm, has had its pairs with i and j taken.
 
-    leads[k][1] is the leading monomial of basis element k.
+    divisors[k][4] is the packed leading monomial of basis element k, and
+    `lcm` an exponent tuple, packed here.
     """
+    packing = divisors.packing
+    const, guard = packing.const, packing.guard
+    lcm = packing.pack(lcm) + const
     return any(
-        k not in (i, j) and monomial_divides(lead[1], lcm)
+        k not in (i, j) and not (lcm - d[4]) & guard
         and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
-        for k, lead in enumerate(leads)
+        for k, d in enumerate(divisors)
     )
 
 
 def _spair(divisors, i, j, nums):
     """S-vector of the vectors behind divisors i and j (same leading position).
 
-    Returns (work, scale, ti, tj): the S-vector x^ti * v_i / c_i - x^tj *
-    v_j / c_j of the two vectors, whose leading coefficients are c_i and c_j,
-    is work[r][m] / scale in entry r, and x^ti, x^tj take both leading
-    monomials to their lcm.  With the primitive copies B_i, B_j of the
-    divisors and their leading numerators L_i, L_j, v_i / c_i = B_i / L_i,
-    so over g = gcd(L_i, L_j) the numerators are (L_j/g) * x^ti * B_i -
-    (L_i/g) * x^tj * B_j, built straight into one dict per entry, and the
-    scale is L_i * L_j / g.  The value is exactly the field S-vector, so
-    `_reduce` gives the same quotients and remainder as on that vector.
+    Returns (work, scale): the S-vector x^ti * v_i / c_i - x^tj * v_j / c_j
+    of the two vectors, whose leading coefficients are c_i and c_j, is
+    work[r][m] / scale in entry r (m packed by `divisors.packing`), and
+    x^ti, x^tj take both leading monomials to their lcm.  With the
+    primitive copies B_i, B_j of the divisors and their leading numerators
+    L_i, L_j, v_i / c_i = B_i / L_i, so over g = gcd(L_i, L_j) the
+    numerators are (L_j/g) * x^ti * B_i - (L_i/g) * x^tj * B_j, built
+    straight into one dict per entry, and the scale is L_i * L_j / g.  The
+    value is exactly the field S-vector, so `_reduce` gives the same
+    quotients and remainder as on that vector.  Raises `_Overflow` when the
+    lcm or a product does not fit the packing.
     """
-    pos, ei, _, lead_i, rows_i = divisors[i]
-    pos_j, ej, _, lead_j, rows_j = divisors[j]
+    pos, ei, _, lead_i, pi, rows_i = divisors[i]
+    pos_j, ej, _, lead_j, pj, rows_j = divisors[j]
     assert pos == pos_j
-    lcm = monomial_lcm(ei, ej)
-    ti = monomial_div(lcm, ei)
-    tj = monomial_div(lcm, ej)
+    packing = divisors.packing
+    guard = packing.guard
+    lcm = packing.pack(monomial_lcm(ei, ej))
     a, b, scale = nums.pair(lead_i, lead_j)
+    b = -b
     work = []
     for row_i, row_j in zip(rows_i, rows_j):
-        terms = {monomial_mul(e, ti): v * a for e, v in row_i}
-        _sub_multiple(terms, row_j, tj, b)
+        terms = {}
+        _add_multiple(terms, row_i, lcm - pi, a, guard)
+        _add_multiple(terms, row_j, lcm - pj, b, guard)
         work.append(terms)
-    return work, scale, ti, tj
+    return work, scale
 
 
-def _spair_rep(reps, i, j, ti, tj):
-    """Term dicts of x^ti * reps[i] - x^tj * reps[j], the rep of a monic basis's S-vector."""
+def _reduce_spair(divisors, i, j, nums, ring, quotients):
+    """`_reduce` on the S-vector of divisors i and j."""
+    work, scale = _spair(divisors, i, j, nums)
+    return _reduce(work, scale, divisors, nums, ring, quotients)
+
+
+def _spair_rep(reps, divisors, i, j):
+    """Term dicts of x^ti * reps[i] - x^tj * reps[j], the rep of a monic basis's S-vector.
+
+    x^ti and x^tj take the leading monomials of divisors i and j to their lcm.
+    """
+    ei, ej = divisors[i][1], divisors[j][1]
+    lcm = monomial_lcm(ei, ej)
+    ti, tj = monomial_div(lcm, ei), monomial_div(lcm, ej)
     out = []
     for u, v in zip(reps[i], reps[j]):
         terms = {monomial_mul(e, ti): c for e, c in u.terms.items()}
@@ -743,11 +963,10 @@ def _schreyer_kernel(M, order):
     for i, j in combinations(range(len(basis)), 2):
         if divisors[i][0] != divisors[j][0]:
             continue
-        work, scale, ti, tj = _spair(divisors, i, j, nums)
-        q, rem = _reduce(work, scale, divisors, order, nums, ring)
+        q, rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, ring, True)
         if not _vec_is_zero(rem):
             raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
-        syz_cols.append(_combine(_spair_rep(reps, i, j, ti, tj), q, reps, ring))
+        syz_cols.append(_combine(_spair_rep(reps, divisors, i, j), q, reps, ring))
 
     # columns of I - P*Q: each input column re-expressed through the GB
     one = ring.one().terms
@@ -817,12 +1036,12 @@ def prune_redundant_columns(columns, order=GREVLEX):
     keep = [False] * len(cols)
     for d in sorted(set(degrees)):
         below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
-        basis, _, divisors = _groebner(below, order, False)
+        divisors = _groebner(below, order, False)[2]
         pivots = []  # (key, row): rows in echelon form, each zero at earlier keys
         for j, col in enumerate(cols):
             if degrees[j] != d:
                 continue
-            _, rem = module_normal_form(col, basis, order, divisors)
+            rem = _divide(col, divisors, False)[1]
             row = {(pos, e): c for pos, p in enumerate(rem) for e, c in p.terms.items()}
             for key, prow in pivots:
                 if key in row:
@@ -904,7 +1123,7 @@ def _greedy_prune(cols, order):
     while idx >= 0 and len(cols) > 1:
         others = cols[:idx] + cols[idx + 1 :]
         divisors = _groebner(others, order, False)[2]
-        if divides_to_zero(cols[idx], divisors, order):
+        if divides_to_zero(cols[idx], divisors):
             cols = others
             idx = min(idx, len(cols)) - 1
         else:

@@ -15,7 +15,7 @@ from cmlink.complexes import (
     is_cohen_macaulay,
     verify_exactness,
 )
-from cmlink import complexes, modules
+from cmlink import complexes, groebner, modules
 from cmlink.linkage import comparison_morphism
 from cmlink.groebner import Ideal
 from cmlink.poly import LEX
@@ -153,7 +153,8 @@ def _rnc4_ideal():
 
 def test_exactness_and_lifts_reuse_the_resolution_bases(monkeypatch):
     """The syzygy steps build one module basis per differential; the
-    exactness check and the comparison morphism build none again."""
+    exactness check and the comparison morphism build none again, of
+    modules or of ideals."""
     built = []
     original = modules._groebner
 
@@ -161,7 +162,9 @@ def test_exactness_and_lifts_reuse_the_resolution_bases(monkeypatch):
         built.append(args)
         return original(*args)
 
+    # ideal bases come through `groebner._groebner`, the name `buchberger` calls
     monkeypatch.setattr(modules, "_groebner", counting)
+    monkeypatch.setattr(groebner, "_groebner", counting)
     curve = Ideal.from_strings(R, CURVE)
     for J in (_rnc4_ideal(), curve):
         E = free_resolution(J)

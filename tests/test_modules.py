@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmlink.groebner import Ideal, buchberger, s_polynomial
+from cmlink.groebner import Ideal, buchberger, normal_form, s_polynomial
 from cmlink.modules import (
     NotInImageError,
     PolyMatrix,
@@ -21,6 +21,8 @@ from cmlink.modules import (
     _kernel_generators,
     _leading,
     _numerators,
+    _Overflow,
+    _Packing,
     _reduce,
     _spair,
     _spair_rep,
@@ -163,6 +165,11 @@ def _reference_sub_term(terms, q, t_exps, t_coeff, skip):
 
 
 DIVISION_ORDERS = [GREVLEX, LEX, block_order(1)]
+
+
+def _seed(order):
+    """The order written out as its `repr` was when the seeded cases were drawn."""
+    return f"MonomialOrder(kind={order.kind!r}, block={order.block})"
 QQ_S = Ring(("x", "y", "z"), ("s",))
 
 
@@ -180,7 +187,7 @@ def _random_field_poly(ring, rng, max_deg, max_terms):
 @pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
 def test_heap_division_matches_reference_rank1(ring, order):
     """Division against reduced bases, and against arbitrary divisors."""
-    rng = random.Random(f"rank1:{order}:{ring}")
+    rng = random.Random(f"rank1:{_seed(order)}:{ring}")
 
     def check(divisors, vecs):
         basis = [[g] for g in divisors]
@@ -203,7 +210,7 @@ def test_heap_division_matches_reference_rank1(ring, order):
 @pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
 def test_heap_division_matches_reference_rank3(ring, order):
     """Rank-3 vectors against a module Groebner basis."""
-    rng = random.Random(f"rank3:{order}:{ring}")
+    rng = random.Random(f"rank3:{_seed(order)}:{ring}")
     for _ in range(3):
         cols = [[_random_field_poly(ring, rng, 1, 2) for _ in range(3)] for _ in range(2)]
         basis, _ = module_groebner(cols, order)
@@ -296,7 +303,7 @@ def _decider_probes(ring, rng, cols):
 @pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
 def test_decider_matches_the_division_remainder(ring, order, rank):
     """divides_to_zero is module_normal_form's remainder-is-zero, without the division."""
-    rng = random.Random(f"decider:{rank}:{order}:{ring}")
+    rng = random.Random(f"decider:{rank}:{_seed(order)}:{ring}")
     verdicts = set()
     later_entry_decides = False
     for _ in range(3):
@@ -306,7 +313,7 @@ def test_decider_matches_the_division_remainder(ring, order, rank):
         for vec in _decider_probes(ring, rng, cols):
             rem = module_normal_form(vec, basis, order, divisors)[1]
             expected = _vec_is_zero(rem)
-            assert divides_to_zero(vec, divisors, order) is expected
+            assert divides_to_zero(vec, divisors) is expected
             verdicts.add(expected)
             later_entry_decides |= rem[0].is_zero() and not expected
     assert verdicts == {True, False}
@@ -318,18 +325,19 @@ def test_decider_stops_at_the_first_remainder_term():
     # x^2 leads x^2 + y and no leading monomial divides it: the decider
     # returns there, leaving y unreduced and the second entry untouched
     divisors = _divisors([[y, R.zero()], [R.zero(), z]], GREVLEX)
-    work = [{(2, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 1): 1}]
-    assert _reduce(work, None, divisors, GREVLEX, _numerators(R), decide=True) is False
-    assert work == [{(0, 1, 0): 1}, {(0, 0, 1): 1}]
-    assert not divides_to_zero([x**2 + y, z], divisors, GREVLEX)
-    assert divides_to_zero([3 * y, z], divisors, GREVLEX)
+    pack = divisors.packing.pack
+    work = [{pack((2, 0, 0)): 1, pack((0, 1, 0)): 1}, {pack((0, 0, 1)): 1}]
+    assert _reduce(work, None, divisors, _numerators(R), decide=True) is False
+    assert work == [{pack((0, 1, 0)): 1}, {pack((0, 0, 1)): 1}]
+    assert not divides_to_zero([x**2 + y, z], divisors)
+    assert divides_to_zero([3 * y, z], divisors)
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 @pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
 def test_product_decider_matches_membership_of_the_product(ring, order):
     """Ideal.contains_products(g, [h]) is contains(h * g), without building h * g."""
-    rng = random.Random(f"products:{order}:{ring}")
+    rng = random.Random(f"products:{_seed(order)}:{ring}")
     verdicts = set()
     for _ in range(3):
         f1, f2, f3, f4 = (_random_field_poly(ring, rng, 1, 2) for _ in range(4))
@@ -343,7 +351,7 @@ def test_product_decider_matches_membership_of_the_product(ring, order):
             for g, h in pairs:
                 expected = ideal.contains(h * g, order)
                 assert ideal.contains_products(g, [h], order) is expected
-                assert products_divide_to_zero(g, [h], divisors, order) is expected
+                assert products_divide_to_zero(g, [h], divisors) is expected
                 verdicts.add(expected)
             g, hs = pairs[0][0], [h for _, h in pairs]
             assert ideal.contains_products(g, hs, order) is \
@@ -414,10 +422,11 @@ def reference_groebner(columns, order):
     taken = set()
 
     def add(vec, rep):
+        nonlocal divisors
         pos, exps, coeff = _leading(vec, order)
         basis.append([p.scale(1 / coeff) for p in vec])
         reps.append([p.scale(1 / coeff) for p in rep])
-        divisors.extend(_divisors([basis[-1]], order))
+        divisors = _divisors(basis, order)
         j = len(basis) - 1
         for i in range(j):
             if divisors[i][0] == pos:
@@ -533,12 +542,14 @@ def test_spair_steps_match_field_arithmetic_on_the_reference_basis(case):
         if divisors[i][0] != divisors[j][0]:
             continue
         svec, srep = reference_spair(basis, reps, divisors, i, j)
-        work, scale, ti, tj = _spair(divisors, i, j, nums)
-        assert [Polynomial(ring, {m: nums.to_field(c, scale) for m, c in terms.items()})
+        work, scale = _spair(divisors, i, j, nums)
+        unpack = divisors.packing.unpack
+        assert [Polynomial(ring, {unpack(m): nums.to_field(c, scale)
+                                  for m, c in terms.items()})
                 for terms in work] == svec
-        q, rem = _reduce(work, scale, divisors, order, nums, ring)
+        q, rem = _reduce(work, scale, divisors, nums, ring, quotients=True)
         assert (q, rem) == module_normal_form(svec, basis, order, divisors)
-        assert _combine(_spair_rep(reps, i, j, ti, tj), q, reps, ring) == \
+        assert _combine(_spair_rep(reps, divisors, i, j), q, reps, ring) == \
             reference_combine(srep, q, reps)
 
 
@@ -746,3 +757,193 @@ def test_lift_through_one_row_solves():
         for _ in range(3):
             b = M * [random_poly(rng, 1, 2) for _ in range(M.ncols)]
             assert M * lift(b) == b
+
+
+# -- packed monomials ------------------------------------------------------------
+
+PACKING_ORDERS = [GREVLEX, LEX, block_order(1), block_order(2)]
+PACKING_IDS = ["grevlex", "lex", "block1", "block2"]
+
+
+def reference_fields(order, exps, top):
+    """The field values of a packed monomial, most significant first.
+
+    A copy of the layout `modules._Packing` documents, written apart from it.
+    """
+    def grevlex(block):
+        return [sum(block)] + [top - e for e in reversed(block)]
+
+    if order.kind == "lex":
+        return list(exps)
+    if order.kind == "grevlex":
+        return grevlex(exps)
+    return grevlex(exps[:order.block]) + grevlex(exps[order.block:])
+
+
+def reference_pack(order, exps, width):
+    values = reference_fields(order, exps, (1 << (width - 1)) - 1)
+    return sum(v << (width * k) for k, v in enumerate(reversed(values)))
+
+
+def _random_monomial(rng, nvars, degree):
+    """Exponents summing to `degree`, cut at random points."""
+    cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("nvars", [1, 3, 4])
+@pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_IDS)
+def test_packed_monomials_match_the_tuple_helpers(order, nvars, width):
+    """Pack, unpack, product, quotient, divisibility and comparison, against tuples.
+
+    Degrees are drawn up to the largest a field holds, so products and
+    quotients reach past both ends of their fields.
+    """
+    packing = _Packing(order, nvars)
+    while packing.width < width:
+        packing = packing.wider()
+    top, const, guard = packing.top, packing.const, packing.guard
+    assert top == (1 << (width - 1)) - 1
+    rng = random.Random(f"packing:{_seed(order)}:{nvars}:{width}")
+
+    def draw(most):
+        return _random_monomial(rng, nvars, rng.choice(
+            [0, min(1, most), most // 2, max(most - 1, 0), most, rng.randint(0, most)]))
+
+    divisible = 0
+    for _ in range(300):
+        a, b = draw(top), draw(top)
+        c = draw(top - sum(a))  # a * c fits
+        for e in (a, b, c):
+            assert packing.pack(e) == reference_pack(order, e, width)
+            assert packing.unpack(packing.pack(e)) == e
+        pa, pb, pc = packing.pack(a), packing.pack(b), packing.pack(c)
+        assert (pa < pb) == (order.desc_key(a) > order.desc_key(b))
+        assert (pa == pb) == (a == b)
+        for u, v, pu, pv in ((a, b, pa, pb), (a, c, pa, pc)):
+            product = monomial_mul(u, v)
+            fits = all(0 <= f <= top for f in reference_fields(order, product, top))
+            assert (not (pu + pv - const) & guard) == fits
+            if fits:
+                assert packing.unpack(pu + pv - const) == product
+        ac = packing.pack(monomial_mul(a, c))
+        for u, v, pu, pv in ((a, b, pa, pb), (b, a, pb, pa), (a, monomial_mul(a, c), pa, ac)):
+            quotient = pv - pu + const
+            assert (not quotient & guard) == monomial_divides(u, v)
+            if monomial_divides(u, v):
+                divisible += 1
+                assert packing.unpack(quotient) == monomial_div(v, u)
+        with pytest.raises(_Overflow):
+            packing.pack(_random_monomial(rng, nvars, top + 1 + rng.randint(0, top)))
+    assert divisible >= 300
+
+
+def _scaled(p, k):
+    """p(x_1^k, ..., x_n^k).
+
+    Scaling every exponent by k keeps every comparison and divisibility of
+    monomials, so each computation on scaled input is the scaled
+    computation: the same bases, reps, remainders and verdicts.
+    """
+    return Polynomial(p.ring, {tuple(k * e for e in m): c for m, c in p.terms.items()})
+
+
+# k = 30 fits the inputs into 8-bit fields and overflows an S-pair's lcm;
+# k = 60 overflows the inputs; k = 20000 passes 2^15 and restarts twice
+@pytest.mark.parametrize("k, width", [(30, 16), (60, 16), (20000, 32)])
+@pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_IDS)
+def test_wide_exponents_restart_the_pair_loop_at_double_width(order, k, width):
+    gens = [R.poly(t) for t in ("x^2*y - z", "x*y^2 - x + 1")]
+    wide = [_scaled(g, k) for g in gens]
+    assert _groebner([[g] for g in gens], order, False)[2].packing.width == 8
+    assert _groebner([[g] for g in wide], order, False)[2].packing.width == width
+    assert buchberger(wide, order) == [_scaled(g, k) for g in buchberger(gens, order)]
+
+
+@pytest.mark.parametrize("k", [70, 20000])
+def test_wide_exponents_in_module_bases_and_syzygies(k):
+    M = PolyMatrix.from_strings(R, [["x*y", "y^2 - z", "x"], ["z", "x*z", "y + 1"]])
+    wide = PolyMatrix([[_scaled(p, k) for p in row] for row in M.rows], R)
+    basis, reps = module_groebner(M.columns(), GREVLEX)
+    assert module_groebner(wide.columns(), GREVLEX) == (
+        [[_scaled(p, k) for p in vec] for vec in basis],
+        [[_scaled(p, k) for p in rep] for rep in reps])
+    assert _kernel_generators(wide, GREVLEX) == [
+        [_scaled(p, k) for p in col] for col in _kernel_generators(M, GREVLEX)]
+    assert syzygy_matrix(wide) == PolyMatrix(
+        [[_scaled(p, k) for p in row] for row in syzygy_matrix(M).rows], R)
+
+
+@pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_IDS)
+def test_a_probe_too_wide_for_a_cached_basis_widens_it(order):
+    """Membership, division and products by a cached basis, against the tuple division.
+
+    The cached divisors are repacked in place, not rebuilt: the same list
+    with the same numerators, at 16-bit and then 32-bit fields.
+    """
+    I = Ideal.from_strings(R, ["x^2 - y*z", "y^3 - x*z"])
+    gb, divisors = I._basis(order)
+    numerators = [d[:4] for d in divisors]
+    assert divisors.packing.width == 8
+    basis = [[g] for g in gb]
+    for k, width in ((200, 16), (40000, 32)):
+        member = I.gens[0] * R.poly(f"x^{k} - z^{k // 2}") + I.gens[1] * R.poly(f"y^{k}")
+        probes = [member, member + R.poly(f"z^{k} + y"), R.poly(f"z^{k} - x^3 + 1")]
+        verdicts = []
+        for probe in probes:
+            q, rem = reference_normal_form([probe], basis, order)
+            expected = _vec_is_zero(rem)
+            verdicts.append(expected)
+            assert I.contains(probe, order) is expected
+            assert normal_form(probe, gb, order).remainder == rem[0]
+            assert module_normal_form([probe], basis, order, divisors) == (q, rem)
+        assert verdicts == [True, False, False]
+        assert I._basis(order)[1] is divisors
+        assert divisors.packing.width == width
+        assert [d[:4] for d in divisors] == numerators
+    # products whose factors pass 2^31, decided with no product built
+    g, big = R.poly("x^2 - y*z"), 2**31
+    assert I.contains_products(g, [R.poly("y"), R.poly(f"x^{big} + y")], order)
+    assert not I.contains_products(R.poly(f"z^{big} + 1"), [R.poly("y + 1")], order)
+    assert divisors.packing.width == 64
+
+
+def test_a_reduction_whose_products_pass_the_fields():
+    """Under lex a reduction can raise the degree: x^2 by x - y^100 reaches y^200.
+
+    The product overflows inside the division loop, in the pair loop and
+    in the decider alike.
+    """
+    f = R.poly("x - y^100")
+    assert _groebner([[f], [R.poly("x^2 + z")]], LEX, False)[2].packing.width == 16
+    assert buchberger([f, R.poly("x^2 + z")], LEX) == [f, R.poly("y^200 + z")]
+    I = Ideal([f], R)
+    divisors = I._basis(LEX)[1]
+    assert divisors.packing.width == 8
+    assert not I.contains(R.poly("x^2"), LEX)
+    assert divisors.packing.width == 16
+    assert I.contains(R.poly("x^2 - y^200"), LEX)
+    probe = [R.poly("x^2 + z")]
+    assert normal_form(probe[0], [f], LEX).remainder == R.poly("y^200 + z")
+    assert module_normal_form(probe, [[f]], LEX) == reference_normal_form(probe, [[f]], LEX)
+
+
+def test_lifting_a_wide_vector_through_a_cached_module_basis():
+    M = PolyMatrix.from_strings(R, [["x*y", "y^2 - z", "x"], ["z", "x*z", "y + 1"]])
+    lift = image_lifter(M)
+    b = M * [R.poly("x^3"), R.poly("y^2 - 1"), R.poly("z")]
+    assert M * lift(b) == b
+    wide = M * [R.poly("x^300 + y"), R.zero(), R.poly("z^150*x")]
+    assert M * lift(wide) == wide
+    with pytest.raises(NotInImageError):
+        lift([R.poly("z^200"), R.zero()])
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_s_polynomial_of_wide_monomials_matches_field_arithmetic(order):
+    """An lcm past the fields of the pair's divisors widens them."""
+    for texts in (("x^100*y - 1", "x*y^100 - 2*z"), ("x^40000*y^2 + z", "y^30000 - x")):
+        f, g = (R.poly(t) for t in texts)
+        leads = [_leading([f], order), _leading([g], order)]
+        assert s_polynomial(f, g, order) == reference_spair([[f], [g]], None, leads, 0, 1)[0][0]

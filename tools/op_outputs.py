@@ -6,9 +6,15 @@
 Builds the four workloads of `ROOT/perfbench/workloads.py` at seeds 1 and 2,
 with cmlink imported from `ROOT/src`, runs each operation once and writes
 one line per operation to OUT: `workload seed op-name` and the `repr` of
-its output, tab-separated, in workload, seed and pass order.  An operation
-stopped at its budget (or at 60 s when it has none) is written as
-`<over budget>`.  Outputs of two checkouts are the same exactly when
+its output, tab-separated, in workload, seed and pass order.  Then it runs
+a fixed corpus of wide-exponent cases (`wide_cases`), written as workload
+`wide` with the exponent in place of the seed: `buchberger`,
+`Ideal.contains`, `normal_form`, `s_polynomial` and `syzygy_matrix` under
+grevlex, lex and a block order, with exponents 127, 128, 255 and 40000,
+which pass the engine's smallest monomial fields and make it widen them.
+The corpus calls only the public API, so it runs on any checkout.  An
+operation stopped at its budget (or at 60 s when it has none) is written
+as `<over budget>`.  Outputs of two checkouts are the same exactly when
 
     python3 tools/op_outputs.py PARENT parent.txt
     python3 tools/op_outputs.py CHANGE change.txt
@@ -25,9 +31,34 @@ import shutil
 import signal
 import sys
 import tempfile
+from collections import namedtuple
 
 SEEDS = (1, 2)
 SAFETY_BUDGET_S = 60.0
+WIDE_EXPONENTS = (127, 128, 255, 40000)
+
+Case = namedtuple("Case", "name run budget", defaults=(None,))  # as a workload op
+
+
+def wide_cases(cmlink, k):
+    """The wide-exponent cases at exponent k, each with the safety budget."""
+    R = cmlink.Ring(("x", "y", "z"))
+    gens = [R.poly(t) for t in (f"x^{k}*y - z", "y^2 - z")]
+    ideal = cmlink.Ideal(gens, R)
+    member = gens[0] * R.poly(f"x + z^{k}") + gens[1] * R.poly(f"y^{k} - 2")
+    probes = [member, member + R.poly("y*z"), R.poly(f"x^{k} - z^{k}")]
+    f, g = R.poly(f"x^{k}*y^2 - z"), R.poly(f"x*y^{k} + 3*z^2")
+    matrix = cmlink.PolyMatrix.from_strings(R, [[f"x^{k}", "y", "z"], ["z", f"x*y^{k}", "x"]])
+    orders = (("grevlex", cmlink.GREVLEX), ("lex", cmlink.LEX),
+              ("block1", cmlink.block_order(1)))
+    for name, order in orders:
+        yield Case(f"buchberger-{name}", lambda o=order: cmlink.buchberger(gens, o))
+        yield Case(f"contains-{name}",
+                   lambda o=order: [ideal.contains(p, o) for p in probes])
+        yield Case(f"normal-form-{name}",
+                   lambda o=order: [cmlink.normal_form(p, gens, o) for p in probes])
+        yield Case(f"s-polynomial-{name}", lambda o=order: cmlink.s_polynomial(f, g, o))
+        yield Case(f"syzygy-matrix-{name}", lambda o=order: cmlink.syzygy_matrix(matrix, o))
 
 
 class _OverBudget(BaseException):
@@ -71,6 +102,9 @@ def main(argv=None):
                     if "sympy" in sys.modules:
                         sys.modules["sympy"].core.cache.clear_cache()
                     lines.append(f"{name}\t{seed}\t{op.name}\t{_run(op)}\n")
+        for k in WIDE_EXPONENTS:
+            for case in wide_cases(cmlink, k):
+                lines.append(f"wide\t{k}\t{case.name}\t{_run(case)}\n")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     with open(out, "w", encoding="utf-8") as fh:
