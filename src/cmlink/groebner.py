@@ -13,13 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .modules import (
-    _divide,
-    _divisors,
-    _Divisors,
-    _groebner,
-    _numerators,
-    _spair,
-    _widening,
+    _reduced_basis,
+    _s_polynomial,
     divides_to_zero,
     module_normal_form,
     products_divide_to_zero,
@@ -30,7 +25,6 @@ from .poly import (
     Ring,
     RingMismatchError,
     block_order,
-    monomial_divides,
 )
 
 
@@ -55,58 +49,40 @@ def normal_form(f, basis, order=GREVLEX):
         raise ValueError("division requires a nonempty basis")
     if any(g.ring != f.ring for g in basis):
         raise RingMismatchError("divisor in a different ring")
-    divisors = _divisors([[g] for g in basis], order)
-    quotients, rem = module_normal_form([f], None, order, divisors)
+    quotients, rem = module_normal_form([f], [[g] for g in basis], order)
     return DivisionResult(quotients, rem[0])
 
 
 def s_polynomial(f, g, order=GREVLEX):
     """x^tf * f / lc(f) - x^tg * g / lc(g), the monomials taking both leads to their lcm.
 
-    Built by the pair loop's S-vector builder, as numerators over one scale.
+    Built by the pair loop's S-vector builder (`modules._s_polynomial`).
     """
     if f.ring != g.ring:
         raise RingMismatchError("polynomials in different rings")
-    nums = _numerators(f.ring)
-    divisors = _divisors([[f], [g]], order)
-    work, scale = _widening(divisors, _spair, divisors, 0, 1, nums)
-    unpack = divisors.packing.unpack
-    return Polynomial(f.ring, {unpack(m): nums.to_field(c, scale)
-                               for m, c in work[0].items()})
+    return _s_polynomial(f, g, order)
 
 
 def buchberger(gens, order=GREVLEX):
     """Reduced Groebner basis of the ideal generated by `gens`, in descending order.
 
     The pair loop of `modules` on the generators as vectors of one entry,
-    without representations.  Its basis is made reduced in one pass: drop
-    each element whose leading monomial another's divides (the first of
-    equal ones stays), then reduce each one left by the others, through the
-    divisors the pair loop built.
+    without representations, made reduced in one pass (`modules._reduced_basis`).
     """
     gens = list(gens)
     if any(g.ring != gens[0].ring for g in gens):
         raise RingMismatchError("generators in different rings")
-    vecs, _, divisors = _groebner([[g] for g in gens], order, False)
-    kept = []  # ascending, so a divisor of a leading monomial is met first
-    for i in sorted(range(len(vecs)), key=lambda k: order.desc_key(divisors[k][1]),
-                    reverse=True):
-        if not any(monomial_divides(divisors[k][1], divisors[i][1]) for k in kept):
-            kept.append(i)
-    basis = []
-    for i in reversed(kept):
-        others = _Divisors(divisors.packing, [divisors[k] for k in kept if k != i])
-        basis.append(_divide(vecs[i], others, False)[1][0])
-    return basis
+    return _reduced_basis(gens, order)[0]
 
 
 class Ideal:
     """Ideal given by generators.
 
-    Reduced Groebner bases are cached per order in `_gb`, each with its
-    divisors (`modules._divisors`), by which every membership test decides;
-    `complexes.free_resolution` caches the free resolutions per order, and
-    with and without minimalizing, in `_resolutions`.
+    Reduced Groebner bases are cached per order in `_gb`, each with the
+    divisors that `modules._reduced_basis` built with it, by which every
+    membership test decides; `complexes.free_resolution` caches the free
+    resolutions per order, and with and without minimalizing, in
+    `_resolutions`.
     """
 
     def __init__(self, gens, ring=None):
@@ -134,8 +110,7 @@ class Ideal:
         """(reduced Groebner basis, its divisors), built once per order."""
         cached = self._gb.get(order)
         if cached is None:
-            gb = buchberger(self.gens, order)
-            cached = self._gb[order] = (gb, _divisors([[g] for g in gb], order))
+            cached = self._gb[order] = _reduced_basis(self.gens, order)
         return cached
 
     def is_zero(self):

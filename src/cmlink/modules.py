@@ -5,7 +5,7 @@ computation, and exact lifting of a vector through the image of a matrix.
 Vectors are lists of polynomials.  Inside the division and pair loops a
 monomial is one int (`_Packing`), packed when it enters the engine and
 unpacked when an output `Polynomial` is built; a module term is an entry
-position and such an int.
+position and such an int.  No other module sees a packed monomial.
 
 The module order is position-over-term, the only one used: a lower position
 wins, then the ring's `MonomialOrder` on exponents.  No object stands for
@@ -13,22 +13,29 @@ it; every function takes that monomial order as `order`.
 
 The pair loop `_groebner` and the division `module_normal_form` are the only
 Buchberger loop and division loop of the package: `groebner` runs ideals
-through them as vectors of one entry, where the order is the ring order and
-the loop skips pairs by the coprime and chain criteria.  The division is
-fraction-free: it works on numerators (integers over QQ, polynomials in the
-parameters over QQ(params)) and divides by the primitive numerator copy that
-each basis vector gets once, when it enters its basis (`_divisors`).  The
-S-vectors of the pair loop and of the Schreyer kernel are built from two
-such copies as numerators over one scale (`_spair`) and go to the inner
-loop of the division (`_reduce`) without a `Polynomial` in between.  The
-representations and syzygies, which stay in field arithmetic, are summed
-in one term dict per entry (`_combine`).  Membership, a question that
-needs no quotient, is decided by the same loop stopped at the first
-remainder term (`divides_to_zero`, `products_divide_to_zero`).
+through them as vectors of one entry (`_reduced_basis`), where the order is
+the ring order and the loop skips pairs by the coprime and chain criteria.
+The division is fraction-free: it works on numerators (integers over QQ,
+polynomials in the parameters over QQ(params)) and divides by the primitive
+numerator copy that each basis vector gets once, when it enters its basis
+(`_divisor`).  The S-vectors of the pair loop and of the Schreyer kernel
+are built from two such copies as numerators over one scale (`_spair`) and
+go to the inner loop of the division (`_reduce`) without a `Polynomial` in
+between, and a remainder that enters a basis gets its copy straight from
+the packed terms `_reduce` leaves.  The representations and syzygies,
+which stay in field arithmetic, are summed in one term dict per entry
+(`_combine`).  Membership, a question that needs no quotient, is decided by
+the same loop stopped at the first remainder term (`divides_to_zero`,
+`products_divide_to_zero`).
+
+Monomials are packed into 8-bit fields first.  One rule meets a monomial
+that does not fit (`_widening`): the step that met it widens the divisors
+it works with in place and runs again, and nothing else is redone.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -105,7 +112,7 @@ class PolyMatrix:
 
     @classmethod
     def from_columns(cls, columns, ring=None):
-        if ring is None:
+        if ring is None and columns and columns[0]:
             ring = columns[0][0].ring
         nrows = len(columns[0]) if columns else 0
         return cls(
@@ -186,19 +193,6 @@ def det_bareiss(M):
 
 
 # -- module term order and division -------------------------------------------
-
-
-def _leading(vec, order):
-    """(position, exponents, coefficient) of the leading term of a nonzero vector.
-
-    Under position-over-term the leading term is the ring-order maximum of
-    the first nonzero entry.
-    """
-    for pos, p in enumerate(vec):
-        if p.terms:
-            exps = min(p.terms, key=order.desc_key)
-            return pos, exps, p.terms[exps]
-    raise ValueError("zero vector has no leading term")
 
 
 def _vec_is_zero(vec):
@@ -348,7 +342,7 @@ def _numerators(ring):
 
 
 class _Overflow(Exception):
-    """A monomial does not fit the fields of its packing; the call widens them."""
+    """A monomial does not fit the fields of its packing; see `_widening`."""
 
 
 class _Packing:
@@ -369,9 +363,9 @@ class _Packing:
     quotient b / a, whose guard bits are all clear exactly when a divides b.
     A product whose guard bits are not all clear has a field out of range
     (the lowest such field sets its own guard bit, and only the fields above
-    it can take a borrow); the engine then raises `_Overflow` and runs the
-    call again at double the width.  `pack` accepts an exponent tuple whose
-    degree is at most `top`, which keeps every field in range.
+    it can take a borrow), and the engine raises `_Overflow`.  So does
+    `pack`, unless every field is in range: `largest` (each exponent under
+    lex, the degree under grevlex, each block's degree) is at most `top`.
     """
 
     def __init__(self, order, nvars, width=8):
@@ -381,11 +375,14 @@ class _Packing:
         top = self.top = (1 << (width - 1)) - 1
         if order.kind == "lex":
             fields = [((i,), False) for i in range(nvars)]
+            self.largest = functools.partial(max, default=0)
+        elif order.kind == "grevlex":
+            fields = _grevlex_fields(range(nvars))
+            self.largest = sum
         else:
-            block = min(order.block, nvars) if order.kind == "block" else nvars
-            fields = _grevlex_fields(range(block))
-            if order.kind == "block":
-                fields += _grevlex_fields(range(block, nvars))
+            block = min(order.block, nvars)
+            fields = _grevlex_fields(range(block)) + _grevlex_fields(range(block, nvars))
+            self.largest = lambda exps: max(sum(exps[:block]), sum(exps[block:]))
         weights = [0] * nvars
         shifts = [0] * nvars
         const = guard = 0
@@ -404,7 +401,7 @@ class _Packing:
         self.guard = guard
 
     def pack(self, exps):
-        if sum(exps) > self.top:
+        if self.largest(exps) > self.top:
             raise _Overflow
         return self.const + sum(map(operator.mul, exps, self.weights))
 
@@ -412,9 +409,6 @@ class _Packing:
         m ^= self.const  # top - v == top ^ v on a field value v in range
         top = self.top
         return tuple([(m >> s) & top for s in self.shifts])
-
-    def wider(self):
-        return _Packing(self.order, self.nvars, 2 * self.width)
 
 
 def _grevlex_fields(variables):
@@ -426,9 +420,9 @@ def _grevlex_fields(variables):
 class _Divisors(list):
     """The divisors of one basis, their monomials packed by `packing`.
 
-    Cached with the basis it belongs to; `widen` repacks every divisor at
+    Cached with the basis it belongs to.  `widen` repacks every divisor at
     double the width in place, so every holder of the list sees the wider
-    fields.
+    fields; `_widening` is its one caller.
     """
 
     def __init__(self, packing, items=()):
@@ -436,7 +430,8 @@ class _Divisors(list):
         self.packing = packing
 
     def widen(self):
-        old, new = self.packing, self.packing.wider()
+        old = self.packing
+        new = _Packing(old.order, old.nvars, 2 * old.width)
 
         def repack(m):
             return new.pack(old.unpack(m))
@@ -447,15 +442,18 @@ class _Divisors(list):
         self.packing = new
 
 
-def _widening(divisors, run, *args):
-    """run(*args), widening `divisors` and running again until no monomial overflows.
+def _widening(divisors, step, *args):
+    """step(*args), widening `divisors` in place and running it again while it overflows.
 
-    `run` reads the packing from `divisors` and starts from its inputs each
-    time, so the result is the one that runs with no overflow.
+    The one rule for a monomial too wide for its fields.  A step (packing an
+    input vector, the chain criterion's lcm, an S-pair reduction, a division,
+    a decision) reads the packing from `divisors` and starts from inputs that
+    hold no packed monomial.  Its value does not depend on the width, so no
+    step before it is redone; a packed value it returns is used at once.
     """
     while True:
         try:
-            return run(*args)
+            return step(*args)
         except _Overflow:
             divisors.widen()
 
@@ -463,38 +461,54 @@ def _widening(divisors, run, *args):
 def _divisors(basis, order):
     """Each nonzero basis vector as `module_normal_form` divides by it, in a `_Divisors`.
 
-    A divisor is (position, leading exponents, leading coefficient, leading
-    numerator, packed leading monomial, rows): rows[r] lists the (packed
-    monomial, numerator) terms of entry r of a primitive numerator copy of
-    the vector (over QQ its numerators are coprime integers with a positive
-    leading one), and the leading numerator is that copy's leading
-    coefficient.  The packing starts at 8-bit fields and doubles until
-    every monomial fits.  `_groebner` builds one divisor for each vector as
-    it enters its basis.  An empty basis gives an empty list.
+    See `_divisor`.  The packing starts at 8-bit fields, and each vector is
+    packed as one step (`_widening`).  An empty basis gives an empty list.
     """
     if not basis:
         return []
     ring = basis[0][0].ring
     nums = _numerators(ring)
-    packing = _Packing(order, ring.nvars)
-    while True:
-        try:
-            return _Divisors(packing, [_divisor(vec, packing, nums) for vec in basis])
-        except _Overflow:
-            packing = packing.wider()
+    divisors = _Divisors(_Packing(order, ring.nvars))
+    for vec in basis:
+        values = _widening(divisors, _packed, vec, divisors)
+        divisors.append(_divisor(values, divisors.packing, nums))
+    return divisors
 
 
-def _divisor(vec, packing, nums):
-    pos, exps, coeff = _leading(vec, packing.order)
-    flat = nums.primitive([c for p in vec for c in p.terms.values()], coeff)
-    pack = packing.pack
+def _packed(vec, divisors):
+    """Entry r of a vector as a dict (packed monomial -> coefficient), packed by `divisors`."""
+    pack = divisors.packing.pack
+    return [dict(zip(map(pack, p.terms), p.terms.values())) for p in vec]
+
+
+def _divisor(values, packing, nums):
+    """The divisor of the nonzero vector whose entry r has the packed terms values[r].
+
+    A divisor is (position, leading exponents, leading coefficient, leading
+    numerator, packed leading monomial, rows): rows[r] lists the (packed
+    monomial, numerator) terms of entry r of a primitive numerator copy of
+    the vector (over QQ coprime integers with a positive leading one), whose
+    leading coefficient is the leading numerator.  The leading term is the
+    largest packed monomial of the first nonzero entry.
+    """
+    pos = next((r for r, terms in enumerate(values) if terms), None)
+    if pos is None:
+        raise ValueError("zero vector has no leading term")
+    packed = max(values[pos])
+    coeff = values[pos][packed]
+    flat = nums.primitive([c for terms in values for c in terms.values()], coeff)
     rows = []
     k = 0
-    for p in vec:
-        rows.append(tuple(zip(map(pack, p.terms), flat[k:k + len(p.terms)])))
-        k += len(p.terms)
-    packed = pack(exps)
-    return pos, exps, coeff, dict(rows[pos])[packed], packed, rows
+    for terms in values:
+        rows.append(tuple(zip(terms, flat[k:k + len(terms)])))
+        k += len(terms)
+    return pos, packing.unpack(packed), coeff, dict(rows[pos])[packed], packed, rows
+
+
+def _unpacked(values, packing, ring):
+    """The vector of Polynomials whose entry r has the packed terms values[r]."""
+    unpack = packing.unpack
+    return [Polynomial(ring, {unpack(m): c for m, c in terms.items()}) for terms in values]
 
 
 def module_normal_form(vec, basis, order, divisors=None):
@@ -537,9 +551,8 @@ def module_normal_form(vec, basis, order, divisors=None):
     cancels and comes back is pushed again, and no duplicate guard is
     needed: once a monomial is processed only strictly smaller ones enter
     its entry, so a later copy of it always finds it gone.  The reduction
-    steps are those of taking the dict's maximum every time.  A monomial
-    that does not fit the divisors' fields widens them (`_Divisors.widen`)
-    and the division runs again from the start.
+    steps are those of taking the dict's maximum every time.  The division
+    is one step of `_widening`.
 
     This front part clears the vector's denominators (`_numerator_dicts`);
     the loop itself is `_reduce`, which the pair loop feeds its S-vectors as
@@ -564,7 +577,8 @@ def _divide(vec, divisors, quotients):
 
     def run():
         work, scale = _numerator_dicts(vec, nums, divisors.packing)
-        return _reduce(work, scale, divisors, nums, ring, quotients)
+        q, rem = _reduce(work, scale, divisors, nums, ring, quotients)
+        return q, _unpacked(rem, divisors.packing, ring)
 
     return _widening(divisors, run)
 
@@ -634,10 +648,12 @@ def _reduce(work, scale, divisors, nums, ring=None, quotients=False, decide=Fals
 
     The vector is work[r][m] / scale: work[r] is the dict (packed monomial
     -> numerator, packed by `divisors.packing`) of entry r, and is used up.
-    Returns (quotients, remainder) as Polynomials over the field of `ring`;
-    the quotients are recorded, converted and unpacked only when
-    `quotients` is set, and are None otherwise.  Raises `_Overflow` when a
-    product does not fit the packing.
+    Returns (quotients, remainder).  The quotients are Polynomials over the
+    field of `ring`, recorded, converted and unpacked only when `quotients`
+    is set, and None otherwise.  The remainder stays packed: entry r is a
+    dict (packed monomial -> field coefficient), which `_unpacked` turns
+    into a Polynomial and `_divisor` into a divisor.  Raises `_Overflow`
+    when a product does not fit the packing.
 
     With `decide` (and no `quotients`) it only answers whether the
     remainder is zero: it returns False when the first term lands in the
@@ -695,8 +711,8 @@ def _reduce(work, scale, divisors, nums, ring=None, quotients=False, decide=Fals
                     t -= const
                     for r in range(pos, n):
                         if rows[r]:
-                            _dict_add_term(work[r], heaps[r], rows[r], t, mult, guard,
-                                           m if r == pos else None)
+                            _add_multiple(work[r], rows[r], t, mult, guard, heaps[r],
+                                          m if r == pos else None)
                     break
             else:
                 if decide:
@@ -705,26 +721,25 @@ def _reduce(work, scale, divisors, nums, ring=None, quotients=False, decide=Fals
     if decide:
         return True
     to_field = nums.to_field
-    unpack = packing.unpack
     out = None
     if quotients:
+        unpack = packing.unpack
         out = []
         for (_, _, lc, _, _, _), q in zip(divisors, found):
             terms = {unpack(t): to_field(c, s) for t, (c, s) in q.items()}
             if terms and lc != 1:
                 terms = {t: v / lc for t, v in terms.items()}
             out.append(Polynomial(ring, terms))
-    return out, [Polynomial(ring, {unpack(m): to_field(c, s) for m, (c, s) in r.items()})
-                 for r in remainder]
+    return out, [{m: to_field(c, s) for m, (c, s) in r.items()} for r in remainder]
 
 
-def _dict_add_term(terms, heap, row, shift, mult, guard, skip):
+def _add_multiple(terms, row, shift, mult, guard, heap=None, skip=None):
     """terms += mult * x^t * row in place, leaving out the product term `skip`.
 
     `row` is a sequence of (packed monomial, numerator) and `shift` is
     x^t packed less the packing's constant, so a product is one addition.
-    A monomial new to `terms` is pushed onto `heap`, negated.  Raises
-    `_Overflow` on a product that sets a guard bit.
+    A monomial new to `terms` is pushed onto `heap`, negated, when one is
+    given.  Raises `_Overflow` on a product that sets a guard bit.
     """
     for e, v in row:
         m = e + shift
@@ -741,24 +756,8 @@ def _dict_add_term(terms, heap, row, shift, mult, guard, skip):
                 terms[m] = s
         else:
             terms[m] = c
-            heapq.heappush(heap, -m)
-
-
-def _add_multiple(terms, row, shift, mult, guard):
-    """terms += mult * x^t * row in place, as `_dict_add_term` without a heap."""
-    for e, v in row:
-        m = e + shift
-        if m & guard:
-            raise _Overflow
-        c = v * mult
-        if m in terms:
-            s = terms[m] + c
-            if not s:
-                del terms[m]
-            else:
-                terms[m] = s
-        else:
-            terms[m] = c
+            if heap is not None:
+                heapq.heappush(heap, -m)
 
 
 def module_groebner(columns, order=GREVLEX):
@@ -778,7 +777,7 @@ def _groebner(columns, order, track_reps):
     """(basis, reps, divisors) of the given vectors; reps is None unless tracked.
 
     The basis vectors are monic, and `divisors` holds each one's divisor
-    (see `_divisors`), built once, as the vector enters the basis.
+    (see `_divisor`), built once, as the vector enters the basis.
 
     S-pairs are taken from a heap by lcm degree, then the lcm, then the
     pair's indices.  On vectors of one entry (polynomials) a pair is skipped
@@ -790,70 +789,107 @@ def _groebner(columns, order, track_reps):
 
     Each S-vector is built from the two divisors as numerators over one
     scale (`_spair`) and divided by `_reduce` directly, which records
-    quotients only for the reps.  The rep of a new basis vector, x^ti *
-    rep_i - x^tj * rep_j - sum(q_k * rep_k), is summed in one term dict per
-    entry (`_spair_rep`, `_combine`).  The loop packs monomials into 8-bit
-    fields first; when one does not fit, the whole call runs again at
-    double the width, so the basis is the same at every width.
+    quotients only for the reps.  A nonzero remainder, made monic, gets its
+    divisor from the packed terms `_reduce` leaves; only the basis vector is
+    unpacked.  The rep of a new basis vector, x^ti * rep_i - x^tj * rep_j -
+    sum(q_k * rep_k), is summed in one term dict per entry (`_spair_rep`,
+    `_combine`).  Packing an input column, the chain criterion and each
+    S-pair reduction are steps of `_widening`; the pair heap holds exponent
+    tuples, which widening leaves alone.
     """
     nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
     if not nonzero:
         return [], [] if track_reps else None, []
     ring = columns[nonzero[0]][0].ring
-    packing = _Packing(order, ring.nvars)
-    while True:
-        try:
-            return _pair_loop(columns, nonzero, ring, track_reps, packing)
-        except _Overflow:
-            packing = packing.wider()
-
-
-def _pair_loop(columns, nonzero, ring, track_reps, packing):
-    """The pair loop of `_groebner` on the nonzero columns, at one packing."""
-    order = packing.order
     units = PolyMatrix.identity(ring, len(columns)).rows if track_reps else None
     rank1 = len(columns[nonzero[0]]) == 1
     nums = _numerators(ring)
     basis = []
     reps = [] if track_reps else None
-    divisors = _Divisors(packing)
+    divisors = _Divisors(_Packing(order, ring.nvars))
     pairs = []  # heap of (sum(lcm), lcm, i, j) over same-position i < j
     taken = set()
 
-    def add(vec, rep):
-        lead = _leading(vec, order)
-        inv = 1 / lead[2]
+    def add(values, rep):  # values[r]: the packed terms of entry r
+        lead = next(terms for terms in values if terms)
+        inv = 1 / lead[max(lead)]
+        if inv != 1:
+            values = [{m: c * inv for m, c in terms.items()} for terms in values]
+            if track_reps:
+                rep = [p.scale(inv) for p in rep]
         j = len(basis)
-        basis.append([p.scale(inv) for p in vec])
+        divisors.append(_divisor(values, divisors.packing, nums))
+        basis.append(_unpacked(values, divisors.packing, ring))
         if track_reps:
-            reps.append([p.scale(inv) for p in rep])
-        divisors.append(_divisor(basis[j], packing, nums))
+            reps.append(rep)
+        pos, exps = divisors[j][:2]
         for i in range(j):
-            if divisors[i][0] == lead[0]:
-                lcm = monomial_lcm(divisors[i][1], lead[1])
+            if divisors[i][0] == pos:
+                lcm = monomial_lcm(divisors[i][1], exps)
                 heapq.heappush(pairs, (sum(lcm), lcm, i, j))
 
     for j in nonzero:
-        add(columns[j], units[j] if track_reps else None)
+        add(_widening(divisors, _packed, columns[j], divisors),
+            units[j] if track_reps else None)
     while pairs:
         _, lcm, i, j = heapq.heappop(pairs)
         if rank1:
             taken.add((i, j))
-            if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _chain_criterion(
-                    i, j, lcm, divisors, taken):
+            if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _widening(
+                    divisors, _chain_criterion, i, j, lcm, divisors, taken):
                 continue
-        q, rem = _reduce_spair(divisors, i, j, nums, ring, track_reps)
-        if not _vec_is_zero(rem):
+        q, rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, ring, track_reps)
+        if any(rem):
             add(rem, _combine(_spair_rep(reps, divisors, i, j), q, reps, ring)
                 if track_reps else None)
     return basis, reps, divisors
 
 
+def _reduced_basis(gens, order):
+    """(reduced Groebner basis, its divisors) of the ideal generated by `gens`.
+
+    The pair loop on the generators as vectors of one entry, without reps.
+    Drop each element whose leading monomial another's divides (the first of
+    equal ones stays), then reduce the tail of each one left by the divisors
+    of all of them, one `_widening` step each.  No tail monomial is divisible
+    by its own leading one, and a remainder by a Groebner basis is the same
+    for every basis of the ideal, so the divisor built from the packed
+    remainder replaces the old one at once.  The basis descends by leading
+    monomial, and the divisors follow it.
+    """
+    vecs, _, divisors = _groebner([[g] for g in gens], order, False)
+    if not vecs:
+        return [], divisors
+    ring = vecs[0][0].ring
+    nums = _numerators(ring)
+    packing = divisors.packing
+    const, guard = packing.const, packing.guard
+    kept = []  # ascending, so a divisor of a leading monomial is met first
+    for d in sorted(divisors, key=operator.itemgetter(4)):
+        if all((d[4] - k[4] + const) & guard for k in kept):
+            kept.append(d)
+    reduced = _Divisors(packing, kept[::-1])
+
+    def reduce_tail(i):
+        # the monic leading term, then the tail of the primitive copy over
+        # its leading numerator, reduced
+        _, _, coeff, lead, packed, (row,) = reduced[i]
+        (rem,) = _reduce([{m: c for m, c in row if m != packed}], lead, reduced, nums)[1]
+        return [{packed: coeff, **rem}]
+
+    basis = []
+    for i in range(len(reduced)):
+        values = _widening(reduced, reduce_tail, i)
+        reduced[i] = _divisor(values, reduced.packing, nums)
+        basis.append(_unpacked(values, reduced.packing, ring)[0])
+    return basis, reduced
+
+
 def _chain_criterion(i, j, lcm, divisors, taken):
     """Some k, with a leading monomial dividing lcm, has had its pairs with i and j taken.
 
-    divisors[k][4] is the packed leading monomial of basis element k, and
-    `lcm` an exponent tuple, packed here.
+    divisors[k][4] is the packed leading monomial of basis element k; `lcm`
+    is an exponent tuple, packed here (`_Overflow` when it does not fit).
     """
     packing = divisors.packing
     const, guard = packing.const, packing.guard
@@ -903,6 +939,19 @@ def _reduce_spair(divisors, i, j, nums, ring, quotients):
     return _reduce(work, scale, divisors, nums, ring, quotients)
 
 
+def _s_polynomial(f, g, order):
+    """The S-polynomial of `groebner.s_polynomial`: `_spair` on the divisors of f and g."""
+    nums = _numerators(f.ring)
+    divisors = _divisors([[f], [g]], order)
+
+    def run():
+        work, scale = _spair(divisors, 0, 1, nums)
+        return _unpacked([{m: nums.to_field(c, scale) for m, c in work[0].items()}],
+                         divisors.packing, f.ring)[0]
+
+    return _widening(divisors, run)
+
+
 def _spair_rep(reps, divisors, i, j):
     """Term dicts of x^ti * reps[i] - x^tj * reps[j], the rep of a monic basis's S-vector.
 
@@ -923,7 +972,7 @@ def _module_basis(M, order):
     """(basis, reps, divisors) of the columns of M, built once per order and cached on M.
 
     The basis and representations are those of `module_groebner`; `divisors`
-    are the basis vectors as the division reads them (see `_divisors`), built
+    are the basis vectors as the division reads them (see `_divisor`), built
     by the pair loop as each vector entered the basis.  The syzygies of M
     (`_kernel_generators`), its exactness check (`verify_exactness`) and
     lifts through it (`image_lifter`) all divide by this one basis.
@@ -964,7 +1013,7 @@ def _schreyer_kernel(M, order):
         if divisors[i][0] != divisors[j][0]:
             continue
         q, rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, ring, True)
-        if not _vec_is_zero(rem):
+        if any(rem):
             raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
         syz_cols.append(_combine(_spair_rep(reps, divisors, i, j), q, reps, ring))
 

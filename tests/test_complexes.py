@@ -156,15 +156,17 @@ def test_exactness_and_lifts_reuse_the_resolution_bases(monkeypatch):
     exactness check and the comparison morphism build none again, of
     modules or of ideals."""
     built = []
-    original = modules._groebner
 
-    def counting(*args):
-        built.append(args)
-        return original(*args)
+    def counting(original):
+        def count(*args):
+            built.append(args)
+            return original(*args)
 
-    # ideal bases come through `groebner._groebner`, the name `buchberger` calls
-    monkeypatch.setattr(modules, "_groebner", counting)
-    monkeypatch.setattr(groebner, "_groebner", counting)
+        return count
+
+    # ideal bases come through `groebner._reduced_basis`, the name `Ideal` calls
+    monkeypatch.setattr(modules, "_groebner", counting(modules._groebner))
+    monkeypatch.setattr(groebner, "_reduced_basis", counting(groebner._reduced_basis))
     curve = Ideal.from_strings(R, CURVE)
     for J in (_rnc4_ideal(), curve):
         E = free_resolution(J)

@@ -145,13 +145,13 @@ def test_equal_orders_share_the_cached_basis(monkeypatch):
     assert MonomialOrder("lex") == LEX
     assert hash(MonomialOrder("lex")) == hash(LEX)
     built = []
-    original = groebner._groebner  # `buchberger` calls modules._groebner by this name
+    original = groebner._reduced_basis  # `Ideal` calls modules._reduced_basis by this name
 
     def counting(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(groebner, "_groebner", counting)
+    monkeypatch.setattr(groebner, "_reduced_basis", counting)
     I = Ideal(gens("x^2 + y", "x*y - z"))
     gb = I.groebner_basis(LEX)
     assert len(built) == 1

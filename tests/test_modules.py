@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import cmlink.modules as modules
 from cmlink.groebner import Ideal, buchberger, normal_form, s_polynomial
 from cmlink.modules import (
     NotInImageError,
@@ -19,13 +20,13 @@ from cmlink.modules import (
     _greedy_prune,
     _groebner,
     _kernel_generators,
-    _leading,
     _numerators,
     _Overflow,
     _Packing,
     _reduce,
     _spair,
     _spair_rep,
+    _unpacked,
     _vec_is_zero,
     det_bareiss,
     divides_to_zero,
@@ -363,6 +364,19 @@ def test_product_decider_matches_membership_of_the_product(ring, order):
 # -- the pair loop against field arithmetic -----------------------------------
 
 
+def reference_leading(vec, order):
+    """(position, exponents, coefficient) of the leading term of a nonzero vector.
+
+    Under position-over-term the leading term is the ring-order maximum of
+    the first nonzero entry, found here by the tuple `desc_key`.
+    """
+    for pos, p in enumerate(vec):
+        if p.terms:
+            exps = min(p.terms, key=order.desc_key)
+            return pos, exps, p.terms[exps]
+    raise ValueError("zero vector has no leading term")
+
+
 def reference_spair(basis, reps, leads, i, j):
     """S-vector of basis[i], basis[j] and its rep, in field arithmetic.
 
@@ -423,7 +437,7 @@ def reference_groebner(columns, order):
 
     def add(vec, rep):
         nonlocal divisors
-        pos, exps, coeff = _leading(vec, order)
+        pos, exps, coeff = reference_leading(vec, order)
         basis.append([p.scale(1 / coeff) for p in vec])
         reps.append([p.scale(1 / coeff) for p in rep])
         divisors = _divisors(basis, order)
@@ -548,6 +562,7 @@ def test_spair_steps_match_field_arithmetic_on_the_reference_basis(case):
                                   for m, c in terms.items()})
                 for terms in work] == svec
         q, rem = _reduce(work, scale, divisors, nums, ring, quotients=True)
+        rem = _unpacked(rem, divisors.packing, ring)
         assert (q, rem) == module_normal_form(svec, basis, order, divisors)
         assert _combine(_spair_rep(reps, divisors, i, j), q, reps, ring) == \
             reference_combine(srep, q, reps)
@@ -571,7 +586,7 @@ def test_s_polynomial_matches_field_arithmetic(ring):
     for order in (GREVLEX, LEX):
         for _ in range(6):
             f, g = (_random_field_poly(ring, rng, 2, 4) for _ in range(2))
-            leads = [_leading([f], order), _leading([g], order)]
+            leads = [reference_leading([f], order), reference_leading([g], order)]
             expected = reference_spair([[f], [g]], None, leads, 0, 1)[0][0]
             assert s_polynomial(f, g, order) == expected
 
@@ -744,6 +759,14 @@ def test_prune_by_degree_with_two_row_blocks():
     assert _as_text(_prune_matches_greedy(cols)) == _as_text(kept)
 
 
+def test_an_empty_matrix_from_columns_needs_a_ring():
+    for columns in ([], [[]]):
+        with pytest.raises(ValueError, match="need a ring for an empty matrix"):
+            PolyMatrix.from_columns(columns)
+    assert PolyMatrix.from_columns([], R) == PolyMatrix([], R)
+    assert PolyMatrix.from_columns([[x], [y]]).rows == [[x, y]]
+
+
 def test_det_of_the_empty_matrix_is_one():
     assert det_bareiss(PolyMatrix([], R)) == R.one()
 
@@ -800,9 +823,7 @@ def test_packed_monomials_match_the_tuple_helpers(order, nvars, width):
     Degrees are drawn up to the largest a field holds, so products and
     quotients reach past both ends of their fields.
     """
-    packing = _Packing(order, nvars)
-    while packing.width < width:
-        packing = packing.wider()
+    packing = _Packing(order, nvars, width)
     top, const, guard = packing.top, packing.const, packing.guard
     assert top == (1 << (width - 1)) - 1
     rng = random.Random(f"packing:{_seed(order)}:{nvars}:{width}")
@@ -811,7 +832,7 @@ def test_packed_monomials_match_the_tuple_helpers(order, nvars, width):
         return _random_monomial(rng, nvars, rng.choice(
             [0, min(1, most), most // 2, max(most - 1, 0), most, rng.randint(0, most)]))
 
-    divisible = 0
+    divisible = fitted = 0
     for _ in range(300):
         a, b = draw(top), draw(top)
         c = draw(top - sum(a))  # a * c fits
@@ -834,9 +855,17 @@ def test_packed_monomials_match_the_tuple_helpers(order, nvars, width):
             if monomial_divides(u, v):
                 divisible += 1
                 assert packing.unpack(quotient) == monomial_div(v, u)
-        with pytest.raises(_Overflow):
-            packing.pack(_random_monomial(rng, nvars, top + 1 + rng.randint(0, top)))
+        # past degree top: `pack` overflows exactly when a field leaves its range
+        wide = _random_monomial(rng, nvars, top + 1 + rng.randint(0, top))
+        if all(0 <= f <= top for f in reference_fields(order, wide, top)):
+            fitted += 1
+            assert packing.pack(wide) == reference_pack(order, wide, width)
+        else:
+            with pytest.raises(_Overflow):
+                packing.pack(wide)
     assert divisible >= 300
+    # grevlex and one variable hold the degree in a field; the others fit some
+    assert 0 < fitted < 300 or (fitted == 0 and (order == GREVLEX or nvars == 1))
 
 
 def _scaled(p, k):
@@ -849,16 +878,125 @@ def _scaled(p, k):
     return Polynomial(p.ring, {tuple(k * e for e in m): c for m, c in p.terms.items()})
 
 
-# k = 30 fits the inputs into 8-bit fields and overflows an S-pair's lcm;
-# k = 60 overflows the inputs; k = 20000 passes 2^15 and restarts twice
-@pytest.mark.parametrize("k, width", [(30, 16), (60, 16), (20000, 32)])
-@pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_IDS)
+# every exponent times k: k = 30 fits the inputs into 8-bit fields, and under
+# lex, whose fields hold single exponents, every step too; under the other
+# orders a degree field overflows on the way.  k = 60 overflows the inputs or
+# the basis under every order, and k = 20000 passes 2^15, so the fields widen
+# twice
+WIDE_WIDTHS = [
+    pytest.param(order, k, width, id=f"{name}-{k}-{width}")
+    for order, name in zip(PACKING_ORDERS, PACKING_IDS)
+    for k, width in ((30, 8 if order == LEX else 16), (60, 16), (20000, 32))
+]
+WIDE_GENS = ("x^2*y - z", "x*y^2 - x + 1")
+
+
+@pytest.mark.parametrize("order, k, width", WIDE_WIDTHS)
 def test_wide_exponents_restart_the_pair_loop_at_double_width(order, k, width):
-    gens = [R.poly(t) for t in ("x^2*y - z", "x*y^2 - x + 1")]
+    """The pair loop ends at the narrowest fields its steps need, with the scaled basis.
+
+    Only the step that overflowed runs again (see
+    `test_a_wide_ideal_reduces_the_same_spairs_as_the_narrow_one`).
+    """
+    gens = [R.poly(t) for t in WIDE_GENS]
     wide = [_scaled(g, k) for g in gens]
     assert _groebner([[g] for g in gens], order, False)[2].packing.width == 8
     assert _groebner([[g] for g in wide], order, False)[2].packing.width == width
     assert buchberger(wide, order) == [_scaled(g, k) for g in buchberger(gens, order)]
+
+
+def _completed_spair_reductions(monkeypatch):
+    """The (i, j) of every S-pair reduction that returns, in order, from now on."""
+    done = []
+    original = modules._reduce_spair
+
+    def counting(divisors, i, j, *args):
+        out = original(divisors, i, j, *args)
+        done.append((i, j))
+        return out
+
+    monkeypatch.setattr(modules, "_reduce_spair", counting)
+    return done
+
+
+@pytest.mark.parametrize("order", PACKING_ORDERS, ids=PACKING_IDS)
+def test_a_wide_ideal_reduces_the_same_spairs_as_the_narrow_one(order, monkeypatch):
+    """Widening reruns only the step that overflowed: no S-pair is reduced twice."""
+    gens = [R.poly(t) for t in WIDE_GENS]
+    done = _completed_spair_reductions(monkeypatch)
+    _groebner([[g] for g in gens], order, False)
+    narrow = list(done)
+    del done[:]
+    divisors = _groebner([[_scaled(g, 20000)] for g in gens], order, False)[2]
+    assert divisors.packing.width == 32
+    assert done == narrow
+
+
+@pytest.mark.parametrize("k", [70, 20000])
+def test_a_wide_module_reduces_the_same_spairs_as_the_narrow_one(k, monkeypatch):
+    M = PolyMatrix.from_strings(R, [["x*y", "y^2 - z", "x"], ["z", "x*z", "y + 1"]])
+    wide = PolyMatrix([[_scaled(p, k) for p in row] for row in M.rows], R)
+    done = _completed_spair_reductions(monkeypatch)
+    module_groebner(M.columns(), GREVLEX)
+    narrow = list(done)
+    del done[:]
+    module_groebner(wide.columns(), GREVLEX)
+    assert done == narrow
+
+
+def test_a_cached_basis_packs_only_its_generators(monkeypatch):
+    """Every basis vector gets its divisor from packed terms; only inputs are packed.
+
+    The pair loop builds a new vector's divisor from the packed remainder,
+    the interreduction each reduced element's, and membership decides by
+    those divisors, which are the reduced basis's own; no Polynomial of the
+    basis is packed again.
+    """
+    packed = []
+    original = modules._packed
+
+    def counting(vec, divisors):
+        packed.append(vec)
+        return original(vec, divisors)
+
+    monkeypatch.setattr(modules, "_packed", counting)
+    I = Ideal.from_strings(R, ["x^2 - y*z", "y^3 - x*z", "x*y*z - 1"])
+    for order in PACKING_ORDERS:
+        del packed[:]
+        gb = I.groebner_basis(order)
+        assert gb != I.gens
+        assert I.contains(x * gb[0] - z * gb[-1], order)
+        assert not I.contains(x + 1, order)
+        assert I.contains_products(gb[0], [x, y + 1], order)
+        assert packed == [[g] for g in I.gens]
+        # each monic basis element is its divisor's primitive copy over its leading numerator
+        divisors = I._basis(order)[1]
+        unpack = divisors.packing.unpack
+        assert [Polynomial(R, {unpack(m): Fraction(c, d[3]) for m, c in d[5][0]})
+                for d in divisors] == gb
+
+
+def test_an_interreduction_that_overflows_widens_the_shared_divisors_once(monkeypatch):
+    """Lex x + y^2, y - z^100: coprime leading monomials, so the pair loop reduces
+    nothing at 8-bit fields; reducing the tail y^2 by y - z^100 reaches z^200."""
+    widened = []
+    original = modules._Divisors.widen
+
+    def counting(divisors):
+        widened.append(divisors)
+        original(divisors)
+
+    monkeypatch.setattr(modules._Divisors, "widen", counting)
+    g = R.poly("y - z^100")
+    I = Ideal([R.poly("x + y^2"), g], R)
+    gb, divisors = I._basis(LEX)
+    assert gb == [R.poly("x + z^200"), g]
+    assert len(widened) == 1 and widened[0] is divisors
+    assert divisors.packing.width == 16
+    assert [divisors.packing.unpack(d[4]) for d in divisors] == [(1, 0, 0), (0, 1, 0)]
+    assert I.contains(R.poly("x*y + y*z^200"), LEX)
+    assert not I.contains(R.poly("x + y^2 + 1"), LEX)
+    assert len(widened) == 1
 
 
 @pytest.mark.parametrize("k", [70, 20000])
@@ -945,5 +1083,5 @@ def test_s_polynomial_of_wide_monomials_matches_field_arithmetic(order):
     """An lcm past the fields of the pair's divisors widens them."""
     for texts in (("x^100*y - 1", "x*y^100 - 2*z"), ("x^40000*y^2 + z", "y^30000 - x")):
         f, g = (R.poly(t) for t in texts)
-        leads = [_leading([f], order), _leading([g], order)]
+        leads = [reference_leading([f], order), reference_leading([g], order)]
         assert s_polynomial(f, g, order) == reference_spair([[f], [g]], None, leads, 0, 1)[0][0]

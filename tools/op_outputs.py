@@ -8,13 +8,18 @@ with cmlink imported from `ROOT/src`, runs each operation once and writes
 one line per operation to OUT: `workload seed op-name` and the `repr` of
 its output, tab-separated, in workload, seed and pass order.  Then it runs
 a fixed corpus of wide-exponent cases (`wide_cases`), written as workload
-`wide` with the exponent in place of the seed: `buchberger`,
-`Ideal.contains`, `normal_form`, `s_polynomial` and `syzygy_matrix` under
-grevlex, lex and a block order, with exponents 127, 128, 255 and 40000,
-which pass the engine's smallest monomial fields and make it widen them.
-The corpus calls only the public API, so it runs on any checkout.  An
-operation stopped at its budget (or at 60 s when it has none) is written
-as `<over budget>`.  Outputs of two checkouts are the same exactly when
+`wide` with the exponent in place of the seed: `buchberger` (also of a pair
+whose lcm, and of a basis whose interreduction, passes the fields its
+inputs fit), `Ideal.contains`, `Ideal.contains_products` with wide factors,
+`normal_form`, `s_polynomial`, `module_groebner`, `syzygy_matrix` and
+`lift_through` of wide targets through the module basis the syzygies
+cached, under grevlex, lex and a block order, with exponents 127, 128, 255
+and 40000.  These pass the engine's smallest monomial fields and make it
+widen them while it packs inputs, checks the chain criterion, reduces
+S-pairs, reduces a basis, divides and decides.  The corpus calls only the
+public API, so it runs on any checkout.  An operation stopped at its
+budget (or at 60 s when it has none) is written as `<over budget>`.
+Outputs of two checkouts are the same exactly when
 
     python3 tools/op_outputs.py PARENT parent.txt
     python3 tools/op_outputs.py CHANGE change.txt
@@ -48,17 +53,40 @@ def wide_cases(cmlink, k):
     member = gens[0] * R.poly(f"x + z^{k}") + gens[1] * R.poly(f"y^{k} - 2")
     probes = [member, member + R.poly("y*z"), R.poly(f"x^{k} - z^{k}")]
     f, g = R.poly(f"x^{k}*y^2 - z"), R.poly(f"x*y^{k} + 3*z^2")
+    # an S-pair lcm past its inputs' fields, and a tail reduced past them
+    steps = [[R.poly(f"x^{k - 27}*y"), R.poly(f"x*y^{k - 27}")],
+             [R.poly("x + y^2"), R.poly(f"y - z^{k}")]]
+    factors = [R.poly(t) for t in (f"y^{k} + x", f"z^{2 * k} - y", "x - 1")]
     matrix = cmlink.PolyMatrix.from_strings(R, [[f"x^{k}", "y", "z"], ["z", f"x*y^{k}", "x"]])
+    targets = [matrix * [R.poly(f"y^{k} + x"), R.poly("z - 1"), R.poly(f"x^{k}*z")],
+               [R.poly(f"z^{2 * k}"), R.zero()]]
     orders = (("grevlex", cmlink.GREVLEX), ("lex", cmlink.LEX),
               ("block1", cmlink.block_order(1)))
     for name, order in orders:
         yield Case(f"buchberger-{name}", lambda o=order: cmlink.buchberger(gens, o))
+        yield Case(f"buchberger-steps-{name}",
+                   lambda o=order: [cmlink.buchberger(p, o) for p in steps])
         yield Case(f"contains-{name}",
                    lambda o=order: [ideal.contains(p, o) for p in probes])
+        yield Case(f"contains-products-{name}", lambda o=order: [
+            cmlink.Ideal(gens, R).contains_products(p, factors, o)
+            for p in (gens[0], f, member)])
         yield Case(f"normal-form-{name}",
                    lambda o=order: [cmlink.normal_form(p, gens, o) for p in probes])
         yield Case(f"s-polynomial-{name}", lambda o=order: cmlink.s_polynomial(f, g, o))
+        yield Case(f"module-groebner-{name}",
+                   lambda o=order: cmlink.module_groebner(matrix.columns(), o))
         yield Case(f"syzygy-matrix-{name}", lambda o=order: cmlink.syzygy_matrix(matrix, o))
+        yield Case(f"lift-through-{name}",
+                   lambda o=order: [_lift(cmlink, b, matrix, o) for b in targets])
+
+
+def _lift(cmlink, b, matrix, order):
+    """`lift_through(b, matrix, order)`, or the error and its remainder when b is not in the image."""
+    try:
+        return cmlink.lift_through(b, matrix, order)
+    except cmlink.NotInImageError as err:
+        return f"{type(err).__name__}: {err.remainder!r}"
 
 
 class _OverBudget(BaseException):
