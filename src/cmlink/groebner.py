@@ -246,11 +246,8 @@ def ideal_colon(I, J, order=GREVLEX):
     for g in J.gens:
         inter = ideal_intersect(I, Ideal([g], ring))
         quot = Ideal([divide_exact(h, g, order) for h in inter.gens], ring)
-        if I.is_zero() and not inter.gens:
-            quot = Ideal([], ring)
         result = quot if result is None else ideal_intersect(result, quot)
-    gb = result.groebner_basis(order)
-    return Ideal(list(gb) if gb else [], ring)
+    return Ideal(result.groebner_basis(order), ring)
 
 
 def ideal_sum(I, J):

@@ -22,11 +22,18 @@ numerator copy that each basis vector gets once, when it enters its basis
 are built from two such copies as numerators over one scale (`_spair`) and
 go to the inner loop of the division (`_reduce`) without a `Polynomial` in
 between, and a remainder that enters a basis gets its copy straight from
-the packed terms `_reduce` leaves.  The representations and syzygies,
-which stay in field arithmetic, are summed in one term dict per entry
-(`_combine`).  Membership, a question that needs no quotient, is decided by
-the same loop stopped at the first remainder term (`divides_to_zero`,
-`products_divide_to_zero`).
+the packed terms `_reduce` leaves.  Membership, a question that needs no
+quotient, is decided by the same loop stopped at the first remainder term
+(`divides_to_zero`, `products_divide_to_zero`).
+
+Quotients, representations, syzygies and lifts come from that one loop too,
+as extra entries (the tail) of each vector, after its own entries (the
+head): column j of a matrix enters the pair loop as (col_j ; e_j), and a
+vector v is divided by the basis vectors b_k as (v ; 0) by (b_k ; e_k).
+Every step is linear and no vector leads in its tail, so the tail of each
+vector the pair loop builds holds the combination of the columns that its
+head is, and the tail of a remainder by (b_k ; e_k) holds the quotients,
+negated.
 
 Monomials are packed into 8-bit fields first.  One rule meets a monomial
 that does not fit (`_widening`): the step that met it widens the divisors
@@ -47,7 +54,6 @@ from .poly import (
     Polynomial,
     RingMismatchError,
     _bareiss_det,
-    monomial_div,
     monomial_lcm,
     monomial_mul,
 )
@@ -217,24 +223,6 @@ def _sub_multiple(terms, row, t_exps, c=None):
                 terms[m] = s
             else:
                 del terms[m]
-
-
-def _combine(terms, quotients, reps, ring):
-    """terms - sum(quotients[k] * reps[k]) as a vector of Polynomials.
-
-    terms[r] is the term dict (exponents -> coefficient) of entry r; the
-    products are subtracted from it in place, zero quotients and zero
-    entries skipped, and each entry becomes a Polynomial once, at the end.
-    """
-    for q, rep in zip(quotients, reps):
-        if not q.terms:
-            continue
-        for d, p in zip(terms, rep):
-            if p.terms:
-                row = p.terms.items()
-                for e, c in q.terms.items():
-                    _sub_multiple(d, row, e, c)
-    return [Polynomial(ring, d) for d in terms]
 
 
 class _IntegerNumerators:
@@ -511,13 +499,20 @@ def _unpacked(values, packing, ring):
     return [Polynomial(ring, {unpack(m): c for m, c in terms.items()}) for terms in values]
 
 
-def module_normal_form(vec, basis, order, divisors=None):
+def _unit(ring, n, j):
+    """The j-th unit vector of length n, the tail a vector starts with; see `_groebner`."""
+    zero = ring.zero()
+    return [ring.one() if k == j else zero for k in range(n)]
+
+
+def module_normal_form(vec, basis, order):
     """Divide a vector by module basis vectors; returns (quotients, remainder).
 
     The module order is position-over-term over the monomial order `order`.
-    `divisors` are `_divisors(basis, order)`; callers that divide many
-    vectors by one basis build them once and pass them in, and then
-    `basis` is not read.
+    A zero basis vector raises ValueError.  The quotients are read off a
+    tail: (vec ; 0) is divided by the vectors (b_k ; e_k), whose leading
+    terms are those of the b_k, and the tail of the remainder is
+    -sum(q_k * e_k), the quotients negated.
 
     The loop is fraction-free.  The working vector is held as numerators,
     one dict per entry, over one scale for the whole vector: ints over QQ,
@@ -528,10 +523,9 @@ def module_normal_form(vec, basis, order, divisors=None):
     QQ[params] every nonzero rational is one) it multiplies the pending
     numerators and the scale by L/g; then it subtracts (C/g) * x^t * copy,
     or (C/L) * x^t * copy when L/g is a unit.  No step divides in the
-    field.  A quotient or remainder term keeps its numerator and the scale
-    of the moment it is found, and becomes `Fraction(C, scale)` or
-    `field.new(C, scale)` on the way out; a quotient is also divided by its
-    divisor's leading coefficient when that is not 1.
+    field.  A remainder term keeps its numerator and the scale of the
+    moment it is found, and becomes `Fraction(C, scale)` or
+    `field.new(C, scale)` on the way out.
 
     The values are those of field arithmetic, and so are the steps:
     scaling the working vector makes no term vanish or appear, so the same
@@ -554,31 +548,38 @@ def module_normal_form(vec, basis, order, divisors=None):
     steps are those of taking the dict's maximum every time.  The division
     is one step of `_widening`.
 
-    This front part clears the vector's denominators (`_numerator_dicts`);
-    the loop itself is `_reduce`, which the pair loop feeds its S-vectors as
-    numerators directly.  A caller that only asks whether the remainder is
-    zero calls `divides_to_zero` instead, the same loop stopped at the first
-    remainder term.
+    This front part builds the divisors; `_divide` clears the vector's
+    denominators (`_numerator_dicts`), and the loop itself is `_reduce`,
+    which the pair loop feeds its S-vectors as numerators directly.  A
+    caller that only asks whether the remainder is zero calls
+    `divides_to_zero` instead, the same loop stopped at the first remainder
+    term.
     """
-    if divisors is None:
-        divisors = _divisors(basis, order)
-    return _divide(vec, divisors, True)
+    if any(map(_vec_is_zero, basis)):
+        raise ValueError("zero vector has no leading term")
+    if not basis:
+        return [], list(vec)
+    ring = basis[0][0].ring
+    n = len(basis)
+    divisors = _divisors([list(b) + _unit(ring, n, k) for k, b in enumerate(basis)], order)
+    rem = _divide(list(vec) + [ring.zero()] * n, divisors)
+    head = len(vec)
+    return [-p for p in rem[head:]], rem[:head]
 
 
-def _divide(vec, divisors, quotients):
-    """`module_normal_form` by `divisors`; the quotients are None unless asked for.
+def _divide(vec, divisors):
+    """The remainder of `vec` by `divisors`, as Polynomials; see `module_normal_form`.
 
     An empty list of divisors leaves the vector as its own remainder.
     """
     if not divisors:
-        return [] if quotients else None, list(vec)
+        return list(vec)
     ring = vec[0].ring
     nums = _numerators(ring)
 
     def run():
         work, scale = _numerator_dicts(vec, nums, divisors.packing)
-        q, rem = _reduce(work, scale, divisors, nums, ring, quotients)
-        return q, _unpacked(rem, divisors.packing, ring)
+        return _unpacked(_reduce(work, scale, divisors, nums), divisors.packing, ring)
 
     return _widening(divisors, run)
 
@@ -597,7 +598,7 @@ def _numerator_dicts(vec, nums, packing):
 
 
 def divides_to_zero(vec, divisors):
-    """Whether `module_normal_form(vec, None, order, divisors)` leaves a zero remainder.
+    """Whether `_divide(vec, divisors)` leaves a zero remainder.
 
     The membership decider: `_reduce` in its deciding mode, which returns at
     the first remainder term and builds no quotient or remainder.  An empty
@@ -643,43 +644,44 @@ def products_divide_to_zero(f, factors, divisors):
     return _widening(divisors, run)
 
 
-def _reduce(work, scale, divisors, nums, ring=None, quotients=False, decide=False):
+def _reduce(work, scale, divisors, nums, decide=False):
     """The division loop of `module_normal_form` on a vector held as numerators.
 
     The vector is work[r][m] / scale: work[r] is the dict (packed monomial
     -> numerator, packed by `divisors.packing`) of entry r, and is used up.
-    Returns (quotients, remainder).  The quotients are Polynomials over the
-    field of `ring`, recorded, converted and unpacked only when `quotients`
-    is set, and None otherwise.  The remainder stays packed: entry r is a
-    dict (packed monomial -> field coefficient), which `_unpacked` turns
-    into a Polynomial and `_divisor` into a divisor.  Raises `_Overflow`
-    when a product does not fit the packing.
+    Returns the remainder, packed: entry r is a dict (packed monomial ->
+    field coefficient), which `_unpacked` turns into a Polynomial and
+    `_divisor` into a divisor.  A divisor may have more entries than the
+    vector (the tails of `_module_basis`), and only its first len(work)
+    are read, so a head is divided on its own.  Raises `_Overflow` when a
+    product does not fit the packing.
 
-    With `decide` (and no `quotients`) it only answers whether the
-    remainder is zero: it returns False when the first term lands in the
-    remainder and True when the loop ends without one.  It converts nothing with
-    `to_field`, and reads neither `scale` nor `ring`.  Stopping early is
-    exact, because a remainder term is final.  The steps after it subtract
-    multiples x^t * copy whose terms in its entry lie at or below the
-    pending monomial they reduce, and every pending monomial is strictly
-    smaller than the remainder term; the other steps touch only later
-    entries.  So the remainder is nonzero exactly when a term reaches it.
-    Scaling only multiplies the whole vector by a nonzero factor, which
-    does not decide whether a term is zero.
+    With `decide` it only answers whether the remainder is zero: it returns
+    False when the first term lands in the remainder and True when the loop
+    ends without one.  It converts nothing with `to_field` and does not read
+    `scale`.  Stopping early is exact, because a remainder term is final.
+    The steps after it subtract multiples x^t * copy whose terms in its
+    entry lie at or below the pending monomial they reduce, and every
+    pending monomial is strictly smaller than the remainder term; the other
+    steps touch only later entries.  So the remainder is nonzero exactly
+    when a term reaches it.  Scaling only multiplies the whole vector by a
+    nonzero factor, which does not decide whether a term is zero.
     """
     packing = divisors.packing
     const, guard = packing.const, packing.guard
     step = nums.step
-    heaps = []
-    for terms in work:
-        heap = [-m for m in terms]
-        heapq.heapify(heap)
-        heaps.append(heap)
     by_pos = [[] for _ in work]
-    for i, (lpos, _, _, lead, lm, rows) in enumerate(divisors):
-        by_pos[lpos].append((i, lm, lead, rows))
-    if quotients:
-        found = [{} for _ in divisors]
+    for lpos, _, _, lead, lm, rows in divisors:
+        by_pos[lpos].append((lm, lead, rows))
+    # an entry that no divisor leads (a tail) needs no heap: its terms all
+    # land in the remainder, at the scale they have when it is reached
+    heaps = []
+    for terms, candidates in zip(work, by_pos):
+        heap = None
+        if candidates:
+            heap = [-m for m in terms]
+            heapq.heapify(heap)
+        heaps.append(heap)
     if not decide:
         remainder = [{} for _ in work]
     n = len(work)
@@ -688,18 +690,21 @@ def _reduce(work, scale, divisors, nums, ring=None, quotients=False, decide=Fals
     for pos, terms in enumerate(work):
         heap = heaps[pos]
         candidates = by_pos[pos]
+        if heap is None:
+            if terms:
+                if decide:
+                    return False
+                remainder[pos] = {m: (c, scale) for m, c in terms.items()}
+            continue
         while heap:
             m = -heapq.heappop(heap)
             c = terms.pop(m, None)
             if c is None:
                 continue  # cancelled after it was pushed
-            for i, lm, lead, rows in candidates:
+            for lm, lead, rows in candidates:
                 t = m - lm + const
                 if not t & guard:  # lm divides m, and t is the quotient
                     factor, mult = step(c, lead)
-                    if quotients:
-                        # the leading monomials at `pos` strictly decrease, so t is new
-                        found[i][t] = (c, scale)
                     if factor is not None:
                         if not decide:
                             scale *= factor
@@ -721,16 +726,7 @@ def _reduce(work, scale, divisors, nums, ring=None, quotients=False, decide=Fals
     if decide:
         return True
     to_field = nums.to_field
-    out = None
-    if quotients:
-        unpack = packing.unpack
-        out = []
-        for (_, _, lc, _, _, _), q in zip(divisors, found):
-            terms = {unpack(t): to_field(c, s) for t, (c, s) in q.items()}
-            if terms and lc != 1:
-                terms = {t: v / lc for t, v in terms.items()}
-            out.append(Polynomial(ring, terms))
-    return out, [{m: to_field(c, s) for m, (c, s) in r.items()} for r in remainder]
+    return [{m: to_field(c, s) for m, (c, s) in r.items()} for r in remainder]
 
 
 def _add_multiple(terms, row, shift, mult, guard, heap=None, skip=None):
@@ -779,6 +775,15 @@ def _groebner(columns, order, track_reps):
     The basis vectors are monic, and `divisors` holds each one's divisor
     (see `_divisor`), built once, as the vector enters the basis.
 
+    With `track_reps`, column j enters as (col_j ; e_j): its nrows entries
+    (the head), then the j-th unit vector of length len(columns) (the
+    tail).  Every vector the loop builds is then a combination of these, so
+    its tail is the representation of its head by the columns, and the
+    basis and the reps are the two slices of each monic vector.  Leading
+    terms lie in the head, since no vector with a zero head enters, so the
+    pairs, the criteria and the basis are those of the columns alone, and
+    `divisors` divide a head as well as a vector with its tail.
+
     S-pairs are taken from a heap by lcm degree, then the lcm, then the
     pair's indices.  On vectors of one entry (polynomials) a pair is skipped
     when its leading monomials are coprime or, by the chain criterion, when
@@ -788,21 +793,20 @@ def _groebner(columns, order, track_reps):
     stays as it is.
 
     Each S-vector is built from the two divisors as numerators over one
-    scale (`_spair`) and divided by `_reduce` directly, which records
-    quotients only for the reps.  A nonzero remainder, made monic, gets its
-    divisor from the packed terms `_reduce` leaves; only the basis vector is
-    unpacked.  The rep of a new basis vector, x^ti * rep_i - x^tj * rep_j -
-    sum(q_k * rep_k), is summed in one term dict per entry (`_spair_rep`,
-    `_combine`).  Packing an input column, the chain criterion and each
-    S-pair reduction are steps of `_widening`; the pair heap holds exponent
-    tuples, which widening leaves alone.
+    scale (`_spair`) and divided by `_reduce` directly, first on its head
+    alone; only an S-vector whose head leaves a nonzero remainder, and so
+    adds a basis vector, is built and reduced again with its tail.  The
+    remainder, made monic, gets its divisor from the packed terms `_reduce`
+    leaves; only the output vector is unpacked.  Packing an input column,
+    the chain criterion and each S-pair reduction are steps of `_widening`;
+    the pair heap holds exponent tuples, which widening leaves alone.
     """
     nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
     if not nonzero:
         return [], [] if track_reps else None, []
     ring = columns[nonzero[0]][0].ring
-    units = PolyMatrix.identity(ring, len(columns)).rows if track_reps else None
-    rank1 = len(columns[nonzero[0]]) == 1
+    nrows = len(columns[nonzero[0]])
+    rank1 = nrows == 1
     nums = _numerators(ring)
     basis = []
     reps = [] if track_reps else None
@@ -810,18 +814,17 @@ def _groebner(columns, order, track_reps):
     pairs = []  # heap of (sum(lcm), lcm, i, j) over same-position i < j
     taken = set()
 
-    def add(values, rep):  # values[r]: the packed terms of entry r
+    def add(values):  # values[r]: the packed terms of entry r
         lead = next(terms for terms in values if terms)
         inv = 1 / lead[max(lead)]
         if inv != 1:
             values = [{m: c * inv for m, c in terms.items()} for terms in values]
-            if track_reps:
-                rep = [p.scale(inv) for p in rep]
         j = len(basis)
         divisors.append(_divisor(values, divisors.packing, nums))
-        basis.append(_unpacked(values, divisors.packing, ring))
+        vec = _unpacked(values, divisors.packing, ring)
+        basis.append(vec[:nrows])
         if track_reps:
-            reps.append(rep)
+            reps.append(vec[nrows:])
         pos, exps = divisors[j][:2]
         for i in range(j):
             if divisors[i][0] == pos:
@@ -829,8 +832,10 @@ def _groebner(columns, order, track_reps):
                 heapq.heappush(pairs, (sum(lcm), lcm, i, j))
 
     for j in nonzero:
-        add(_widening(divisors, _packed, columns[j], divisors),
-            units[j] if track_reps else None)
+        col = list(columns[j])
+        if track_reps:
+            col += _unit(ring, len(columns), j)
+        add(_widening(divisors, _packed, col, divisors))
     while pairs:
         _, lcm, i, j = heapq.heappop(pairs)
         if rank1:
@@ -838,10 +843,11 @@ def _groebner(columns, order, track_reps):
             if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _widening(
                     divisors, _chain_criterion, i, j, lcm, divisors, taken):
                 continue
-        q, rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, ring, track_reps)
+        rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, nrows)
         if any(rem):
-            add(rem, _combine(_spair_rep(reps, divisors, i, j), q, reps, ring)
-                if track_reps else None)
+            if track_reps:
+                rem = _widening(divisors, _reduce_spair, divisors, i, j, nums)
+            add(rem)
     return basis, reps, divisors
 
 
@@ -874,7 +880,7 @@ def _reduced_basis(gens, order):
         # the monic leading term, then the tail of the primitive copy over
         # its leading numerator, reduced
         _, _, coeff, lead, packed, (row,) = reduced[i]
-        (rem,) = _reduce([{m: c for m, c in row if m != packed}], lead, reduced, nums)[1]
+        (rem,) = _reduce([{m: c for m, c in row if m != packed}], lead, reduced, nums)
         return [{packed: coeff, **rem}]
 
     basis = []
@@ -901,7 +907,7 @@ def _chain_criterion(i, j, lcm, divisors, taken):
     )
 
 
-def _spair(divisors, i, j, nums):
+def _spair(divisors, i, j, nums, stop=None):
     """S-vector of the vectors behind divisors i and j (same leading position).
 
     Returns (work, scale): the S-vector x^ti * v_i / c_i - x^tj * v_j / c_j
@@ -913,8 +919,9 @@ def _spair(divisors, i, j, nums):
     numerators are (L_j/g) * x^ti * B_i - (L_i/g) * x^tj * B_j, built
     straight into one dict per entry, and the scale is L_i * L_j / g.  The
     value is exactly the field S-vector, so `_reduce` gives the same
-    quotients and remainder as on that vector.  Raises `_Overflow` when the
-    lcm or a product does not fit the packing.
+    remainder as on that vector.  Only the entries before `stop` are built
+    (all of them when it is None).  Raises `_Overflow` when the lcm or a
+    product does not fit the packing.
     """
     pos, ei, _, lead_i, pi, rows_i = divisors[i]
     pos_j, ej, _, lead_j, pj, rows_j = divisors[j]
@@ -925,7 +932,7 @@ def _spair(divisors, i, j, nums):
     a, b, scale = nums.pair(lead_i, lead_j)
     b = -b
     work = []
-    for row_i, row_j in zip(rows_i, rows_j):
+    for row_i, row_j in zip(rows_i[:stop], rows_j[:stop]):
         terms = {}
         _add_multiple(terms, row_i, lcm - pi, a, guard)
         _add_multiple(terms, row_j, lcm - pj, b, guard)
@@ -933,10 +940,10 @@ def _spair(divisors, i, j, nums):
     return work, scale
 
 
-def _reduce_spair(divisors, i, j, nums, ring, quotients):
-    """`_reduce` on the S-vector of divisors i and j."""
-    work, scale = _spair(divisors, i, j, nums)
-    return _reduce(work, scale, divisors, nums, ring, quotients)
+def _reduce_spair(divisors, i, j, nums, stop=None):
+    """`_reduce` on the entries before `stop` of the S-vector of divisors i and j."""
+    work, scale = _spair(divisors, i, j, nums, stop)
+    return _reduce(work, scale, divisors, nums)
 
 
 def _s_polynomial(f, g, order):
@@ -952,30 +959,15 @@ def _s_polynomial(f, g, order):
     return _widening(divisors, run)
 
 
-def _spair_rep(reps, divisors, i, j):
-    """Term dicts of x^ti * reps[i] - x^tj * reps[j], the rep of a monic basis's S-vector.
-
-    x^ti and x^tj take the leading monomials of divisors i and j to their lcm.
-    """
-    ei, ej = divisors[i][1], divisors[j][1]
-    lcm = monomial_lcm(ei, ej)
-    ti, tj = monomial_div(lcm, ei), monomial_div(lcm, ej)
-    out = []
-    for u, v in zip(reps[i], reps[j]):
-        terms = {monomial_mul(e, ti): c for e, c in u.terms.items()}
-        _sub_multiple(terms, v.terms.items(), tj)
-        out.append(terms)
-    return out
-
-
 def _module_basis(M, order):
     """(basis, reps, divisors) of the columns of M, built once per order and cached on M.
 
     The basis and representations are those of `module_groebner`; `divisors`
-    are the basis vectors as the division reads them (see `_divisor`), built
-    by the pair loop as each vector entered the basis.  The syzygies of M
-    (`_kernel_generators`), its exactness check (`verify_exactness`) and
-    lifts through it (`image_lifter`) all divide by this one basis.
+    are the vectors (basis ; rep) as the division reads them (see
+    `_divisor`), built by the pair loop as each vector entered the basis.
+    The syzygies of M (`_kernel_generators`), its exactness check
+    (`verify_exactness`, on heads alone) and lifts through it
+    (`image_lifter`) all divide by this one basis.
     """
     cached = M._bases.get(order)
     if cached is None:
@@ -987,10 +979,10 @@ def _kernel_generators(M, order):
     """Columns generating the kernel of M, before pruning; cached on M per order.
 
     Schreyer's construction on the basis of `_module_basis`: syzygies of the
-    module GB from all same-position S-pair reductions, mapped back through
-    the GB representations, together with the columns of I - P*Q expressing
-    the redundancy of the input columns.  Zero and duplicate columns are
-    dropped.  The list is shared by every caller; do not modify it.
+    module GB from all same-position S-pair reductions, together with the
+    columns of I - P*Q expressing the redundancy of the input columns, each
+    read off a tail.  Zero and duplicate columns are dropped.  The list is
+    shared by every caller; do not modify it.
     """
     kernel = M._kernels.get(order)
     if kernel is None:
@@ -999,35 +991,32 @@ def _kernel_generators(M, order):
 
 
 def _schreyer_kernel(M, order):
-    """The kernel generators of `_kernel_generators`, computed without the cache."""
+    """The kernel generators of `_kernel_generators`, computed without the cache.
+
+    Each generator is the tail of a remainder whose head is zero, by the
+    vectors (basis ; rep) of `_module_basis`: that of the S-vector of each
+    same-position pair, which reduces to zero on its head by Schreyer's
+    theorem, and that of (col_j ; e_j), the column of I - P*Q that writes
+    column j through the basis (e_j itself for a zero column).
+    """
     ring = M.ring
-    if M.is_zero():
-        return PolyMatrix.identity(ring, M.ncols).columns()
-    cols = M.columns()
-    basis, reps, divisors = _module_basis(M, order)
+    nrows = M.nrows
+    divisors = _module_basis(M, order)[2]
     nums = _numerators(ring)
 
     syz_cols = []
-    # Schreyer: every same-position S-pair of the final GB reduces to zero
-    for i, j in combinations(range(len(basis)), 2):
+    for i, j in combinations(range(len(divisors)), 2):
         if divisors[i][0] != divisors[j][0]:
             continue
-        q, rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, ring, True)
-        if any(rem):
+        rem = _widening(divisors, _reduce_spair, divisors, i, j, nums)
+        if any(rem[:nrows]):
             raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
-        syz_cols.append(_combine(_spair_rep(reps, divisors, i, j), q, reps, ring))
-
-    # columns of I - P*Q: each input column re-expressed through the GB
-    one = ring.one().terms
-    for j, col in enumerate(cols):
-        unit = [{} for _ in cols]
-        unit[j] = dict(one)
-        q = []
-        if not _vec_is_zero(col):
-            q, rem = module_normal_form(col, basis, order, divisors)
-            if not _vec_is_zero(rem):
-                raise AssertionError("input column failed to reduce against its own GB")
-        syz_cols.append(_combine(unit, q, reps, ring))
+        syz_cols.append(_unpacked(rem[nrows:], divisors.packing, ring))
+    for j, col in enumerate(M.columns()):
+        rem = _divide(col + _unit(ring, M.ncols, j), divisors)
+        if not _vec_is_zero(rem[:nrows]):
+            raise AssertionError("input column failed to reduce against its own GB")
+        syz_cols.append(rem[nrows:])
 
     # drop zero columns and duplicates, deterministically
     seen = set()
@@ -1090,7 +1079,7 @@ def prune_redundant_columns(columns, order=GREVLEX):
         for j, col in enumerate(cols):
             if degrees[j] != d:
                 continue
-            rem = _divide(col, divisors, False)[1]
+            rem = _divide(col, divisors)
             row = {(pos, e): c for pos, p in enumerate(rem) for e, c in p.terms.items()}
             for key, prow in pivots:
                 if key in row:
@@ -1188,7 +1177,8 @@ def image_lifter(M, order=GREVLEX):
     M that `_module_basis` caches on M, fetched at the first nonzero b: a
     differential whose syzygies were computed (every differential of a
     resolution) is lifted through with no new basis, and any other matrix
-    costs one basis however many vectors are lifted.
+    costs one basis however many vectors are lifted.  (b ; 0) is divided by
+    the vectors (basis ; rep), which leaves (remainder ; -x).
     """
     ring = M.ring
 
@@ -1197,11 +1187,11 @@ def image_lifter(M, order=GREVLEX):
             raise ValueError("vector length must equal the row count")
         if _vec_is_zero(b):
             return [ring.zero()] * M.ncols
-        basis, reps, divisors = _module_basis(M, order)
-        q, rem = module_normal_form(b, basis, order, divisors)
-        if not _vec_is_zero(rem):
-            raise NotInImageError(rem)
-        return _combine([{} for _ in range(M.ncols)], [-qk for qk in q], reps, ring)
+        divisors = _module_basis(M, order)[2]
+        rem = _divide(list(b) + [ring.zero()] * M.ncols, divisors)
+        if not _vec_is_zero(rem[:M.nrows]):
+            raise NotInImageError(rem[:M.nrows])
+        return [-p for p in rem[M.nrows:]]
 
     return lift
 

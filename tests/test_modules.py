@@ -15,7 +15,7 @@ from cmlink.modules import (
     PolyMatrix,
     _chain_criterion,
     _column_degrees,
-    _combine,
+    _divide,
     _divisors,
     _greedy_prune,
     _groebner,
@@ -25,7 +25,6 @@ from cmlink.modules import (
     _Packing,
     _reduce,
     _spair,
-    _spair_rep,
     _unpacked,
     _vec_is_zero,
     det_bareiss,
@@ -312,7 +311,7 @@ def test_decider_matches_the_division_remainder(ring, order, rank):
                 for _ in range(rank + 1)]
         basis, _, divisors = _groebner(cols, order, False)
         for vec in _decider_probes(ring, rng, cols):
-            rem = module_normal_form(vec, basis, order, divisors)[1]
+            rem = _divide(vec, divisors)
             expected = _vec_is_zero(rem)
             assert divides_to_zero(vec, divisors) is expected
             verdicts.add(expected)
@@ -421,9 +420,9 @@ def reference_combine(vec, coeffs, vectors):
 def reference_groebner(columns, order):
     """(basis, reps, divisors): the pair loop with field-arithmetic S-vectors and reps.
 
-    Each S-vector enters the division as a vector of Polynomials
-    (`module_normal_form`); the pair order and both criteria are those of
-    `modules._groebner`.
+    Each S-vector enters the tuple division as a vector of Polynomials
+    (`reference_normal_form`), whose quotients give the reps; the pair
+    order and both criteria are those of `modules._groebner`.
     """
     nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
     if not nonzero:
@@ -457,14 +456,18 @@ def reference_groebner(columns, order):
                     i, j, lcm, divisors, taken):
                 continue
         svec, srep = reference_spair(basis, reps, divisors, i, j)
-        q, rem = module_normal_form(svec, basis, order, divisors)
+        q, rem = reference_normal_form(svec, basis, order)
         if not _vec_is_zero(rem):
             add(rem, reference_combine(srep, q, reps))
     return basis, reps, divisors
 
 
 def reference_kernel(M, order, basis, reps, divisors):
-    """Schreyer's kernel generators of M from its reference basis, reps and divisors."""
+    """Schreyer's kernel generators of M from its reference basis, reps and divisors.
+
+    Each syzygy is summed in field arithmetic (`reference_combine`) from
+    the quotients of the tuple division (`reference_normal_form`).
+    """
     ring = M.ring
     cols = M.columns()
     syz_cols = []
@@ -472,7 +475,7 @@ def reference_kernel(M, order, basis, reps, divisors):
         if divisors[i][0] != divisors[j][0]:
             continue
         svec, srep = reference_spair(basis, reps, divisors, i, j)
-        q, rem = module_normal_form(svec, basis, order, divisors)
+        q, rem = reference_normal_form(svec, basis, order)
         assert _vec_is_zero(rem)
         syz_cols.append(reference_combine(srep, q, reps))
     for j, col in enumerate(cols):
@@ -481,7 +484,7 @@ def reference_kernel(M, order, basis, reps, divisors):
         if _vec_is_zero(col):
             syz_cols.append(unit)
             continue
-        q, rem = module_normal_form(col, basis, order, divisors)
+        q, rem = reference_normal_form(col, basis, order)
         assert _vec_is_zero(rem)
         syz_cols.append(reference_combine(unit, q, reps))
     kept = []
@@ -546,26 +549,29 @@ def _reference_case(case):
 def test_spair_steps_match_field_arithmetic_on_the_reference_basis(case):
     """Every same-position pair of the reference basis, one step at a time.
 
-    The numerator S-vector has the field S-vector's value, its division
-    gives the same quotients and remainder, and its syzygy the same vector.
+    The numerator S-vector of the vectors (basis ; rep) has the field
+    S-vector's value and rep, its division gives the same remainder, and
+    the tail of that remainder is the syzygy summed in field arithmetic
+    from the tuple division's quotients.
     """
     M, order, basis, reps, divisors = _reference_case(case)
     ring = M.ring
     nums = _numerators(ring)
+    head = M.nrows
+    augmented = _divisors([b + r for b, r in zip(basis, reps)], order)
+    unpack = augmented.packing.unpack
     for i, j in itertools.combinations(range(len(basis)), 2):
         if divisors[i][0] != divisors[j][0]:
             continue
         svec, srep = reference_spair(basis, reps, divisors, i, j)
-        work, scale = _spair(divisors, i, j, nums)
-        unpack = divisors.packing.unpack
+        work, scale = _spair(augmented, i, j, nums)
         assert [Polynomial(ring, {unpack(m): nums.to_field(c, scale)
                                   for m, c in terms.items()})
-                for terms in work] == svec
-        q, rem = _reduce(work, scale, divisors, nums, ring, quotients=True)
-        rem = _unpacked(rem, divisors.packing, ring)
-        assert (q, rem) == module_normal_form(svec, basis, order, divisors)
-        assert _combine(_spair_rep(reps, divisors, i, j), q, reps, ring) == \
-            reference_combine(srep, q, reps)
+                for terms in work] == svec + srep
+        rem = _unpacked(_reduce(work, scale, augmented, nums), augmented.packing, ring)
+        q, expected = reference_normal_form(svec, basis, order)
+        assert rem[:head] == expected
+        assert rem[head:] == reference_combine(srep, q, reps)
 
 
 @pytest.mark.parametrize("case", PAIR_LOOP_CASES)
@@ -681,6 +687,36 @@ def test_lift_through_no_columns():
     with pytest.raises(NotInImageError) as exc:
         image_lifter(M)(b)
     assert exc.value.remainder == b
+
+
+@pytest.mark.parametrize("basis", [
+    [[x, R.zero()], [R.zero(), R.zero()]],
+    [[R.zero(), R.zero()], [y, x]],
+    [[R.zero()]],
+], ids=["last", "first", "rank1"])
+def test_a_zero_basis_vector_is_rejected(basis):
+    """A zero divisor has no leading term, in the head or anywhere else."""
+    vec = [x**2 + y] * len(basis[0])
+    with pytest.raises(ValueError, match="zero vector has no leading term"):
+        module_normal_form(vec, basis, GREVLEX)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_a_zero_column_keeps_its_unit_syzygy_and_its_reps(order):
+    """Column 2 is zero: e_2 is a syzygy, and reps and lifts still hold."""
+    M = PolyMatrix.from_strings(R, [["x", "0", "y"], ["z", "0", "x"]])
+    e2 = [R.zero(), R.one(), R.zero()]
+    kernel = _kernel_generators(M, order)
+    assert e2 in kernel
+    assert kernel == reference_kernel(M, order, *reference_groebner(M.columns(), order))
+    S = syzygy_matrix(M, order)
+    assert e2 in S.columns()
+    assert all(_vec_is_zero(M * col) for col in S.columns())
+    basis, reps = module_groebner(M.columns(), order)
+    assert basis and all(vec == M * rep for vec, rep in zip(basis, reps))
+    for sol in ([y, x + 1, z**2], [R.one(), R.zero(), x * z - 2]):
+        b = M * sol
+        assert M * lift_through(b, M, order) == b
 
 
 def _as_text(columns):
@@ -892,7 +928,7 @@ WIDE_GENS = ("x^2*y - z", "x*y^2 - x + 1")
 
 
 @pytest.mark.parametrize("order, k, width", WIDE_WIDTHS)
-def test_wide_exponents_restart_the_pair_loop_at_double_width(order, k, width):
+def test_wide_exponents_widen_the_pair_loop_to_double_width(order, k, width):
     """The pair loop ends at the narrowest fields its steps need, with the scaled basis.
 
     Only the step that overflowed runs again (see
@@ -1035,7 +1071,8 @@ def test_a_probe_too_wide_for_a_cached_basis_widens_it(order):
             verdicts.append(expected)
             assert I.contains(probe, order) is expected
             assert normal_form(probe, gb, order).remainder == rem[0]
-            assert module_normal_form([probe], basis, order, divisors) == (q, rem)
+            assert _divide([probe], divisors) == rem
+            assert module_normal_form([probe], basis, order) == (q, rem)
         assert verdicts == [True, False, False]
         assert I._basis(order)[1] is divisors
         assert divisors.packing.width == width

@@ -16,9 +16,14 @@ inputs fit), `Ideal.contains`, `Ideal.contains_products` with wide factors,
 cached, under grevlex, lex and a block order, with exponents 127, 128, 255
 and 40000.  These pass the engine's smallest monomial fields and make it
 widen them while it packs inputs, checks the chain criterion, reduces
-S-pairs, reduces a basis, divides and decides.  The corpus calls only the
-public API, so it runs on any checkout.  An operation stopped at its
-budget (or at 60 s when it has none) is written as `<over budget>`.
+S-pairs, reduces a basis, divides and decides.  Last come the cases over
+both coefficient fields (`field_cases`), written as workload `fields`
+with the field in place of the seed: the module basis and reps of three
+QQ(s) columns, the quotients of divisions by a two-row basis that is not
+monic, over QQ and over QQ(s), and `syzygy_matrix` and `lift_through`
+over QQ(s), each well under a second.  Both corpora call only the public
+API, so they run on any checkout.  An operation stopped at its budget (or
+at 60 s when it has none) is written as `<over budget>`.
 Outputs of two checkouts are the same exactly when
 
     python3 tools/op_outputs.py PARENT parent.txt
@@ -81,6 +86,39 @@ def wide_cases(cmlink, k):
                    lambda o=order: [_lift(cmlink, b, matrix, o) for b in targets])
 
 
+def field_cases(cmlink):
+    """(field, case) pairs over QQ and QQ(s), each with the safety budget."""
+    qq = cmlink.Ring(("x", "y", "z"))
+    qq_s = cmlink.Ring(("x", "y", "z"), ("s",))
+    columns = [["s*x*z", "x*y + s*x", "(s+1)*y - 2*z"],
+               ["1/(1-s)*z + 1", "-2*x*y*z + 1/(1-s)*x*y", "(s+1)*x*y*z - 2"],
+               ["s*x*y + 1/(1-s)*z", "1/(1-s)*z", "s*x*y + z"]]
+    columns = [[qq_s.poly(t) for t in col] for col in columns]
+    yield "QQ(s)", Case("module-groebner",
+                        lambda: cmlink.module_groebner(columns, cmlink.GREVLEX))
+    # two-row bases whose leading coefficients are not 1
+    bases = {"QQ": (qq, [["2*x + y", "3*z"], ["-3*y^2", "5*x - 1"], ["0", "4*x*y - z"]]),
+             "QQ(s)": (qq_s, [["s*x + y", "(s+1)*z"], ["1/(1-s)*y^2", "2*s*x - 1"],
+                              ["0", "(s+2)*x*y - z"]])}
+    for field, (ring, basis) in bases.items():
+        basis = [[ring.poly(t) for t in vec] for vec in basis]
+        vecs = [[ring.poly(t) for t in vec]
+                for vec in (["x^3 + y^2*z", "x*y*z - 1"], ["y^3 - 2*x", "x^2*y + z^2"])]
+        for name, order in (("grevlex", cmlink.GREVLEX), ("lex", cmlink.LEX)):
+            yield field, Case(f"module-normal-form-{name}", lambda b=basis, v=vecs, o=order: [
+                cmlink.module_normal_form(vec, b, o) for vec in v])
+    matrices = {"inhomogeneous": [["s*x", "y^2 - z", "x*z"],
+                                  ["z", "(s+1)*x*y + 1/(1-s)", "y"]],
+                "homogeneous": [["s*x", "y", "x + z"], ["y", "(s+1)*z", "1/(1-s)*x"]]}
+    for name, rows in matrices.items():
+        matrix = cmlink.PolyMatrix.from_strings(qq_s, rows)
+        targets = [matrix * [qq_s.poly(t) for t in ("y + s", "1/(1+s)*x", "z^2 - 1")],
+                   [qq_s.poly("x"), qq_s.poly("s")]]
+        yield "QQ(s)", Case(f"syzygy-matrix-{name}", lambda m=matrix: cmlink.syzygy_matrix(m))
+        yield "QQ(s)", Case(f"lift-through-{name}", lambda m=matrix, t=targets: [
+            _lift(cmlink, b, m, cmlink.GREVLEX) for b in t])
+
+
 def _lift(cmlink, b, matrix, order):
     """`lift_through(b, matrix, order)`, or the error and its remainder when b is not in the image."""
     try:
@@ -133,6 +171,8 @@ def main(argv=None):
         for k in WIDE_EXPONENTS:
             for case in wide_cases(cmlink, k):
                 lines.append(f"wide\t{k}\t{case.name}\t{_run(case)}\n")
+        for field, case in field_cases(cmlink):
+            lines.append(f"fields\t{field}\t{case.name}\t{_run(case)}\n")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     with open(out, "w", encoding="utf-8") as fh:
