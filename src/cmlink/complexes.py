@@ -299,7 +299,7 @@ def verify_exactness(C, order=GREVLEX):
             if kernel:
                 failures.append((k, "kernel of the last differential is nonzero", kernel[0]))
             continue
-        divisors = _module_basis(diffs[k], order)[2]
+        divisors = _module_basis(diffs[k], order)
         for v in kernel:
             if not divides_to_zero(v, divisors):
                 failures.append((k, "kernel vector not in the image", v))

@@ -5,7 +5,9 @@ computation, and exact lifting of a vector through the image of a matrix.
 Vectors are lists of polynomials.  Inside the division and pair loops a
 monomial is one int (`_Packing`), packed when it enters the engine and
 unpacked when an output `Polynomial` is built; a module term is an entry
-position and such an int.  No other module sees a packed monomial.
+position and such an int.  No other module sees a packed monomial.  A
+coefficient is a numerator over one scale per vector; only `_unpacked`,
+which builds the output Polynomials, makes a field coefficient.
 
 The module order is position-over-term, the only one used: a lower position
 wins, then the ring's `MonomialOrder` on exponents.  No object stands for
@@ -18,12 +20,13 @@ the ring order and the loop skips pairs by the coprime and chain criteria.
 The division is fraction-free: it works on numerators (integers over QQ,
 polynomials in the parameters over QQ(params)) and divides by the primitive
 numerator copy that each basis vector gets once, when it enters its basis
-(`_divisor`).  The S-vectors of the pair loop and of the Schreyer kernel
-are built from two such copies as numerators over one scale (`_spair`) and
-go to the inner loop of the division (`_reduce`) without a `Polynomial` in
-between, and a remainder that enters a basis gets its copy straight from
-the packed terms `_reduce` leaves.  Membership, a question that needs no
-quotient, is decided by the same loop stopped at the first remainder term
+(`_divisor`); a basis is the list of its copies (`_Divisors`).  The
+S-vectors of the pair loop and of the Schreyer kernel are built from two
+such copies as numerators over one scale (`_spair`) and go to the inner
+loop of the division (`_reduce`) without a `Polynomial` in between, and a
+remainder that enters a basis gets its copy straight from the numerators
+`_reduce` leaves.  Membership, a question that needs no quotient, is
+decided by the same loop stopped at the first remainder term
 (`divides_to_zero`, `products_divide_to_zero`).
 
 Quotients, representations, syzygies and lifts come from that one loop too,
@@ -98,7 +101,7 @@ class PolyMatrix:
         self.ring = ring
         self.nrows = len(rows)
         self.ncols = ncols
-        self._bases = {}  # monomial order -> (basis, reps, divisors) of the columns
+        self._bases = {}  # monomial order -> divisors of the module basis of the columns
         self._kernels = {}  # monomial order -> kernel generators
 
     @classmethod
@@ -236,13 +239,9 @@ class _IntegerNumerators:
             return [c.numerator for c in coeffs], d
         return [c.numerator * (d // c.denominator) for c in coeffs], d
 
-    @classmethod
-    def primitive(cls, coeffs, lead):
-        """coeffs times one rational, as coprime integers; `lead`'s sign becomes positive.
-
-        `lead` is one of coeffs.
-        """
-        nums = cls.clear(coeffs)[0]
+    @staticmethod
+    def primitive(nums, lead):
+        """The integers nums over their gcd, with `lead`, one of them, made positive."""
         g = math.gcd(*nums)
         return [n // g for n in nums] if lead > 0 else [n // -g for n in nums]
 
@@ -289,12 +288,12 @@ class _PolynomialNumerators:
             factors[den] = d.exquo(den)
         return [c.numer * factors[c.denom] for c in coeffs], d
 
-    def primitive(self, coeffs, lead):
-        """coeffs times one field element, with no common factor of positive degree.
+    @staticmethod
+    def primitive(nums, lead):
+        """The numerators nums over their gcd, with no common factor of positive degree.
 
-        `lead` is one of coeffs; rational signs and factors are units here.
+        `lead` is one of nums; rational signs and factors are units here.
         """
-        nums = self.clear(coeffs)[0]
         g = nums[0]
         for n in nums[1:]:
             if g.is_ground:
@@ -399,6 +398,9 @@ class _Packing:
         return tuple([(m >> s) & top for s in self.shifts])
 
 
+_packing = functools.cache(_Packing)  # shared: one per (order, nvars, width), never changed
+
+
 def _grevlex_fields(variables):
     """(variables, complemented) fields of a grevlex block, most significant first."""
     variables = tuple(variables)
@@ -419,14 +421,14 @@ class _Divisors(list):
 
     def widen(self):
         old = self.packing
-        new = _Packing(old.order, old.nvars, 2 * old.width)
+        new = _packing(old.order, old.nvars, 2 * old.width)
 
         def repack(m):
             return new.pack(old.unpack(m))
 
-        self[:] = [(pos, exps, coeff, lead, repack(packed),
+        self[:] = [(pos, exps, lead, repack(packed),
                     [tuple((repack(m), c) for m, c in row) for row in rows])
-                   for pos, exps, coeff, lead, packed, rows in self]
+                   for pos, exps, lead, packed, rows in self]
         self.packing = new
 
 
@@ -450,53 +452,53 @@ def _divisors(basis, order):
     """Each nonzero basis vector as `module_normal_form` divides by it, in a `_Divisors`.
 
     See `_divisor`.  The packing starts at 8-bit fields, and each vector is
-    packed as one step (`_widening`).  An empty basis gives an empty list.
+    cleared to numerators and packed as one step (`_widening`).  An empty
+    basis gives an empty list.
     """
     if not basis:
         return []
     ring = basis[0][0].ring
     nums = _numerators(ring)
-    divisors = _Divisors(_Packing(order, ring.nvars))
+    divisors = _Divisors(_packing(order, ring.nvars))
     for vec in basis:
-        values = _widening(divisors, _packed, vec, divisors)
-        divisors.append(_divisor(values, divisors.packing, nums))
+        work = _widening(divisors, _numerator_dicts, vec, nums, divisors)[0]
+        divisors.append(_divisor(work, divisors.packing, nums))
     return divisors
 
 
-def _packed(vec, divisors):
-    """Entry r of a vector as a dict (packed monomial -> coefficient), packed by `divisors`."""
-    pack = divisors.packing.pack
-    return [dict(zip(map(pack, p.terms), p.terms.values())) for p in vec]
-
-
 def _divisor(values, packing, nums):
-    """The divisor of the nonzero vector whose entry r has the packed terms values[r].
+    """The divisor of the nonzero vector whose entry r has the packed numerators values[r].
 
-    A divisor is (position, leading exponents, leading coefficient, leading
-    numerator, packed leading monomial, rows): rows[r] lists the (packed
-    monomial, numerator) terms of entry r of a primitive numerator copy of
-    the vector (over QQ coprime integers with a positive leading one), whose
-    leading coefficient is the leading numerator.  The leading term is the
-    largest packed monomial of the first nonzero entry.
+    The numerators may be over any scale.  A divisor is (position, leading
+    exponents, leading numerator, packed leading monomial, rows): rows[r]
+    lists the (packed monomial, numerator) terms of entry r of the primitive
+    part of the numerators (over QQ coprime integers with a positive leading
+    one), whose leading coefficient is the leading numerator.  The leading
+    term is the largest packed monomial of the first nonzero entry.
     """
     pos = next((r for r, terms in enumerate(values) if terms), None)
     if pos is None:
         raise ValueError("zero vector has no leading term")
     packed = max(values[pos])
-    coeff = values[pos][packed]
-    flat = nums.primitive([c for terms in values for c in terms.values()], coeff)
+    flat = nums.primitive([c for terms in values for c in terms.values()],
+                          values[pos][packed])
     rows = []
     k = 0
     for terms in values:
         rows.append(tuple(zip(terms, flat[k:k + len(terms)])))
         k += len(terms)
-    return pos, packing.unpack(packed), coeff, dict(rows[pos])[packed], packed, rows
+    return pos, packing.unpack(packed), dict(rows[pos])[packed], packed, rows
 
 
-def _unpacked(values, packing, ring):
-    """The vector of Polynomials whose entry r has the packed terms values[r]."""
+def _unpacked(values, scale, packing, nums, ring):
+    """The Polynomials values[r] / scale, values[r] a dict (packed monomial -> numerator).
+
+    The one place where a numerator becomes a field coefficient.
+    """
     unpack = packing.unpack
-    return [Polynomial(ring, {unpack(m): c for m, c in terms.items()}) for terms in values]
+    to_field = nums.to_field
+    return [Polynomial(ring, {unpack(m): to_field(c, scale) for m, c in terms.items()})
+            for terms in values]
 
 
 def _unit(ring, n, j):
@@ -523,9 +525,10 @@ def module_normal_form(vec, basis, order):
     QQ[params] every nonzero rational is one) it multiplies the pending
     numerators and the scale by L/g; then it subtracts (C/g) * x^t * copy,
     or (C/L) * x^t * copy when L/g is a unit.  No step divides in the
-    field.  A remainder term keeps its numerator and the scale of the
-    moment it is found, and becomes `Fraction(C, scale)` or
-    `field.new(C, scale)` on the way out.
+    field.  A step that scales the pending numerators scales the remainder
+    terms found so far too, so the remainder is numerators over the final
+    scale, and each of its terms becomes `Fraction(C, scale)` or
+    `field.new(C, scale)` only when the output is built (`_unpacked`).
 
     The values are those of field arithmetic, and so are the steps:
     scaling the working vector makes no term vanish or appear, so the same
@@ -578,21 +581,22 @@ def _divide(vec, divisors):
     nums = _numerators(ring)
 
     def run():
-        work, scale = _numerator_dicts(vec, nums, divisors.packing)
-        return _unpacked(_reduce(work, scale, divisors, nums), divisors.packing, ring)
+        work, scale = _numerator_dicts(vec, nums, divisors)
+        return _unpacked(*_reduce(work, scale, divisors, nums), divisors.packing, nums, ring)
 
     return _widening(divisors, run)
 
 
-def _numerator_dicts(vec, nums, packing):
-    """(work, scale) with entry r of the vector equal to work[r][m] / scale.
+def _numerator_dicts(vec, nums, divisors):
+    """(work, scale) with entry r of the Polynomial vector equal to work[r][m] / scale.
 
-    work[r] is a new dict (packed monomial -> numerator) per entry, as
-    `_reduce` takes it.
+    The one packer of a Polynomial vector: work[r] is a new dict (monomial
+    packed by `divisors.packing` -> numerator) per entry, as `_reduce` and
+    `_divisor` take it.
     """
     numer, scale = nums.clear([c for p in vec for c in p.terms.values()])
     numer = iter(numer)
-    pack = packing.pack
+    pack = divisors.packing.pack
     # zip stops at the end of p.terms before it draws from `numer`
     return [dict(zip(map(pack, p.terms), numer)) for p in vec], scale
 
@@ -609,7 +613,7 @@ def divides_to_zero(vec, divisors):
     nums = _numerators(vec[0].ring)
 
     def run():
-        work = _numerator_dicts(vec, nums, divisors.packing)[0]
+        work = _numerator_dicts(vec, nums, divisors)[0]
         return _reduce(work, None, divisors, nums, decide=True)
 
     return _widening(divisors, run)
@@ -630,10 +634,10 @@ def products_divide_to_zero(f, factors, divisors):
     def run():
         packing = divisors.packing
         const, guard = packing.const, packing.guard
-        (f_terms,), _ = _numerator_dicts([f], nums, packing)
+        (f_terms,), _ = _numerator_dicts([f], nums, divisors)
         f_terms = f_terms.items()
         for h in factors:
-            (h_terms,), _ = _numerator_dicts([h], nums, packing)
+            (h_terms,), _ = _numerator_dicts([h], nums, divisors)
             work = {}
             for e, c in h_terms.items():
                 _add_multiple(work, f_terms, e - const, c, guard)
@@ -649,8 +653,8 @@ def _reduce(work, scale, divisors, nums, decide=False):
 
     The vector is work[r][m] / scale: work[r] is the dict (packed monomial
     -> numerator, packed by `divisors.packing`) of entry r, and is used up.
-    Returns the remainder, packed: entry r is a dict (packed monomial ->
-    field coefficient), which `_unpacked` turns into a Polynomial and
+    Returns (remainder, scale), the remainder in the same form over the
+    scale the loop ends at, which `_unpacked` turns into Polynomials and
     `_divisor` into a divisor.  A divisor may have more entries than the
     vector (the tails of `_module_basis`), and only its first len(work)
     are read, so a head is divided on its own.  Raises `_Overflow` when a
@@ -658,23 +662,23 @@ def _reduce(work, scale, divisors, nums, decide=False):
 
     With `decide` it only answers whether the remainder is zero: it returns
     False when the first term lands in the remainder and True when the loop
-    ends without one.  It converts nothing with `to_field` and does not read
-    `scale`.  Stopping early is exact, because a remainder term is final.
-    The steps after it subtract multiples x^t * copy whose terms in its
-    entry lie at or below the pending monomial they reduce, and every
-    pending monomial is strictly smaller than the remainder term; the other
-    steps touch only later entries.  So the remainder is nonzero exactly
-    when a term reaches it.  Scaling only multiplies the whole vector by a
-    nonzero factor, which does not decide whether a term is zero.
+    ends without one.  It does not read `scale`.  Stopping early is exact,
+    because a remainder term is final.  The steps after it subtract
+    multiples x^t * copy whose terms in its entry lie at or below the
+    pending monomial they reduce, and every pending monomial is strictly
+    smaller than the remainder term; the other steps touch only later
+    entries.  So the remainder is nonzero exactly when a term reaches it.
+    Scaling only multiplies the whole vector by a nonzero factor, which
+    does not decide whether a term is zero.
     """
     packing = divisors.packing
     const, guard = packing.const, packing.guard
     step = nums.step
     by_pos = [[] for _ in work]
-    for lpos, _, _, lead, lm, rows in divisors:
+    for lpos, _, lead, lm, rows in divisors:
         by_pos[lpos].append((lm, lead, rows))
     # an entry that no divisor leads (a tail) needs no heap: its terms all
-    # land in the remainder, at the scale they have when it is reached
+    # land in the remainder when it is reached
     heaps = []
     for terms, candidates in zip(work, by_pos):
         heap = None
@@ -682,8 +686,7 @@ def _reduce(work, scale, divisors, nums, decide=False):
             heap = [-m for m in terms]
             heapq.heapify(heap)
         heaps.append(heap)
-    if not decide:
-        remainder = [{} for _ in work]
+    remainder = [{} for _ in work]
     n = len(work)
     # a divisor leading at `pos` is zero above `pos`, so once an entry is
     # reduced no later step touches it again
@@ -694,7 +697,7 @@ def _reduce(work, scale, divisors, nums, decide=False):
             if terms:
                 if decide:
                     return False
-                remainder[pos] = {m: (c, scale) for m, c in terms.items()}
+                remainder[pos] = terms
             continue
         while heap:
             m = -heapq.heappop(heap)
@@ -708,8 +711,8 @@ def _reduce(work, scale, divisors, nums, decide=False):
                     if factor is not None:
                         if not decide:
                             scale *= factor
-                        for r in range(pos, n):
-                            w = work[r]
+                        # the remainder found so far and every pending term
+                        for w in remainder[:pos + 1] + work[pos:]:
                             for k in w:
                                 w[k] *= factor
                     mult = -mult
@@ -722,11 +725,10 @@ def _reduce(work, scale, divisors, nums, decide=False):
             else:
                 if decide:
                     return False
-                remainder[pos][m] = (c, scale)
+                remainder[pos][m] = c
     if decide:
         return True
-    to_field = nums.to_field
-    return [{m: to_field(c, s) for m, (c, s) in r.items()} for r in remainder]
+    return remainder, scale
 
 
 def _add_multiple(terms, row, shift, mult, guard, heap=None, skip=None):
@@ -763,26 +765,33 @@ def module_groebner(columns, order=GREVLEX):
     Returns (basis, reps) where each basis vector equals
     sum(reps[k][j] * columns[j]).  The pair loop is `_groebner`, the one
     Buchberger loop of the package; `groebner.buchberger` runs it on
-    vectors of one entry.
+    vectors of one entry.  A basis vector and its rep are the numerator
+    copy of a divisor of the loop over its leading numerator.
     """
-    basis, reps, _ = _groebner(columns, order, True)
-    return basis, reps
+    divisors = _groebner(columns, order, True)
+    if not divisors:
+        return [], []
+    ring = columns[0][0].ring
+    nums = _numerators(ring)
+    nrows = len(columns[0])
+    vecs = [_unpacked(map(dict, rows), lead, divisors.packing, nums, ring)
+            for _, _, lead, _, rows in divisors]
+    return [v[:nrows] for v in vecs], [v[nrows:] for v in vecs]
 
 
 def _groebner(columns, order, track_reps):
-    """(basis, reps, divisors) of the given vectors; reps is None unless tracked.
+    """The `_Divisors` of a module Groebner basis of the given vectors.
 
-    The basis vectors are monic, and `divisors` holds each one's divisor
-    (see `_divisor`), built once, as the vector enters the basis.
+    Each divisor (see `_divisor`) is built once, as its vector enters the
+    basis, and no other form of the basis is kept.
 
     With `track_reps`, column j enters as (col_j ; e_j): its nrows entries
     (the head), then the j-th unit vector of length len(columns) (the
     tail).  Every vector the loop builds is then a combination of these, so
-    its tail is the representation of its head by the columns, and the
-    basis and the reps are the two slices of each monic vector.  Leading
+    its tail is the representation of its head by the columns.  Leading
     terms lie in the head, since no vector with a zero head enters, so the
     pairs, the criteria and the basis are those of the columns alone, and
-    `divisors` divide a head as well as a vector with its tail.
+    the divisors divide a head as well as a vector with its tail.
 
     S-pairs are taken from a heap by lcm degree, then the lcm, then the
     pair's indices.  On vectors of one entry (polynomials) a pair is skipped
@@ -796,35 +805,25 @@ def _groebner(columns, order, track_reps):
     scale (`_spair`) and divided by `_reduce` directly, first on its head
     alone; only an S-vector whose head leaves a nonzero remainder, and so
     adds a basis vector, is built and reduced again with its tail.  The
-    remainder, made monic, gets its divisor from the packed terms `_reduce`
-    leaves; only the output vector is unpacked.  Packing an input column,
-    the chain criterion and each S-pair reduction are steps of `_widening`;
-    the pair heap holds exponent tuples, which widening leaves alone.
+    remainder's numerators become its divisor, and no Polynomial is built.
+    Packing an input column, the chain criterion and each S-pair reduction
+    are steps of `_widening`; the pair heap holds exponent tuples, which
+    widening leaves alone.
     """
     nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
     if not nonzero:
-        return [], [] if track_reps else None, []
+        return []
     ring = columns[nonzero[0]][0].ring
     nrows = len(columns[nonzero[0]])
     rank1 = nrows == 1
     nums = _numerators(ring)
-    basis = []
-    reps = [] if track_reps else None
-    divisors = _Divisors(_Packing(order, ring.nvars))
+    divisors = _Divisors(_packing(order, ring.nvars))
     pairs = []  # heap of (sum(lcm), lcm, i, j) over same-position i < j
     taken = set()
 
-    def add(values):  # values[r]: the packed terms of entry r
-        lead = next(terms for terms in values if terms)
-        inv = 1 / lead[max(lead)]
-        if inv != 1:
-            values = [{m: c * inv for m, c in terms.items()} for terms in values]
-        j = len(basis)
+    def add(values):  # values[r]: the packed numerators of entry r
+        j = len(divisors)
         divisors.append(_divisor(values, divisors.packing, nums))
-        vec = _unpacked(values, divisors.packing, ring)
-        basis.append(vec[:nrows])
-        if track_reps:
-            reps.append(vec[nrows:])
         pos, exps = divisors[j][:2]
         for i in range(j):
             if divisors[i][0] == pos:
@@ -835,7 +834,7 @@ def _groebner(columns, order, track_reps):
         col = list(columns[j])
         if track_reps:
             col += _unit(ring, len(columns), j)
-        add(_widening(divisors, _packed, col, divisors))
+        add(_widening(divisors, _numerator_dicts, col, nums, divisors)[0])
     while pairs:
         _, lcm, i, j = heapq.heappop(pairs)
         if rank1:
@@ -843,12 +842,12 @@ def _groebner(columns, order, track_reps):
             if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _widening(
                     divisors, _chain_criterion, i, j, lcm, divisors, taken):
                 continue
-        rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, nrows)
+        rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, nrows)[0]
         if any(rem):
             if track_reps:
-                rem = _widening(divisors, _reduce_spair, divisors, i, j, nums)
+                rem = _widening(divisors, _reduce_spair, divisors, i, j, nums)[0]
             add(rem)
-    return basis, reps, divisors
+    return divisors
 
 
 def _reduced_basis(gens, order):
@@ -859,49 +858,49 @@ def _reduced_basis(gens, order):
     equal ones stays), then reduce the tail of each one left by the divisors
     of all of them, one `_widening` step each.  No tail monomial is divisible
     by its own leading one, and a remainder by a Groebner basis is the same
-    for every basis of the ideal, so the divisor built from the packed
-    remainder replaces the old one at once.  The basis descends by leading
+    for every basis of the ideal, so the divisor built from the remainder's
+    numerators replaces the old one at once.  The basis descends by leading
     monomial, and the divisors follow it.
     """
-    vecs, _, divisors = _groebner([[g] for g in gens], order, False)
-    if not vecs:
+    divisors = _groebner([[g] for g in gens], order, False)
+    if not divisors:
         return [], divisors
-    ring = vecs[0][0].ring
+    ring = gens[0].ring
     nums = _numerators(ring)
     packing = divisors.packing
     const, guard = packing.const, packing.guard
     kept = []  # ascending, so a divisor of a leading monomial is met first
-    for d in sorted(divisors, key=operator.itemgetter(4)):
-        if all((d[4] - k[4] + const) & guard for k in kept):
+    for d in sorted(divisors, key=operator.itemgetter(3)):
+        if all((d[3] - k[3] + const) & guard for k in kept):
             kept.append(d)
     reduced = _Divisors(packing, kept[::-1])
 
     def reduce_tail(i):
-        # the monic leading term, then the tail of the primitive copy over
-        # its leading numerator, reduced
-        _, _, coeff, lead, packed, (row,) = reduced[i]
-        (rem,) = _reduce([{m: c for m, c in row if m != packed}], lead, reduced, nums)
-        return [{packed: coeff, **rem}]
+        # the tail of the primitive copy over its leading numerator, reduced,
+        # after the leading term, whose numerator is the scale: a monic vector
+        _, _, lead, packed, (row,) = reduced[i]
+        (rem,), scale = _reduce([{m: c for m, c in row if m != packed}], lead, reduced, nums)
+        return [{packed: scale, **rem}], scale
 
     basis = []
     for i in range(len(reduced)):
-        values = _widening(reduced, reduce_tail, i)
+        values, scale = _widening(reduced, reduce_tail, i)
         reduced[i] = _divisor(values, reduced.packing, nums)
-        basis.append(_unpacked(values, reduced.packing, ring)[0])
+        basis.append(_unpacked(values, scale, reduced.packing, nums, ring)[0])
     return basis, reduced
 
 
 def _chain_criterion(i, j, lcm, divisors, taken):
     """Some k, with a leading monomial dividing lcm, has had its pairs with i and j taken.
 
-    divisors[k][4] is the packed leading monomial of basis element k; `lcm`
+    divisors[k][3] is the packed leading monomial of basis element k; `lcm`
     is an exponent tuple, packed here (`_Overflow` when it does not fit).
     """
     packing = divisors.packing
     const, guard = packing.const, packing.guard
     lcm = packing.pack(lcm) + const
     return any(
-        k not in (i, j) and not (lcm - d[4]) & guard
+        k not in (i, j) and not (lcm - d[3]) & guard
         and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
         for k, d in enumerate(divisors)
     )
@@ -923,8 +922,8 @@ def _spair(divisors, i, j, nums, stop=None):
     (all of them when it is None).  Raises `_Overflow` when the lcm or a
     product does not fit the packing.
     """
-    pos, ei, _, lead_i, pi, rows_i = divisors[i]
-    pos_j, ej, _, lead_j, pj, rows_j = divisors[j]
+    pos, ei, lead_i, pi, rows_i = divisors[i]
+    pos_j, ej, lead_j, pj, rows_j = divisors[j]
     assert pos == pos_j
     packing = divisors.packing
     guard = packing.guard
@@ -953,19 +952,17 @@ def _s_polynomial(f, g, order):
 
     def run():
         work, scale = _spair(divisors, 0, 1, nums)
-        return _unpacked([{m: nums.to_field(c, scale) for m, c in work[0].items()}],
-                         divisors.packing, f.ring)[0]
+        return _unpacked(work, scale, divisors.packing, nums, f.ring)[0]
 
     return _widening(divisors, run)
 
 
 def _module_basis(M, order):
-    """(basis, reps, divisors) of the columns of M, built once per order and cached on M.
+    """The divisors of the module basis of the columns of M, built once per order and cached on M.
 
-    The basis and representations are those of `module_groebner`; `divisors`
-    are the vectors (basis ; rep) as the division reads them (see
-    `_divisor`), built by the pair loop as each vector entered the basis.
-    The syzygies of M (`_kernel_generators`), its exactness check
+    They are the divisors of the vectors (basis ; rep) of `module_groebner`
+    (see `_divisor`), built by the pair loop as each vector entered the
+    basis.  The syzygies of M (`_kernel_generators`), its exactness check
     (`verify_exactness`, on heads alone) and lifts through it
     (`image_lifter`) all divide by this one basis.
     """
@@ -1001,17 +998,17 @@ def _schreyer_kernel(M, order):
     """
     ring = M.ring
     nrows = M.nrows
-    divisors = _module_basis(M, order)[2]
+    divisors = _module_basis(M, order)
     nums = _numerators(ring)
 
     syz_cols = []
     for i, j in combinations(range(len(divisors)), 2):
         if divisors[i][0] != divisors[j][0]:
             continue
-        rem = _widening(divisors, _reduce_spair, divisors, i, j, nums)
+        rem, scale = _widening(divisors, _reduce_spair, divisors, i, j, nums)
         if any(rem[:nrows]):
             raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
-        syz_cols.append(_unpacked(rem[nrows:], divisors.packing, ring))
+        syz_cols.append(_unpacked(rem[nrows:], scale, divisors.packing, nums, ring))
     for j, col in enumerate(M.columns()):
         rem = _divide(col + _unit(ring, M.ncols, j), divisors)
         if not _vec_is_zero(rem[:nrows]):
@@ -1074,7 +1071,7 @@ def prune_redundant_columns(columns, order=GREVLEX):
     keep = [False] * len(cols)
     for d in sorted(set(degrees)):
         below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
-        divisors = _groebner(below, order, False)[2]
+        divisors = _groebner(below, order, False)
         pivots = []  # (key, row): rows in echelon form, each zero at earlier keys
         for j, col in enumerate(cols):
             if degrees[j] != d:
@@ -1160,7 +1157,7 @@ def _greedy_prune(cols, order):
     idx = len(cols) - 1
     while idx >= 0 and len(cols) > 1:
         others = cols[:idx] + cols[idx + 1 :]
-        divisors = _groebner(others, order, False)[2]
+        divisors = _groebner(others, order, False)
         if divides_to_zero(cols[idx], divisors):
             cols = others
             idx = min(idx, len(cols)) - 1
@@ -1187,7 +1184,7 @@ def image_lifter(M, order=GREVLEX):
             raise ValueError("vector length must equal the row count")
         if _vec_is_zero(b):
             return [ring.zero()] * M.ncols
-        divisors = _module_basis(M, order)[2]
+        divisors = _module_basis(M, order)
         rem = _divide(list(b) + [ring.zero()] * M.ncols, divisors)
         if not _vec_is_zero(rem[:M.nrows]):
             raise NotInImageError(rem[:M.nrows])

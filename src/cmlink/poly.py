@@ -479,9 +479,9 @@ class Polynomial:
 def _bareiss_det(rows, one, is_zero, divide):
     """Determinant of a square matrix, given as rows, by Bareiss elimination.
 
-    Works over any integral domain: `is_zero` tests an entry and
-    `divide(a, b)` returns the exact quotient a/b of a nonzero a.  The empty matrix has
-    determinant `one`.  `rows` is left unchanged.
+    Works over any integral domain: `is_zero` tests an entry and `divide(a, b)` returns
+    the exact quotient a/b of a nonzero a; the first step, whose divisor is `one`, does
+    not call it.  The empty matrix has determinant `one`.  `rows` is left unchanged.
     """
     a = [list(r) for r in rows]
     n = len(a)
@@ -499,7 +499,7 @@ def _bareiss_det(rows, one, is_zero, divide):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if is_zero(num) else divide(num, prev)
+                a[i][j] = num if k == 0 or is_zero(num) else divide(num, prev)
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det

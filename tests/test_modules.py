@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import cmlink.groebner as groebner
 import cmlink.modules as modules
 from cmlink.groebner import Ideal, buchberger, normal_form, s_polynomial
 from cmlink.modules import (
@@ -20,6 +21,7 @@ from cmlink.modules import (
     _greedy_prune,
     _groebner,
     _kernel_generators,
+    _module_basis,
     _numerators,
     _Overflow,
     _Packing,
@@ -99,6 +101,24 @@ def test_det_diagonal_and_singular():
     assert det_bareiss(S).is_zero()
     with pytest.raises(ValueError):
         det_bareiss(PolyMatrix.from_strings(R, [["x", "y"]]))
+
+
+def test_det_divides_from_the_second_elimination_step_on(monkeypatch):
+    """The first step's divisor is one: a 2x2 determinant divides nothing, a 3x3 once."""
+    divisors = []
+    original = groebner.divide_exact
+
+    def counting(p, d, *args):
+        divisors.append(d)
+        return original(p, d, *args)
+
+    monkeypatch.setattr(groebner, "divide_exact", counting)
+    M = PolyMatrix.from_strings(R, [["x*y", "z"], ["y", "x + 1"]])
+    assert det_bareiss(M) == det_cofactor(M)
+    assert divisors == []
+    M = PolyMatrix.from_strings(R, [["x", "y", "1"], ["z", "x", "y"], ["1", "z", "x"]])
+    assert det_bareiss(M) == det_cofactor(M)
+    assert divisors == [x]  # the first pivot
 
 
 def test_matrix_text_round_trip():
@@ -309,7 +329,7 @@ def test_decider_matches_the_division_remainder(ring, order, rank):
     for _ in range(3):
         cols = [[_random_field_poly(ring, rng, 1, 2) for _ in range(rank)]
                 for _ in range(rank + 1)]
-        basis, _, divisors = _groebner(cols, order, False)
+        divisors = _groebner(cols, order, False)
         for vec in _decider_probes(ring, rng, cols):
             rem = _divide(vec, divisors)
             expected = _vec_is_zero(rem)
@@ -418,11 +438,12 @@ def reference_combine(vec, coeffs, vectors):
 
 
 def reference_groebner(columns, order):
-    """(basis, reps, divisors): the pair loop with field-arithmetic S-vectors and reps.
+    """(basis, reps, leads): the pair loop with field-arithmetic S-vectors and reps.
 
     Each S-vector enters the tuple division as a vector of Polynomials
     (`reference_normal_form`), whose quotients give the reps; the pair
-    order and both criteria are those of `modules._groebner`.
+    order and both criteria are those of `modules._groebner`; leads[k] is
+    the `reference_leading` of basis[k].
     """
     nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
     if not nonzero:
@@ -430,7 +451,7 @@ def reference_groebner(columns, order):
     ring = columns[nonzero[0]][0].ring
     units = PolyMatrix.identity(ring, len(columns)).rows
     rank1 = len(columns[nonzero[0]]) == 1
-    basis, reps, divisors = [], [], []
+    basis, reps, leads, divisors = [], [], [], []
     pairs = []
     taken = set()
 
@@ -439,6 +460,7 @@ def reference_groebner(columns, order):
         pos, exps, coeff = reference_leading(vec, order)
         basis.append([p.scale(1 / coeff) for p in vec])
         reps.append([p.scale(1 / coeff) for p in rep])
+        leads.append(reference_leading(basis[-1], order))
         divisors = _divisors(basis, order)
         j = len(basis) - 1
         for i in range(j):
@@ -455,15 +477,15 @@ def reference_groebner(columns, order):
             if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _chain_criterion(
                     i, j, lcm, divisors, taken):
                 continue
-        svec, srep = reference_spair(basis, reps, divisors, i, j)
+        svec, srep = reference_spair(basis, reps, leads, i, j)
         q, rem = reference_normal_form(svec, basis, order)
         if not _vec_is_zero(rem):
             add(rem, reference_combine(srep, q, reps))
-    return basis, reps, divisors
+    return basis, reps, leads
 
 
-def reference_kernel(M, order, basis, reps, divisors):
-    """Schreyer's kernel generators of M from its reference basis, reps and divisors.
+def reference_kernel(M, order, basis, reps, leads):
+    """Schreyer's kernel generators of M from its reference basis, reps and leads.
 
     Each syzygy is summed in field arithmetic (`reference_combine`) from
     the quotients of the tuple division (`reference_normal_form`).
@@ -472,9 +494,9 @@ def reference_kernel(M, order, basis, reps, divisors):
     cols = M.columns()
     syz_cols = []
     for i, j in itertools.combinations(range(len(basis)), 2):
-        if divisors[i][0] != divisors[j][0]:
+        if leads[i][0] != leads[j][0]:
             continue
-        svec, srep = reference_spair(basis, reps, divisors, i, j)
+        svec, srep = reference_spair(basis, reps, leads, i, j)
         q, rem = reference_normal_form(svec, basis, order)
         assert _vec_is_zero(rem)
         syz_cols.append(reference_combine(srep, q, reps))
@@ -539,7 +561,7 @@ PAIR_LOOP_CASES = {
 
 @functools.cache
 def _reference_case(case):
-    """(M, order, reference basis, reps, divisors) of a pair loop case."""
+    """(M, order, reference basis, reps, leads) of a pair loop case."""
     build, order = PAIR_LOOP_CASES[case]
     M = build()
     return (M, order, *reference_groebner(M.columns(), order))
@@ -554,35 +576,92 @@ def test_spair_steps_match_field_arithmetic_on_the_reference_basis(case):
     the tail of that remainder is the syzygy summed in field arithmetic
     from the tuple division's quotients.
     """
-    M, order, basis, reps, divisors = _reference_case(case)
+    M, order, basis, reps, leads = _reference_case(case)
     ring = M.ring
     nums = _numerators(ring)
     head = M.nrows
     augmented = _divisors([b + r for b, r in zip(basis, reps)], order)
     unpack = augmented.packing.unpack
     for i, j in itertools.combinations(range(len(basis)), 2):
-        if divisors[i][0] != divisors[j][0]:
+        if leads[i][0] != leads[j][0]:
             continue
-        svec, srep = reference_spair(basis, reps, divisors, i, j)
+        svec, srep = reference_spair(basis, reps, leads, i, j)
         work, scale = _spair(augmented, i, j, nums)
         assert [Polynomial(ring, {unpack(m): nums.to_field(c, scale)
                                   for m, c in terms.items()})
                 for terms in work] == svec + srep
-        rem = _unpacked(_reduce(work, scale, augmented, nums), augmented.packing, ring)
+        rem = _unpacked(*_reduce(work, scale, augmented, nums), augmented.packing, nums, ring)
         q, expected = reference_normal_form(svec, basis, order)
         assert rem[:head] == expected
         assert rem[head:] == reference_combine(srep, q, reps)
 
 
 @pytest.mark.parametrize("case", PAIR_LOOP_CASES)
-def test_pair_loop_matches_field_arithmetic_reference(case):
-    """Module basis, reps and Schreyer kernel equal those of field-arithmetic S-vectors."""
-    M, order, basis, reps, divisors = _reference_case(case)
+def test_pair_loop_matches_field_arithmetic_reference(case, monkeypatch):
+    """Module basis, reps and Schreyer kernel equal those of field-arithmetic S-vectors.
+
+    Each vector (head ; tail) is checked as it enters the basis, before its
+    divisor is built: its head is the combination `tail` of the columns, at
+    whatever scale its numerators are, so a wrong tail fails at once rather
+    than feed the rest of the loop.
+    """
+    M, order, basis, reps, leads = _reference_case(case)
+    one = 1 if M.ring.field is None else M.ring.field.ring.one  # a scale
+    entered = []
+    original = modules._divisor
+
+    def checked(values, packing, nums):
+        vec = _unpacked(values, one, packing, nums, M.ring)
+        assert vec[:M.nrows] == M * vec[M.nrows:]
+        entered.append(vec)
+        return original(values, packing, nums)
+
+    monkeypatch.setattr(modules, "_divisor", checked)
     assert module_groebner(M.columns(), order) == (basis, reps)
+    assert len(entered) == len(basis)
     kernel = _kernel_generators(M, order)
-    assert kernel == reference_kernel(M, order, basis, reps, divisors)
+    assert kernel == reference_kernel(M, order, basis, reps, leads)
     for col in kernel:
         assert _vec_is_zero(M * col)
+
+
+@pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
+def test_field_coefficients_are_made_only_for_outputs(ring, monkeypatch):
+    """`_unpacked`, the one maker of field coefficients, runs once per output vector.
+
+    A reduced ideal basis unpacks each of its elements once; the pair loop
+    and the module basis cached on a matrix unpack nothing; the Schreyer
+    kernel unpacks each generator it reads off a tail once, and that is all
+    `syzygy_matrix` of an inhomogeneous matrix unpacks: its pruning decides
+    each membership without a remainder.
+    """
+    calls = []
+    original = modules._unpacked
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modules, "_unpacked", counting)
+    rng = random.Random(f"unpacked:{ring}")
+    gens = [_random_field_poly(ring, rng, 2, 3) for _ in range(3)]
+    for order in (GREVLEX, LEX):
+        del calls[:]
+        gb = buchberger(gens, order)
+        assert len(gb) > 1 and len(calls) == len(gb)
+    M = _seeded_matrix(ring, 0)
+    del calls[:]
+    _groebner(M.columns(), GREVLEX, True)
+    divisors = _module_basis(M, GREVLEX)
+    assert calls == []
+    pairs = sum(1 for d, e in itertools.combinations(divisors, 2) if d[0] == e[0])
+    kernel = _kernel_generators(M, GREVLEX)
+    assert len(calls) == pairs + M.ncols
+    assert all(_vec_is_zero(M * col) for col in kernel)
+    assert _column_degrees(kernel) is None
+    del calls[:]
+    assert syzygy_matrix(M).ncols < len(kernel)
+    assert calls == []
 
 
 @pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
@@ -904,6 +983,17 @@ def test_packed_monomials_match_the_tuple_helpers(order, nvars, width):
     assert 0 < fitted < 300 or (fitted == 0 and (order == GREVLEX or nvars == 1))
 
 
+def test_divisors_of_one_ring_and_order_share_their_packing():
+    """Packings are built once per (order, nvars, width), widening included."""
+    a = _divisors([[x + y]], GREVLEX)
+    b = _divisors([[y * z - 1], [x]], GREVLEX)
+    assert a.packing is b.packing
+    assert _divisors([[x]], LEX).packing is not a.packing
+    a.widen()
+    b.widen()
+    assert a.packing is b.packing and a.packing.width == 16
+
+
 def _scaled(p, k):
     """p(x_1^k, ..., x_n^k).
 
@@ -936,8 +1026,8 @@ def test_wide_exponents_widen_the_pair_loop_to_double_width(order, k, width):
     """
     gens = [R.poly(t) for t in WIDE_GENS]
     wide = [_scaled(g, k) for g in gens]
-    assert _groebner([[g] for g in gens], order, False)[2].packing.width == 8
-    assert _groebner([[g] for g in wide], order, False)[2].packing.width == width
+    assert _groebner([[g] for g in gens], order, False).packing.width == 8
+    assert _groebner([[g] for g in wide], order, False).packing.width == width
     assert buchberger(wide, order) == [_scaled(g, k) for g in buchberger(gens, order)]
 
 
@@ -963,7 +1053,7 @@ def test_a_wide_ideal_reduces_the_same_spairs_as_the_narrow_one(order, monkeypat
     _groebner([[g] for g in gens], order, False)
     narrow = list(done)
     del done[:]
-    divisors = _groebner([[_scaled(g, 20000)] for g in gens], order, False)[2]
+    divisors = _groebner([[_scaled(g, 20000)] for g in gens], order, False)
     assert divisors.packing.width == 32
     assert done == narrow
 
@@ -981,34 +1071,36 @@ def test_a_wide_module_reduces_the_same_spairs_as_the_narrow_one(k, monkeypatch)
 
 
 def test_a_cached_basis_packs_only_its_generators(monkeypatch):
-    """Every basis vector gets its divisor from packed terms; only inputs are packed.
+    """Every basis vector gets its divisor from numerators; only inputs are packed.
 
-    The pair loop builds a new vector's divisor from the packed remainder,
-    the interreduction each reduced element's, and membership decides by
-    those divisors, which are the reduced basis's own; no Polynomial of the
-    basis is packed again.
+    The pair loop builds a new vector's divisor from the remainder's
+    numerators, the interreduction each reduced element's, and membership
+    decides by those divisors, which are the reduced basis's own; no
+    Polynomial of the basis is packed again, and each probe is packed once.
     """
     packed = []
-    original = modules._packed
+    original = modules._numerator_dicts
 
-    def counting(vec, divisors):
-        packed.append(vec)
-        return original(vec, divisors)
+    def counting(vec, *args):
+        packed.append(list(vec))
+        return original(vec, *args)
 
-    monkeypatch.setattr(modules, "_packed", counting)
+    monkeypatch.setattr(modules, "_numerator_dicts", counting)
     I = Ideal.from_strings(R, ["x^2 - y*z", "y^3 - x*z", "x*y*z - 1"])
     for order in PACKING_ORDERS:
         del packed[:]
         gb = I.groebner_basis(order)
         assert gb != I.gens
-        assert I.contains(x * gb[0] - z * gb[-1], order)
+        assert packed == [[g] for g in I.gens]
+        probe = x * gb[0] - z * gb[-1]
+        assert I.contains(probe, order)
         assert not I.contains(x + 1, order)
         assert I.contains_products(gb[0], [x, y + 1], order)
-        assert packed == [[g] for g in I.gens]
+        assert packed == [[g] for g in I.gens] + [[probe], [x + 1], [gb[0]], [x], [y + 1]]
         # each monic basis element is its divisor's primitive copy over its leading numerator
         divisors = I._basis(order)[1]
         unpack = divisors.packing.unpack
-        assert [Polynomial(R, {unpack(m): Fraction(c, d[3]) for m, c in d[5][0]})
+        assert [Polynomial(R, {unpack(m): Fraction(c, d[2]) for m, c in d[4][0]})
                 for d in divisors] == gb
 
 
@@ -1029,7 +1121,7 @@ def test_an_interreduction_that_overflows_widens_the_shared_divisors_once(monkey
     assert gb == [R.poly("x + z^200"), g]
     assert len(widened) == 1 and widened[0] is divisors
     assert divisors.packing.width == 16
-    assert [divisors.packing.unpack(d[4]) for d in divisors] == [(1, 0, 0), (0, 1, 0)]
+    assert [divisors.packing.unpack(d[3]) for d in divisors] == [(1, 0, 0), (0, 1, 0)]
     assert I.contains(R.poly("x*y + y*z^200"), LEX)
     assert not I.contains(R.poly("x + y^2 + 1"), LEX)
     assert len(widened) == 1
@@ -1058,7 +1150,10 @@ def test_a_probe_too_wide_for_a_cached_basis_widens_it(order):
     """
     I = Ideal.from_strings(R, ["x^2 - y*z", "y^3 - x*z"])
     gb, divisors = I._basis(order)
-    numerators = [d[:4] for d in divisors]
+    def numerators():
+        return [(d[:3], [[c for _, c in row] for row in d[4]]) for d in divisors]
+
+    before = numerators()
     assert divisors.packing.width == 8
     basis = [[g] for g in gb]
     for k, width in ((200, 16), (40000, 32)):
@@ -1076,7 +1171,7 @@ def test_a_probe_too_wide_for_a_cached_basis_widens_it(order):
         assert verdicts == [True, False, False]
         assert I._basis(order)[1] is divisors
         assert divisors.packing.width == width
-        assert [d[:4] for d in divisors] == numerators
+        assert numerators() == before
     # products whose factors pass 2^31, decided with no product built
     g, big = R.poly("x^2 - y*z"), 2**31
     assert I.contains_products(g, [R.poly("y"), R.poly(f"x^{big} + y")], order)
@@ -1091,7 +1186,7 @@ def test_a_reduction_whose_products_pass_the_fields():
     in the decider alike.
     """
     f = R.poly("x - y^100")
-    assert _groebner([[f], [R.poly("x^2 + z")]], LEX, False)[2].packing.width == 16
+    assert _groebner([[f], [R.poly("x^2 + z")]], LEX, False).packing.width == 16
     assert buchberger([f, R.poly("x^2 + z")], LEX) == [f, R.poly("y^200 + z")]
     I = Ideal([f], R)
     divisors = I._basis(LEX)[1]

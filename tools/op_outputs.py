@@ -20,8 +20,12 @@ S-pairs, reduces a basis, divides and decides.  Last come the cases over
 both coefficient fields (`field_cases`), written as workload `fields`
 with the field in place of the seed: the module basis and reps of three
 QQ(s) columns, the quotients of divisions by a two-row basis that is not
-monic, over QQ and over QQ(s), and `syzygy_matrix` and `lift_through`
-over QQ(s), each well under a second.  Both corpora call only the public
+monic, over QQ and over QQ(s), `syzygy_matrix` and `lift_through` over
+QQ(s), the lex `buchberger` basis of a QQ(s) ideal with parameter
+denominators, and `module_groebner` and `syzygy_matrix` of a QQ matrix
+with fractional coefficients and a zero first column, each well under a
+second.  The last three clear denominators on entry, so their vectors
+enter the engine at scales other than 1.  Both corpora call only the public
 API, so they run on any checkout.  An operation stopped at its budget (or
 at 60 s when it has none) is written as `<over budget>`.
 Outputs of two checkouts are the same exactly when
@@ -117,6 +121,15 @@ def field_cases(cmlink):
         yield "QQ(s)", Case(f"syzygy-matrix-{name}", lambda m=matrix: cmlink.syzygy_matrix(m))
         yield "QQ(s)", Case(f"lift-through-{name}", lambda m=matrix, t=targets: [
             _lift(cmlink, b, m, cmlink.GREVLEX) for b in t])
+    ideal = [qq_s.poly(t) for t in ("1/(1-s)*x^2 + s*y*z - 1", "x*y - 1/(s+1)*z^2",
+                                     "y^2 + 1/(1-s)*x*z")]
+    yield "QQ(s)", Case("buchberger-lex", lambda: cmlink.buchberger(ideal, cmlink.LEX))
+    matrix = cmlink.PolyMatrix.from_strings(qq, [
+        ["0", "1/2*x*y - 2/3*z", "3/4*y^2 + x", "x - 1/5"],
+        ["0", "5/3*x - 1/2*y*z", "2/7*x*z - y", "1/3*z"]])
+    yield "QQ", Case("module-groebner-zero-column",
+                     lambda: cmlink.module_groebner(matrix.columns(), cmlink.GREVLEX))
+    yield "QQ", Case("syzygy-matrix-zero-column", lambda: cmlink.syzygy_matrix(matrix))
 
 
 def _lift(cmlink, b, matrix, order):
