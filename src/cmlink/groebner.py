@@ -2,9 +2,11 @@
 
 A polynomial is a vector of one entry: division is `modules.module_normal_form`
 and Buchberger's algorithm is the pair loop of `modules`, which skips pairs by
-the coprime and chain criteria at rank 1.  Everything is deterministic: S-pairs
-are selected by minimal lcm degree with a lexicographic tie-break on the lcm
-monomial, and the reduced basis is unique.
+the coprime and chain criteria at rank 1.  Colon ideals and intersections are
+read off one module basis that carries no tail (`modules._quotient_ideal`),
+where the loop skips pairs by the chain criterion too.  Everything is
+deterministic: S-pairs are selected by minimal lcm degree with a
+lexicographic tie-break on the lcm monomial, and the reduced basis is unique.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .modules import (
+    _quotient_ideal,
     _reduced_basis,
     _s_polynomial,
     divides_to_zero,
@@ -22,7 +25,6 @@ from .modules import (
 from .poly import (
     GREVLEX,
     Polynomial,
-    Ring,
     RingMismatchError,
     block_order,
 )
@@ -169,27 +171,6 @@ def ideal_member(g, I, order=GREVLEX):
     return I.contains(g, order)
 
 
-# -- ring moves used by elimination ------------------------------------------
-
-
-def _extend_ring_front(ring, names):
-    return Ring(tuple(names) + ring.variables, ring.params)
-
-
-def _lift_front(p, big_ring, extra):
-    pad = (0,) * extra
-    return Polynomial(big_ring, {pad + e: c for e, c in p.terms.items()})
-
-
-def _drop_front(p, small_ring, extra):
-    terms = {}
-    for e, c in p.terms.items():
-        if any(e[:extra]):
-            raise ValueError("polynomial still involves eliminated variables")
-        terms[e[extra:]] = c
-    return Polynomial(small_ring, terms)
-
-
 def eliminate(I, k):
     """Generators of I intersected with the subring without the first k variables.
 
@@ -206,22 +187,16 @@ def eliminate(I, k):
 
 
 def ideal_intersect(I, J):
-    """I ∩ J by the t-trick: eliminate t from t·I + (1−t)·J."""
+    """I ∩ J, as its reduced grevlex basis.
+
+    The ideal of h with h·1 ∈ I and h·1 ∈ J, read off one module basis
+    (`modules._quotient_ideal`, SCA Lemma 2.8.2) with no extra variable.
+    """
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
-    ring = I.ring
-    if I.is_zero() or J.is_zero():
-        return Ideal([], ring)
-    tname = "_t"
-    while tname in ring.variables + ring.params:
-        tname += "_"
-    big = _extend_ring_front(ring, (tname,))
-    t = big.var(0)
-    one = big.one()
-    gens = [t * _lift_front(g, big, 1) for g in I.gens]
-    gens += [(one - t) * _lift_front(g, big, 1) for g in J.gens]
-    elim = eliminate(Ideal(gens, big), 1)
-    return Ideal([_drop_front(g, ring, 1) for g in elim.gens], ring)
+    one = I.ring.one()
+    gens = _quotient_ideal([one, one], [I.groebner_basis(GREVLEX), J.groebner_basis(GREVLEX)])
+    return Ideal(buchberger(gens, GREVLEX), I.ring)
 
 
 def divide_exact(p, d, order=GREVLEX):
@@ -233,21 +208,17 @@ def divide_exact(p, d, order=GREVLEX):
 
 
 def ideal_colon(I, J, order=GREVLEX):
-    """Colon ideal I : J = { r | rJ ⊆ I }.
+    """Colon ideal I : J = { r | rJ ⊆ I }, as its reduced basis under `order`.
 
-    Computed as the intersection over generators g of J of (I ∩ (g))/g.
+    The ideal of h with h·g ∈ I for every generator g of J, read off one
+    module basis for all of J (`modules._quotient_ideal`, SCA Lemma 2.8.4).
     """
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
-    ring = I.ring
     if J.is_zero():
         raise ValueError("colon by the zero ideal")
-    result = None
-    for g in J.gens:
-        inter = ideal_intersect(I, Ideal([g], ring))
-        quot = Ideal([divide_exact(h, g, order) for h in inter.gens], ring)
-        result = quot if result is None else ideal_intersect(result, quot)
-    return Ideal(result.groebner_basis(order), ring)
+    gens = _quotient_ideal(J.gens, [I.groebner_basis(GREVLEX)] * len(J.gens))
+    return Ideal(buchberger(gens, order), I.ring)
 
 
 def ideal_sum(I, J):

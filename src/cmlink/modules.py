@@ -16,7 +16,9 @@ it; every function takes that monomial order as `order`.
 The pair loop `_groebner` and the division `module_normal_form` are the only
 Buchberger loop and division loop of the package: `groebner` runs ideals
 through them as vectors of one entry (`_reduced_basis`), where the order is
-the ring order and the loop skips pairs by the coprime and chain criteria.
+the ring order and the loop skips pairs by the coprime and chain criteria; a
+module basis that carries no tail skips pairs by the chain criterion too, as
+the one behind colon ideals and intersections (`_quotient_ideal`) does.
 The division is fraction-free: it works on numerators (integers over QQ,
 polynomials in the parameters over QQ(params)) and divides by the primitive
 numerator copy that each basis vector gets once, when it enters its basis
@@ -794,12 +796,14 @@ def _groebner(columns, order, track_reps):
     the divisors divide a head as well as a vector with its tail.
 
     S-pairs are taken from a heap by lcm degree, then the lcm, then the
-    pair's indices.  On vectors of one entry (polynomials) a pair is skipped
-    when its leading monomials are coprime or, by the chain criterion, when
-    some basis element's leading monomial divides the lcm and both its
-    pairs with the two have been taken.  At higher rank every same-position
-    pair is reduced, so the unreduced basis, and every syzygy read from it,
-    stays as it is.
+    pair's indices.  A pair is skipped by the chain criterion when some
+    basis element's leading monomial divides the lcm and both its pairs with
+    the two (same-position pairs, as all pairs are) have been taken, and at
+    rank 1 also when its leading monomials are coprime.  The chain criterion
+    applies whenever no tail is carried: such a basis is only ever divided
+    by, and a full remainder by any Groebner basis of a module is its unique
+    normal form.  With tails at higher rank every same-position pair is
+    reduced, so the unreduced basis and every syzygy read from it stay as they are.
 
     Each S-vector is built from the two divisors as numerators over one
     scale (`_spair`) and divided by `_reduce` directly, first on its head
@@ -837,10 +841,10 @@ def _groebner(columns, order, track_reps):
         add(_widening(divisors, _numerator_dicts, col, nums, divisors)[0])
     while pairs:
         _, lcm, i, j = heapq.heappop(pairs)
-        if rank1:
+        if rank1 or not track_reps:
             taken.add((i, j))
-            if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _widening(
-                    divisors, _chain_criterion, i, j, lcm, divisors, taken):
+            coprime = rank1 and lcm == monomial_mul(divisors[i][1], divisors[j][1])
+            if coprime or _widening(divisors, _chain_criterion, i, j, lcm, divisors, taken):
                 continue
         rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, nrows)[0]
         if any(rem):
@@ -970,6 +974,27 @@ def _module_basis(M, order):
     if cached is None:
         cached = M._bases[order] = _groebner(M.columns(), order, True)
     return cached
+
+
+def _quotient_ideal(vec, bases):
+    """Generators of the ideal of h with h * vec[k] in (bases[k]) for every k.
+
+    Greuel & Pfister, SCA Lemmas 2.8.2 and 2.8.4: with m = len(vec), the
+    vectors of the module basis of (vec ; 1) and f * e_k, f in bases[k],
+    that lead at position m vanish above it, and their entries m generate
+    the ideal.  The basis carries no tail and is built under grevlex, whatever
+    order the caller wants; reduced grevlex bases as `bases` keep it small.
+    """
+    ring = vec[0].ring
+    m = len(vec)
+    zero = ring.zero()
+    columns = [list(vec) + [ring.one()]]
+    for k, basis in enumerate(bases):
+        columns += [[f if r == k else zero for r in range(m + 1)] for f in basis]
+    divisors = _groebner(columns, GREVLEX, False)
+    nums = _numerators(ring)
+    return [_unpacked([dict(rows[m])], lead, divisors.packing, nums, ring)[0]
+            for pos, _, lead, _, rows in divisors if pos == m]
 
 
 def _kernel_generators(M, order):

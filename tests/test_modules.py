@@ -625,6 +625,69 @@ def test_pair_loop_matches_field_arithmetic_reference(case, monkeypatch):
         assert _vec_is_zero(M * col)
 
 
+# -- the chain criterion on rep-free bases of higher rank ---------------------------
+
+
+def _form(rng, degree):
+    """A nonzero form of the given degree in x, y, z with 1-2 terms."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        a = rng.randint(0, degree)
+        b = rng.randint(0, degree - a)
+        terms[(a, b, degree - a - b)] = Fraction(rng.choice((1, -1, 2, -3)))
+    return Polynomial(R, terms)
+
+
+def _chain_columns(rng, rank, homogeneous):
+    """Four seeded columns; homogeneous ones have entry r of degree d + r in column d."""
+    if homogeneous:
+        return [[_form(rng, d + r) for r in range(rank)]
+                for d in (rng.randint(1, 2) for _ in range(4))]
+    return [[_random_field_poly(R, rng, 1, 2) for _ in range(rank)] for _ in range(4)]
+
+
+# lex bases of inhomogeneous random columns run for minutes with tails or without
+CHAIN_CASES = [(GREVLEX, 2, False), (GREVLEX, 2, True), (GREVLEX, 3, False),
+               (GREVLEX, 3, True), (LEX, 2, True), (LEX, 3, True)]
+
+
+@pytest.mark.parametrize("order, rank, homogeneous", CHAIN_CASES,
+                         ids=[f"{o.kind}-rank{r}-{'homogeneous' if h else 'inhomogeneous'}"
+                              for o, r, h in CHAIN_CASES])
+def test_a_rep_free_basis_of_higher_rank_skips_pairs_by_the_chain_criterion(
+        order, rank, homogeneous, monkeypatch):
+    """A basis without tails at rank > 1 skips pairs, and is still a Groebner basis.
+
+    Every same-position S-vector of it, built in field arithmetic, divides
+    to zero by it (Buchberger's criterion), and it leaves every probe the
+    remainder that the basis with tails of the same columns leaves, which
+    reduces every pair.
+    """
+    verdicts = []
+    original = modules._chain_criterion
+
+    def recording(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(modules, "_chain_criterion", recording)
+    rng = random.Random(f"chain:{rank}:{homogeneous}:{order.kind}")
+    nums = _numerators(R)
+    for _ in range(3):
+        cols = _chain_columns(rng, rank, homogeneous)
+        divisors = _groebner(cols, order, False)
+        basis = [_unpacked(map(dict, rows), lead, divisors.packing, nums, R)
+                 for _, _, lead, _, rows in divisors]
+        leads = [reference_leading(vec, order) for vec in basis]
+        for i, j in itertools.combinations(range(len(basis)), 2):
+            if leads[i][0] == leads[j][0]:
+                assert divides_to_zero(reference_spair(basis, None, leads, i, j)[0], divisors)
+        with_tails = _groebner(cols, order, True)
+        for vec in _decider_probes(R, rng, cols):
+            assert _divide(vec, divisors) == _divide(vec, with_tails)
+    assert any(verdicts)
+
+
 @pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
 def test_field_coefficients_are_made_only_for_outputs(ring, monkeypatch):
     """`_unpacked`, the one maker of field coefficients, runs once per output vector.

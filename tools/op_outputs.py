@@ -25,9 +25,16 @@ QQ(s), the lex `buchberger` basis of a QQ(s) ideal with parameter
 denominators, and `module_groebner` and `syzygy_matrix` of a QQ matrix
 with fractional coefficients and a zero first column, each well under a
 second.  The last three clear denominators on entry, so their vectors
-enter the engine at scales other than 1.  Both corpora call only the public
-API, so they run on any checkout.  An operation stopped at its budget (or
-at 60 s when it has none) is written as `<over budget>`.
+enter the engine at scales other than 1.  Then come colon ideals and
+intersections (`ideal_cases`), written as workload `ideals` with the pair
+in place of the seed: `ideal_colon` under grevlex and lex and
+`ideal_intersect` of a zero I, a unit I, a unit J, I = J, a J of one
+generator, a ring with a variable named `_t`, the paper's complete
+intersection and curve, a pair whose colon takes seconds when its module
+basis follows lex (`lex-trap`), and a pair over QQ(s).  The three corpora
+call only the public API, so they run on any checkout.  An operation
+stopped at its budget (or at 60 s when it has none) is written as
+`<over budget>`.
 Outputs of two checkouts are the same exactly when
 
     python3 tools/op_outputs.py PARENT parent.txt
@@ -132,6 +139,38 @@ def field_cases(cmlink):
     yield "QQ", Case("syzygy-matrix-zero-column", lambda: cmlink.syzygy_matrix(matrix))
 
 
+def ideal_cases(cmlink):
+    """(pair, case) colon ideals under grevlex and lex, and intersections, of fixed pairs."""
+    xyz = cmlink.Ring(("x", "y", "z"))
+    curve = ["y^2 - x*z", "x^3 - y*z", "x^2*y - z^2"]
+    pairs = {
+        "zero-I": (xyz, [], ["x*y", "z - 1"]),
+        "unit-I": (xyz, ["x + 1", "x"], ["x*y", "z^2"]),
+        "unit-J": (xyz, ["x*y", "x*z"], ["y", "y + 1"]),
+        "I=J": (xyz, curve, curve),
+        "one-generator-J": (xyz, ["x*y", "x*z", "y^3"], ["x + y"]),
+        "ring-with-_t": (cmlink.Ring(("_t", "x", "_t_")), ["_t*x - _t_^2", "x^2"],
+                         ["_t", "_t_"]),
+        "ci-curve": (xyz, ["z^2 - x^2*y", "x^4 + y^3 - 2*x*y*z"], curve),
+        # a module basis of this pair built under lex does not finish in seconds
+        "lex-trap": (xyz, ["(-3*x - 3*y*z)*(2*x*z + z - x)", "(-x*y - 1)*(-z - 3*x*y*z)"],
+                     ["2*x*z + z - x", "-x*z - 1 - 3*x*y*z"]),
+        "QQ(s)": (cmlink.Ring(("x", "y", "z"), ("s",)),
+                  ["(s*x + y)*(x*z - (s+1)*y)", "(x - s*z)*(y^2 - 1/(1-s)*z)"],
+                  ["x*z - (s+1)*y", "y + 1/(s+1)*z"]),
+    }
+    for label, (ring, i_gens, j_gens) in pairs.items():
+
+        def ideals(ring=ring, i_gens=i_gens, j_gens=j_gens):  # new ones: no cached basis
+            return (cmlink.Ideal([ring.poly(t) for t in i_gens], ring),
+                    cmlink.Ideal([ring.poly(t) for t in j_gens], ring))
+
+        for name, order in (("grevlex", cmlink.GREVLEX), ("lex", cmlink.LEX)):
+            yield label, Case(f"colon-{name}",
+                              lambda f=ideals, o=order: cmlink.ideal_colon(*f(), o))
+        yield label, Case("intersect", lambda f=ideals: cmlink.ideal_intersect(*f()))
+
+
 def _lift(cmlink, b, matrix, order):
     """`lift_through(b, matrix, order)`, or the error and its remainder when b is not in the image."""
     try:
@@ -186,6 +225,8 @@ def main(argv=None):
                 lines.append(f"wide\t{k}\t{case.name}\t{_run(case)}\n")
         for field, case in field_cases(cmlink):
             lines.append(f"fields\t{field}\t{case.name}\t{_run(case)}\n")
+        for pair, case in ideal_cases(cmlink):
+            lines.append(f"ideals\t{pair}\t{case.name}\t{_run(case)}\n")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     with open(out, "w", encoding="utf-8") as fh:
