@@ -137,12 +137,12 @@ QQ_COEFFS = ["1", "-1", "2", "-3"]
 QQ_S_COEFFS = ["1", "-2", "s", "(s+1)", "(1-2*s)", "1/(s+1)"]
 
 
-def _random_poly(rng, coeffs, max_deg=2, terms=(1, 3)):
-    """A polynomial in x, y, z as a string, every coefficient parenthesized."""
+def _random_poly(rng, coeffs):
+    """1-3 terms in x, y, z of exponents at most 1, as a string, each coefficient parenthesized."""
     out = []
-    for _ in range(rng.randint(*terms)):
-        exps = [rng.randint(0, max_deg) for _ in range(3)]
-        mono = "".join(f"*{v}^{e}" if e > 1 else f"*{v}" for v, e in zip("xyz", exps) if e)
+    for _ in range(rng.randint(1, 3)):
+        exps = [rng.randint(0, 1) for _ in range(3)]
+        mono = "".join(f"*{v}" for v, e in zip("xyz", exps) if e)
         out.append(f"({rng.choice(coeffs)}){mono}")
     return " + ".join(out)
 
@@ -150,7 +150,7 @@ def _random_poly(rng, coeffs, max_deg=2, terms=(1, 3)):
 def random_pair(seed, coeffs):
     """(I gens, J gens): I = (a1*b1, a2*b2) shares the factor b1 with J = (b1, c)."""
     rng = random.Random(f"colon:{seed}:{len(coeffs)}")
-    a1, b1, a2, b2, c = (_random_poly(rng, coeffs, 1) for _ in range(5))
+    a1, b1, a2, b2, c = (_random_poly(rng, coeffs) for _ in range(5))
     return [f"({a1})*({b1})", f"({a2})*({b2})"], [b1, c]
 
 
