@@ -41,6 +41,7 @@ from .modules import NotInImageError, PolyMatrix, lift_through
 from .poly import LEX, ParseError, parse_ring_header
 from .weier import (
     RecipeError,
+    bezout_holds,
     current_recipe,
     extended_euclid,
     resultant_sylvester,
@@ -381,7 +382,7 @@ def cmd_resultant(args):
         "gcd": str(g),
         "a": str(a),
         "b": str(b),
-        "bezout_holds": a * P + b * Q == g,
+        "bezout_holds": bezout_holds(a, P, b, Q, g, var),
         "sylvester": str(res) if res is not None else None,
     }
     return (EXIT_OK if report["bezout_holds"] else EXIT_FAIL), report

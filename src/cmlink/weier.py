@@ -8,12 +8,18 @@ r2 = a f1 + b f2 in the second variable.  The emitted CurrentRecipe
 carries (P1, N1), (r2, P2, N2), the Bezout pair (a, b) and the exact
 constants gamma, C1, C2.
 
-Euclid and the Sylvester determinant stay fraction-free: both scale their
-operands to primitive polynomials over ZZ[others] (the remaining variables,
-then the parameters).  Euclid runs Brown's subresultant recurrence there,
-dividing every remainder and both cofactors by the same beta exactly, so no
-gcd is taken inside the loop; one joint content and a sign at the end make
-(g, a, b) canonical.  The determinant is a Bareiss elimination.
+Everything between the inputs and the outputs runs on dense coefficient
+lists over ZZ[others] (the remaining variables, then the parameters): a
+polynomial is cleared to such a list and a scale num/den, with num in
+ZZ[others] and den a positive integer.  Euclid runs Brown's subresultant
+recurrence there, dividing every remainder and both cofactors by the same
+beta exactly, so no gcd is taken inside the loop; one joint content and a
+sign at the end make (g, a, b) canonical.  The Sylvester determinant is a
+Bareiss elimination over the same lists.  The recipe's checks stay exact
+and stay on the lists too: `unit * P == f`, the Bezout identity
+a*g1 + b*g2 == r2 and the Sylvester ratio clear each side again and
+cross-multiply the scales.  Field coefficients (QQ(params)) are made only
+for the polynomials a caller gets back.
 """
 
 from __future__ import annotations
@@ -27,12 +33,15 @@ from fractions import Fraction
 import sympy
 from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground, dup_pdiv, dup_sub
 from sympy.polys.densetools import dup_content
+from sympy.polys.rings import PolyElement
 
 from .groebner import GREVLEX, Ideal, ideal_codim
 from .poly import (
     LinearChange,
+    OriginPoleError,
     Polynomial,
     Ring,
+    RingMismatchError,
     SingularMatrixError,
     _bareiss_det,
     apply_linear_change,
@@ -60,17 +69,13 @@ class WeierstrassForm:
     var: int
 
     def __post_init__(self):
-        if self.unit * self.weierstrass != self.original:
+        if not _sum_of_products_is([(self.unit, self.weierstrass)], self.original, self.var):
             raise ValueError("unit * P does not reproduce the original")
 
 
-def weierstrass_ready(f, var):
-    """Factor f = unit * P with P a Weierstrass polynomial in variable `var`.
-
-    The leading coefficient in `var` must lie in the coefficient field and be
-    invertible at the origin, and the lower coefficients of P must vanish at
-    the origin; otherwise NotRegularError asks for a coordinate change.
-    """
+def _weierstrass_unit(f, var):
+    """Degree n and unit u of the factorization f = u * P of `weierstrass_ready`,
+    after checking that it exists; P itself is not built."""
     ring = f.ring
     if f.is_zero():
         raise ValueError("cannot prepare the zero polynomial")
@@ -95,16 +100,38 @@ def weierstrass_ready(f, var):
             "origin",
             witness=lead,
         )
-    p = f.scale(1 / u)
     for k in range(n):
-        low = p.coefficient_in(var, k)
-        if low.constant_term_at_origin() != 0:
+        # P's coefficient of var^k is f's over u, and u has neither a zero
+        # nor a pole at the origin: it vanishes there exactly when f's does
+        low = f.coefficient_in(var, k)
+        c = low.constant_term()
+        try:
+            at_origin = ring.coeff_at_origin(c)
+        except OriginPoleError:
+            at_origin = ring.coeff_at_origin(c / u)  # P's coefficient has the pole too
+        if at_origin != 0:
             raise NotRegularError(
                 f"coefficient of {ring.variables[var]}^{k} does not vanish "
                 "at the origin",
-                witness=low,
+                witness=low.scale(1 / u),
             )
-    return WeierstrassForm(f, ring.constant(u), p, n, var)
+    return n, u
+
+
+def weierstrass_ready(f, var):
+    """Factor f = unit * P with P a Weierstrass polynomial in variable `var`.
+
+    The leading coefficient in `var` must lie in the coefficient field and be
+    invertible at the origin, and the lower coefficients of P must vanish at
+    the origin; otherwise NotRegularError asks for a coordinate change.
+    """
+    n, u = _weierstrass_unit(f, var)
+    ring = f.ring
+    coeffs, _, _ = _cleared(f, var, _euclid_domain(ring, var))
+    # the cleared list is a multiple of f, so dividing it by its leading
+    # entry (a multiple of u, free of the other variables) gives the monic P
+    return WeierstrassForm(f, ring.constant(u), _from_poly_coeffs(coeffs, ring, var, coeffs[0]),
+                           n, var)
 
 
 def _euclid_domain(ring, var):
@@ -113,31 +140,41 @@ def _euclid_domain(ring, var):
     return sympy.ZZ[tuple(sympy.Symbol(n) for n in names)]
 
 
-def _integral_coeffs(p, var, dom):
-    """p as a primitive polynomial in `var` over dom = ZZ[others], and the
-    positive coefficient k of p's ring with that polynomial = k * p.
+def _cleared(p, var, dom):
+    """p as a dense polynomial in `var` over dom = ZZ[others], and its scale.
 
-    The polynomial is the dense list of its coefficients, highest degree
-    first.  k is the ZZ-lcm of the parameter denominators, times the lcm of
-    the integer denominators left after that, over the integer content.
+    Returns (coeffs, num, den) with coeffs = (num / den) * p.  coeffs lists
+    the coefficients, highest degree first, with integer content 1.  num in
+    dom is the ZZ-lcm of the parameter denominators (free of the other ring
+    variables) times the lcm of the integer denominators left after that;
+    den > 0 is the integer content.  The zero polynomial gives ([], 1, 1).
     """
     ring = p.ring
-    dp = _param_denominator_lcm(p)
-    if dp != 1:
-        p = p.scale(dp)
+    if p.is_zero():
+        return [], dom.one, 1
     others = [i for i in range(ring.nvars) if i != var]
     acc = {}  # degree in var -> {monomial in the other symbols -> rational}
-    for exps, c in p.terms.items():
-        head = tuple(exps[i] for i in others)
-        sub = acc.setdefault(exps[var], {})
-        if ring.field is None:
-            sub[head] = c
-            continue
-        if not c.denom.is_ground:
-            raise ValueError(f"coefficient {c} has a parameter denominator")
-        den = c.denom.LC
-        for pm, q in c.numer.items():
-            sub[head + pm] = q / den
+    field = ring.field
+    if field is None:
+        for exps, c in p.terms.items():
+            acc.setdefault(exps[var], {})[tuple(exps[i] for i in others)] = c
+        dp = {(): 1}
+    else:
+        # multiply each numerator by dp / its denominator, a polynomial of
+        # ZZ[params] because dp is their lcm there: no gcd is taken
+        dp = _param_denominator_lcm(p).numer
+        quotients = {dp: None}
+        for exps, c in p.terms.items():
+            numer = c.numer
+            if c.denom not in quotients:
+                quotients[c.denom] = dp.exquo(c.denom)
+            mult = quotients[c.denom]
+            if mult is not None:
+                numer = numer * mult
+            head = tuple(exps[i] for i in others)
+            sub = acc.setdefault(exps[var], {})
+            for pm, q in numer.items():
+                sub[head + pm] = q
     values = [q for sub in acc.values() for q in sub.values()]
     lcm = math.lcm(*(int(q.denominator) for q in values))
     content = math.gcd(*(int(q.numerator) for q in values))
@@ -148,15 +185,29 @@ def _integral_coeffs(p, var, dom):
         )
         for k in range(max(acc), -1, -1)
     ]
-    return coeffs, dp * ring.coeff(Fraction(lcm, content))
+    pad = (0,) * len(others)
+    num = dom.ring.from_dict({pad + m: int(q.numerator) * lcm for m, q in dp.items()})
+    return coeffs, num, content
 
 
-def _from_poly_coeffs(coeff_list, ring, var):
-    """Ring polynomial from descending coefficients in ZZ[others].
+def _integral_coeffs(p, var, dom):
+    """p as a primitive polynomial in `var` over dom = ZZ[others], and the
+    positive coefficient k of p's ring with that polynomial = k * p.
+
+    The polynomial is the dense list of its coefficients, highest degree
+    first; k is the scale num/den of `_cleared`.
+    """
+    coeffs, num, den = _cleared(p, var, dom)
+    return coeffs, _from_poly_coeffs([num], p.ring, var, den).constant_term()
+
+
+def _from_poly_coeffs(coeff_list, ring, var, den=1):
+    """Ring polynomial from descending coefficients in ZZ[others], over den.
 
     Exponents of the other ring variables go back into the monomial; the
     parameter exponents build each coefficient's numerator in the ring's
-    field.
+    field.  den is a nonzero integer or an element of ZZ[others] free of the
+    other ring variables; each coefficient is made canonical over it.
     """
     deg = len(coeff_list) - 1
     others = [i for i in range(ring.nvars) if i != var]
@@ -169,14 +220,61 @@ def _from_poly_coeffs(coeff_list, ring, var):
             for i, e in zip(others, mono):
                 exps[i] = e
             acc.setdefault(tuple(exps), {})[mono[split:]] = q
+    if not isinstance(den, int) and den.is_ground:
+        den = int(den.LC)
+    if isinstance(den, int) and den < 0:
+        den, acc = -den, {key: {m: -q for m, q in sub.items()} for key, sub in acc.items()}
     field = ring.field
     if field is None:
-        terms = {key: Fraction(int(sub[()])) for key, sub in acc.items()}
-    else:
-        # an integer-coefficient numerator over 1 is already canonical (field.new
-        # would return it unchanged), so skip new()'s cancel
-        terms = {key: field.raw_new(field.ring.from_dict(sub)) for key, sub in acc.items()}
+        return Polynomial(ring, {key: Fraction(int(sub[()]), den) for key, sub in acc.items()})
+    fring = field.ring
+    if not isinstance(den, int):
+        den = fring.from_dict({m[split:]: q for m, q in den.items()})
+        return Polynomial(ring, {key: field.new(fring.from_dict(sub), den)
+                                 for key, sub in acc.items()})
+    # an integer-coefficient numerator over a positive integer is canonical
+    # once their common integer factor is gone, so skip field.new's cancel
+    terms = {}
+    for key, sub in acc.items():
+        h = math.gcd(den, *sub.values())
+        if h != 1:
+            sub = {m: q // h for m, q in sub.items()}
+        terms[key] = field.raw_new(fring.from_dict(sub),
+                                   fring.one if den == h else fring.ground_new(den // h))
     return Polynomial(ring, terms)
+
+
+def _sum_of_products_is(pairs, rhs, var):
+    """sum of x*y over the (x, y) in `pairs` equals rhs, for polynomials of one ring.
+
+    Each polynomial is cleared to its list X over ZZ[others] with x = X*den/num;
+    multiplying through by rhs's num and every pair's nums leaves an identity
+    of lists over ZZ[others], which is decided exactly.
+    """
+    ring = rhs.ring
+    for x, y in pairs:
+        if x.ring != ring or y.ring != ring:
+            raise RingMismatchError(f"{x.ring!r} vs {y.ring!r} vs {ring!r}")
+    dom = _euclid_domain(ring, var)
+    pairs = [(_cleared(x, var, dom), _cleared(y, var, dom)) for x, y in pairs]
+    rhs, num_r, den_r = _cleared(rhs, var, dom)
+    nums = [x[1] * y[1] for x, y in pairs]
+    lhs = []
+    for i, ((xs, _, den_x), (ys, _, den_y)) in enumerate(pairs):
+        mult = num_r * (den_x * den_y)
+        for j, num in enumerate(nums):
+            if j != i:
+                mult *= num
+        lhs = dup_add(lhs, dup_mul_ground(dup_mul(xs, ys, dom), mult, dom), dom)
+    mult = dom.convert(den_r)
+    for num in nums:
+        mult *= num
+    return not dup_sub(lhs, dup_mul_ground(rhs, mult, dom), dom)
+
+
+def bezout_holds(a, P, b, Q, g, var):
+    """a*P + b*Q == g, decided on cleared coefficient lists over ZZ[others]."""
+    return _sum_of_products_is([(a, P), (b, Q)], g, var)
 
 
 def _exquo(f, c):
@@ -216,17 +314,26 @@ def extended_euclid(P, Q, var):
     if P.is_zero() or Q.is_zero():
         raise ValueError("extended Euclid needs nonzero inputs")
     dom = _euclid_domain(ring, var)
-    p1, kP = _integral_coeffs(P, var, dom)
-    p2, kQ = _integral_coeffs(Q, var, dom)
+    p1, num_p, den_p = _cleared(P, var, dom)
+    p2, num_q, den_q = _cleared(Q, var, dom)
+    g, s, t = _euclid_lists(p1, p2, dom)
+    # g = s * (num_p/den_p) P + t * (num_q/den_q) Q
+    return (_from_poly_coeffs(g, ring, var),
+            _from_poly_coeffs(dup_mul_ground(s, num_p, dom), ring, var, den_p),
+            _from_poly_coeffs(dup_mul_ground(t, num_q, dom), ring, var, den_q))
+
+
+def _euclid_lists(p1, p2, dom):
+    """`extended_euclid` on dense polynomials over dom: (g, s, t) with
+    g = s*p1 + t*p2, checked, over their joint content with g's leading
+    coefficient positive."""
     g, s, t = _subresultant_euclid(p1, p2, dom)
     if dup_sub(dup_add(dup_mul(s, p1, dom), dup_mul(t, p2, dom), dom), g, dom):
         raise ArithmeticError("Bezout identity failed in the Euclid loop")
     cont = dom.gcd(dom.gcd(dup_content(g, dom), dup_content(s, dom)), dup_content(t, dom))
     if dom.is_negative(g[0]) != dom.is_negative(cont):
         cont = -cont
-    g, a, b = (_from_poly_coeffs(_exquo(f, cont), ring, var) for f in (g, s, t))
-    # g = a * (kP * P) + b * (kQ * Q), so rescale the cofactors
-    return g, (a.scale(kP) if kP != 1 else a), (b.scale(kQ) if kQ != 1 else b)
+    return [_exquo(f, cont) for f in (g, s, t)]
 
 
 def _subresultant_euclid(p1, p2, dom):
@@ -284,8 +391,17 @@ def resultant_sylvester(P, Q, var):
     if m < 1 or n < 1:
         raise ValueError("resultant needs positive degree in the variable")
     dom = _euclid_domain(ring, var)
-    pc, kP = _integral_coeffs(P, var, dom)
-    qc, kQ = _integral_coeffs(Q, var, dom)
+    pc, num_p, den_p = _cleared(P, var, dom)
+    qc, num_q, den_q = _cleared(Q, var, dom)
+    det = _sylvester_det(pc, qc, dom)
+    # kP = num_p/den_p and kQ = num_q/den_q
+    return _from_poly_coeffs([det * (den_p**n * den_q**m)], ring, var, num_p**n * num_q**m)
+
+
+def _sylvester_det(pc, qc, dom):
+    """Bareiss determinant of the Sylvester matrix of two dense polynomials
+    over dom, pc's rows first."""
+    m, n = len(pc) - 1, len(qc) - 1
     size = m + n
     mat = [[dom.zero for _ in range(size)] for _ in range(size)]
     for i in range(n):
@@ -294,9 +410,8 @@ def resultant_sylvester(P, Q, var):
     for j in range(m):
         for k in range(n + 1):
             mat[n + j][j + k] = qc[k]
-    det = _bareiss_det(mat, dom.one, lambda c: not c, dom.exquo)
-    res = _from_poly_coeffs([det], ring, var)
-    return res.scale(1 / (kP**n * kQ**m))
+    # PolyElement.exquo divides once; the domain's exquo takes a remainder first
+    return _bareiss_det(mat, dom.one, lambda c: not c, PolyElement.exquo)
 
 
 def _work_ring(ring):
@@ -426,11 +541,23 @@ def _second_changes(n, rng, limit):
 
 
 def _run_pipeline(f1, f2, change, work):
-    """One attempt at the full preparation; raises NotRegularError on failure."""
+    """One attempt at the full preparation; raises NotRegularError on failure.
+
+    Returns g1, g2, their Weierstrass forms, r2, a, b and the Sylvester ratio.
+    """
     g1 = _to_work(apply_linear_change(f1, change), work)
     g2 = _to_work(apply_linear_change(f2, change), work)
     wf1 = weierstrass_ready(g1, 0)
-    r2, a_raw, b = extended_euclid(wf1.weierstrass, g2, 0)
+    dom = _euclid_domain(work, 0)
+    p1, num_1, den_1 = _cleared(g1, 0, dom)
+    p2, num_2, den_2 = _cleared(g2, 0, dom)
+    # P1 = g1/u is monic, so its primitive list is g1's over their content,
+    # a divisor of the leading entry; Euclid on it is Euclid on P1
+    content = _lead_content(p1, dom)
+    if content != 1:
+        p1 = _exquo(p1, content)
+    g, s, t = _euclid_lists(p1, p2, dom)
+    r2 = _from_poly_coeffs(g, work, 0)
     if r2.is_zero():
         raise ValueError("Euclid collapsed to zero; inputs share a component")
     if r2.involves(0):
@@ -439,12 +566,48 @@ def _run_pipeline(f1, f2, change, work):
             "not a codimension-2 complete intersection"
         )
     wf2 = weierstrass_ready(r2, 1)
-    # r2 = a_raw * P1 + b * g2 and g1 = u * P1, so divide a_raw by the unit
-    u = wf1.unit.constant_term()
-    a = a_raw.scale(1 / u)
-    if a * g1 + b * g2 != r2:
-        raise ArithmeticError("Bezout identity failed after unit correction")
-    return g1, g2, wf1, wf2, r2, a, b
+    # r2 = s*p1 + t*p2 with p1 = num_1/(den_1*content) g1 and p2 = num_2/den_2 g2
+    a = _from_poly_coeffs(dup_mul_ground(s, num_1, dom), work, 0, content * den_1)
+    b = _from_poly_coeffs(dup_mul_ground(t, num_2, dom), work, 0, den_2)
+    if not bezout_holds(a, g1, b, g2, r2, 0):
+        raise ArithmeticError("Bezout identity failed on the recipe's outputs")
+    ratio = None
+    if len(p2) > 1:
+        ratio = _sylvester_ratio(p1, (p2, num_2, den_2), g[0], work, dom)
+    return g1, g2, wf1, wf2, r2, a, b, ratio
+
+
+def _lead_content(coeffs, dom):
+    """Content over dom of a dense polynomial whose leading entry is free of
+    the other ring variables; 1 when that entry is an integer."""
+    c = coeffs[0]
+    for f in coeffs[1:]:
+        if c.is_ground:
+            return dom.one
+        if f:
+            c = dom.gcd(c, f)
+    return dom.one if c.is_ground else c
+
+
+def _sylvester_ratio(p1, cleared_g2, r2_entry, work, dom):
+    """res(P1, g2) / r2 in QQ(variables, parameters), as printed in the recipe.
+
+    p1 is k * P1 with k its leading entry, because P1 is monic, and p2 is
+    (num/den) * g2; so the Sylvester determinant of p1 and p2 is
+    k^n (num/den)^m res(P1, g2) with m, n the degrees of P1 and g2.  r2 is
+    its single entry r2_entry.  The quotient is made canonical once.
+    """
+    p2, num, den = cleared_g2
+    m, n = len(p1) - 1, len(p2) - 1
+    det = _sylvester_det(p1, p2, dom)
+    # both as elements of QQ(variables, parameters), a ring with no variables
+    field = Ring((), work.variables + work.params).field
+
+    def lift(c):  # dom leaves out the first variable
+        return field.ring.from_dict({(0,) + mono: q for mono, q in c.items()})
+
+    ratio = field.new(lift(det * den**m), lift(r2_entry * p1[0] ** n * num**m))
+    return str(ratio).replace(" ", "")
 
 
 def current_recipe(f1, f2, seed=0, max_tries=50):
@@ -475,7 +638,7 @@ def current_recipe(f1, f2, seed=0, max_tries=50):
         # the first preparation is unaffected by second changes, so probe it
         # once per first change
         try:
-            weierstrass_ready(_to_work(apply_linear_change(f1, first), work), 0)
+            _weierstrass_unit(_to_work(apply_linear_change(f1, first), work), 0)
         except NotRegularError as exc:
             failures.append(f"first stage: {exc}")
             continue
@@ -485,29 +648,22 @@ def current_recipe(f1, f2, seed=0, max_tries=50):
             attempts += 1
             change = first.compose(second)
             try:
-                g1, g2, wf1, wf2, r2, a, b = _run_pipeline(f1, f2, change, work)
+                g1, g2, wf1, wf2, r2, a, b, ratio = _run_pipeline(f1, f2, change, work)
             except NotRegularError as exc:
                 failures.append(f"second stage: {exc}")
                 continue
-            result = (first, second, change, g1, g2, wf1, wf2, r2, a, b)
+            result = (first, second, change, g1, g2, wf1, wf2, r2, a, b, ratio)
             break
     if result is None:
         raise RecipeError(
             f"no regular coordinates found in {attempts} attempts; "
             f"failures: {failures[-3:]}"
         )
-    first, second, change, g1, g2, wf1, wf2, r2, a, b = result
+    first, second, change, g1, g2, wf1, wf2, r2, a, b, ratio = result
     n1, n2 = wf1.degree, wf2.degree
     gamma = n2 + 1
     c1 = Fraction((-1) ** (n1 * gamma) * math.factorial(n1 * gamma))
     c2 = -Fraction((-1) ** n2) * c1 / math.factorial(n2)
-    ratio = None
-    if g2.degree_in(0) >= 1:
-        res = resultant_sylvester(wf1.weierstrass, g2, 0)
-        # both as elements of QQ(variables, parameters), a ring with no variables
-        rational = Ring((), work.variables + work.params)
-        ratio = _to_work(res, rational).constant_term() / _to_work(r2, rational).constant_term()
-        ratio = str(ratio).replace(" ", "")
     return CurrentRecipe(
         ring=work,
         first_change=first,

@@ -10,9 +10,11 @@ import sympy
 from sympy.polys.euclidtools import dup_inner_subresultants
 
 from cmlink import weier
-from cmlink.poly import Polynomial, Ring
+from cmlink.poly import Polynomial, Ring, apply_linear_change
 from cmlink.weier import (
+    CurrentRecipe,
     NotRegularError,
+    WeierstrassForm,
     current_recipe,
     extended_euclid,
     resultant_sylvester,
@@ -24,6 +26,7 @@ U = Ring(("x",), ("s", "t"))
 R1 = Ring(("x",))
 R2 = Ring(("x", "y"))
 R3 = Ring(("x", "y", "z"))
+RS = Ring(("x", "y", "z"), ("s",))
 
 
 def test_weierstrass_plain_power():
@@ -295,6 +298,20 @@ def test_euclid_and_resultant_coefficients_are_canonical():
             assert_canonical(weier._param_denominator_lcm(p))
 
 
+def test_list_level_checks_reject_wrong_identities():
+    cases = _pairs_with_parameter_denominators()[:3]
+    for P, Q in cases + [(R3.poly("x^2 - 1/2*y"), R3.poly("x*z - 3"))]:
+        g, a, b = extended_euclid(P, Q, 0)
+        assert weier.bezout_holds(a, P, b, Q, g, 0)
+        assert not weier.bezout_holds(a, P, b, Q, g.scale(2), 0)
+        assert not weier.bezout_holds(a + Q, P, b, Q, g, 0)
+    f = RS.poly("(1/(1+s))*x^2 + s*y")
+    wf = weierstrass_ready(f, 0)
+    assert wf.unit == RS.constant(RS.coeff("1/(1+s)"))
+    with pytest.raises(ValueError):
+        WeierstrassForm(f, wf.unit.scale(RS.coeff("s+2")), wf.weierstrass, wf.degree, 0)
+
+
 def test_resultant_linear_pair():
     P, Q = U.poly("x - s"), U.poly("x - t")
     res = resultant_sylvester(P, Q, 0)
@@ -387,6 +404,100 @@ def test_sylvester_ratio_is_the_exact_quotient(ring, f1, f2):
     expected = sympy.cancel(res.to_sympy() / rec.r2.to_sympy())
     assert " " not in rec.sylvester_ratio
     assert sympy.cancel(sympy.sympify(rec.sylvester_ratio) - expected) == 0
+
+
+def reference_weierstrass(f, var):
+    """(u, P, N) with P = f/u scaled in the field and u*P == f checked on
+    Polynomials; NotRegularError as in `weierstrass_ready`."""
+    ring = f.ring
+    n = f.degree_in(var)
+    if n < 1:
+        raise NotRegularError("no occurrence")
+    lead = f.coefficient_in(var, n)
+    if not lead.is_constant() or ring.coeff_at_origin(lead.constant_term()) == 0:
+        raise NotRegularError("leading coefficient")
+    u = lead.constant_term()
+    p = f.scale(1 / u)
+    if any(p.coefficient_in(var, k).constant_term_at_origin() != 0 for k in range(n)):
+        raise NotRegularError("lower coefficient")
+    assert ring.constant(u) * p == f
+    return u, p, n
+
+
+def reference_recipe(f1, f2, seed=0, max_tries=50):
+    """`current_recipe` with its checks on Polynomials over the field.
+
+    Euclid runs on P1 = g1/u and a is corrected by the unit afterwards; the
+    Bezout identity is a Polynomial product, and the Sylvester ratio is a
+    quotient of the resultant and r2 moved into QQ(variables, parameters).
+    """
+    ring = f1.ring
+    work = weier._work_ring(ring)
+    n = ring.nvars
+    rng = random.Random(seed)
+    attempts = 0
+    found = None
+    for first in weier._first_changes(n, rng, max_tries):
+        if attempts >= max_tries or found is not None:
+            break
+        attempts += 1
+        try:
+            reference_weierstrass(weier._to_work(apply_linear_change(f1, first), work), 0)
+        except NotRegularError:
+            continue
+        for second in weier._second_changes(n, rng, 8):
+            if attempts >= max_tries:
+                break
+            attempts += 1
+            change = first.compose(second)
+            g1 = weier._to_work(apply_linear_change(f1, change), work)
+            g2 = weier._to_work(apply_linear_change(f2, change), work)
+            try:
+                u, p1, n1 = reference_weierstrass(g1, 0)
+                r2, a_raw, b = extended_euclid(p1, g2, 0)
+                assert not r2.involves(0)
+                _, p2, n2 = reference_weierstrass(r2, 1)
+            except NotRegularError:
+                continue
+            found = first, second, change, g1, g2, p1, n1, r2, p2, n2, a_raw.scale(1 / u), b
+            break
+    first, second, change, g1, g2, p1, n1, r2, p2, n2, a, b = found
+    assert a * g1 + b * g2 == r2
+    ratio = None
+    if g2.degree_in(0) >= 1:
+        rational = Ring((), work.variables + work.params)
+        res = weier._to_work(resultant_sylvester(p1, g2, 0), rational).constant_term()
+        ratio = str(res / weier._to_work(r2, rational).constant_term()).replace(" ", "")
+    gamma = n2 + 1
+    c1 = Fraction((-1) ** (n1 * gamma) * math.factorial(n1 * gamma))
+    return CurrentRecipe(work, first, second, change, g1, g2, p1, n1, r2, p2, n2, a, b,
+                         gamma, c1, -Fraction((-1) ** n2) * c1 / math.factorial(n2), ratio)
+
+
+@pytest.mark.parametrize(
+    "ring, f1, f2",
+    [
+        (R3, "z^2 - x^2*y", "x^4 - 2*x*y*z + y^3"),
+        (R3, "z^2 - x^2*y", "x^4 + y^3 - 2*x*y*z"),
+        (R3, "x*y - z^2", "x^3 - y^2"),
+        (R3, "x*z - y^2", "x^2 + z^3"),
+        (R3, "x^3 - y*z", "y^3 - x*z"),
+        (Ring(("x", "y"), ("s",)), "x^2 - s*y", "y^2 + x^3"),
+        (RS, "z^2 - x*y", "x^2 + (1/(1-s))*y^2 + z^3"),
+        (RS, "(2+s)*x^2 + y*z", "y^2 + x*z"),
+        (RS, "(1/(1+s))*x^2 + y", "y^3 - z^2"),
+        (RS, "(3/(2+s))*x^3 + y*z - x*z^2", "(1+s)*y^2 + x^2*z"),
+        # g1's list has a content over the parameters, which P1's has not
+        (R3, "(1+z)*(x^2 - y)", "y^2 + x*z"),
+        (RS, "(1+s*z)*(x^2 - y*z)", "y^2 + s*x"),
+    ],
+    ids=["CI_SWAPPED", "curve CI", "RECIPE_CIS[2]", "RECIPE_CIS[3]", "RECIPE_CIS[4]", "QQ(s)",
+         "QQ(s) denominators", "QQ(s) unit", "QQ(s) unit denominator", "QQ(s) cubic",
+         "content 1+z", "content 1+s*z"],
+)
+def test_recipe_matches_polynomial_level_reference(ring, f1, f2):
+    f1, f2 = ring.poly(f1), ring.poly(f2)
+    assert current_recipe(f1, f2).to_json() == reference_recipe(f1, f2).to_json()
 
 
 def test_recipe_constant_invariants():

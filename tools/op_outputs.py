@@ -31,8 +31,14 @@ in place of the seed: `ideal_colon` under grevlex and lex and
 `ideal_intersect` of a zero I, a unit I, a unit J, I = J, a J of one
 generator, a ring with a variable named `_t`, the paper's complete
 intersection and curve, a pair whose colon takes seconds when its module
-basis follows lex (`lex-trap`), and a pair over QQ(s).  The three corpora
-call only the public API, so they run on any checkout.  An operation
+basis follows lex (`lex-trap`), and a pair over QQ(s).  Then come the
+residue-current recipes (`recipe_cases`), written as workload `recipes`
+with the input in place of the seed: the JSON of `current_recipe` for
+complete intersections over QQ(s) whose units and coefficients have
+parameter denominators and for two whose first generator has a factor
+free of x and y, and `extended_euclid` and `resultant_sylvester` of a
+pair over QQ(s,t) with parameter denominators.  The four corpora call only the
+public API, so they run on any checkout.  An operation
 stopped at its budget (or at 60 s when it has none) is written as
 `<over budget>`.
 Outputs of two checkouts are the same exactly when
@@ -171,6 +177,30 @@ def ideal_cases(cmlink):
         yield label, Case("intersect", lambda f=ideals: cmlink.ideal_intersect(*f()))
 
 
+def recipe_cases(cmlink):
+    """(input, case) recipes over QQ and QQ(s), and a Euclid and Sylvester pair over QQ(s,t)."""
+    xyz = cmlink.Ring(("x", "y", "z"))
+    xyz_s = cmlink.Ring(("x", "y", "z"), ("s",))
+    cis = {
+        "unit-(2+s)": (xyz_s, "(2+s)*x^2 + y*z", "y^2 + x*z"),
+        "unit-1/(1+s)": (xyz_s, "(1/(1+s))*x^2 + y", "y^3 - z^2"),
+        "unit-3/(2+s)": (xyz_s, "(3/(2+s))*x^3 + y*z - x*z^2", "(1+s)*y^2 + x^2*z"),
+        "denominator-1/(1-s)": (xyz_s, "z^2 - x*y", "x^2 + (1/(1-s))*y^2 + z^3"),
+        "factor-(1+z)": (xyz, "(1+z)*(x^2 - y)", "y^2 + x*z"),
+        "factor-(1+s*z)": (xyz_s, "(1+s*z)*(x^2 - y*z)", "y^2 + s*x"),
+    }
+    for label, (ring, f1, f2) in cis.items():
+        yield label, Case("recipe", lambda r=ring, f=f1, g=f2: cmlink.current_recipe(
+            r.poly(f), r.poly(g)).to_json())
+    st = cmlink.Ring(("x",), ("s", "t"))
+    P = st.poly("(1/(s+1))*x^3 - t*x + s")
+    Q = st.poly("((t-2)/(3*s*t+1))*x^2 + x - 1/(1+t)")
+    yield "QQ(s,t)", Case("extended-euclid",
+                          lambda: [str(p) for p in cmlink.extended_euclid(P, Q, 0)])
+    yield "QQ(s,t)", Case("resultant-sylvester",
+                          lambda: str(cmlink.resultant_sylvester(P, Q, 0)))
+
+
 def _lift(cmlink, b, matrix, order):
     """`lift_through(b, matrix, order)`, or the error and its remainder when b is not in the image."""
     try:
@@ -227,6 +257,8 @@ def main(argv=None):
             lines.append(f"fields\t{field}\t{case.name}\t{_run(case)}\n")
         for pair, case in ideal_cases(cmlink):
             lines.append(f"ideals\t{pair}\t{case.name}\t{_run(case)}\n")
+        for label, case in recipe_cases(cmlink):
+            lines.append(f"recipes\t{label}\t{case.name}\t{_run(case)}\n")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     with open(out, "w", encoding="utf-8") as fh:
