@@ -12,14 +12,15 @@ Everything between the inputs and the outputs runs on dense coefficient
 lists over ZZ[others] (the remaining variables, then the parameters): a
 polynomial is cleared to such a list and a scale num/den, with num in
 ZZ[others] and den a positive integer.  Euclid runs Brown's subresultant
-recurrence there, dividing every remainder and both cofactors by the same
-beta exactly, so no gcd is taken inside the loop; one joint content and a
-sign at the end make (g, a, b) canonical.  The Sylvester determinant is a
-Bareiss elimination over the same lists.  The recipe's checks stay exact
-and stay on the lists too: `unit * P == f`, the Bezout identity
-a*g1 + b*g2 == r2 and the Sylvester ratio clear each side again and
-cross-multiply the scales.  Field coefficients (QQ(params)) are made only
-for the polynomials a caller gets back.
+recurrence there, dividing every remainder and one cofactor by the same
+beta exactly, so no gcd is taken inside the loop; the other cofactor is an
+exact division at the end, and one joint content and a sign make (g, a, b)
+canonical.  The Sylvester determinant is a Bareiss elimination over the
+same lists.  The recipe's checks stay exact and stay on the lists too:
+`unit * P == f`, the Bezout identity a*g1 + b*g2 == r2 and the Sylvester
+ratio clear each side again and cross-multiply the scales.  Field
+coefficients (QQ(params)) are made only for the polynomials a caller gets
+back.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
-from sympy.polys.densearith import dup_add, dup_mul, dup_mul_ground, dup_pdiv, dup_sub
+from sympy.polys.densearith import dup_add, dup_exquo, dup_mul, dup_mul_ground, dup_pdiv, dup_sub
 from sympy.polys.densetools import dup_content
 from sympy.polys.rings import PolyElement
 
@@ -294,11 +295,11 @@ def extended_euclid(P, Q, var):
     ring variables and the parameters, and run through Brown's subresultant
     PRS (Collins 1967; Brown 1978): each step pseudo-divides,
     lc(r1)^(d+1) r0 = q r1 + r with d = deg r0 - deg r1, and divides r and
-    the cofactors lc(r1)^(d+1) s0 - q s1, lc(r1)^(d+1) t0 - q t1 by the
-    same beta = -psi c^d.  Here psi is the previous leading coefficient
-    (1 at first) and c (-1 at first) becomes (-lc(r1))^d / c^(d-1).  The
-    divisions are exact, because the cofactors of a subresultant are
-    minors of the Sylvester matrix; an inexact one raises.
+    Q's cofactor lc(r1)^(d+1) t0 - q t1 by the same beta = -psi c^d.  Here
+    psi is the previous leading coefficient (1 at first) and c (-1 at
+    first) becomes (-lc(r1))^d / c^(d-1).  The divisions are exact,
+    because the cofactors of a subresultant are minors of the Sylvester
+    matrix; an inexact one raises.  P's cofactor is (g - t Q) / P, exactly.
 
     At the end (g, a, b) is divided by its joint content over ZZ[others],
     with the sign that makes the leading coefficient of g positive; the
@@ -325,11 +326,9 @@ def extended_euclid(P, Q, var):
 
 def _euclid_lists(p1, p2, dom):
     """`extended_euclid` on dense polynomials over dom: (g, s, t) with
-    g = s*p1 + t*p2, checked, over their joint content with g's leading
-    coefficient positive."""
+    g = s*p1 + t*p2, over their joint content with g's leading coefficient
+    positive."""
     g, s, t = _subresultant_euclid(p1, p2, dom)
-    if dup_sub(dup_add(dup_mul(s, p1, dom), dup_mul(t, p2, dom), dom), g, dom):
-        raise ArithmeticError("Bezout identity failed in the Euclid loop")
     cont = dom.gcd(dom.gcd(dup_content(g, dom), dup_content(s, dom)), dup_content(t, dom))
     if dom.is_negative(g[0]) != dom.is_negative(cont):
         cont = -cont
@@ -338,10 +337,14 @@ def _euclid_lists(p1, p2, dom):
 
 def _subresultant_euclid(p1, p2, dom):
     """The loop of `extended_euclid` on dense polynomials over dom: the last
-    remainder g of the subresultant PRS and (s, t) with g = s*p1 + t*p2."""
-    r0, r1, s0, s1, t0, t1 = p1, p2, [dom.one], [], [], [dom.one]
+    remainder g of the subresultant PRS and (s, t) with g = s*p1 + t*p2.
+
+    Only t is carried through the loop.  s is (g - t*p2) / p1, and that
+    division checks the Bezout identity: it raises unless it is exact.
+    """
+    r0, r1, t0, t1 = p1, p2, [], [dom.one]
     if len(r0) < len(r1):
-        r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
+        r0, r1, t0, t1 = r1, r0, t1, t0
     psi, c = dom.one, -dom.one
     while r1:
         d = len(r0) - len(r1)
@@ -350,11 +353,10 @@ def _subresultant_euclid(p1, p2, dom):
         alpha = psi ** (d + 1)
         q, r = dup_pdiv(r0, r1, dom)  # alpha * r0 = q * r1 + r
         r0, r1 = r1, _exquo(r, beta)
-        s0, s1 = s1, _cofactor_step(s0, s1, alpha, q, beta, dom)
         t0, t1 = t1, _cofactor_step(t0, t1, alpha, q, beta, dom)
         if d:  # an equal-degree first step keeps c = -1
             c = ((-psi) ** d).exquo(c ** (d - 1))
-    return r0, s0, t0
+    return r0, dup_exquo(dup_sub(r0, dup_mul(t0, p2, dom), dom), p1, dom), t0
 
 
 def _param_denominator_lcm(p):
