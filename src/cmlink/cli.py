@@ -179,11 +179,12 @@ def cmd_member(args):
     else:  # link
         if J.is_zero() or J.is_unit(order):
             raise InputError("membership via link needs a proper nonzero ideal J")
+        p = ideal_codim(J, order)
         if args.ideal_I:
             I = read_ideal_file(args.ideal_I)
             _check_linking_ideal(I, J)
+            _check_complete_intersection(I, p, order)
         else:
-            p = ideal_codim(J, order)
             I = generic_ci(J, p, seed=args.seed)
         report["I"] = _gens(I)
         try:
@@ -202,9 +203,14 @@ def _det_member(args, J, g, report):
     I = read_ideal_file(args.ideal_I)
     _same_ring(I, J)
     A = read_matrix_file(args.matrix_A, J.ring)
+    order = _order(args)
+    p = ideal_codim(J, order)
+    _check_complete_intersection(I, p, order)
+    if len(J.gens) != p:
+        raise InputError(f"the det law needs J with p = codim J = {p} generators")
     report["I"] = _gens(I)
     try:
-        verdict = det_transform_member(g, I, J, A, _order(args))
+        verdict = det_transform_member(g, I, J, A, order)
     except ValueError as exc:
         return _failed(report, exc)
     return _verdict(report, verdict)
@@ -295,6 +301,14 @@ def _check_linking_ideal(I, J):
     _same_ring(I, J)
     if I.is_zero():
         raise InputError("linkage needs a nonzero ideal I")
+
+
+def _check_complete_intersection(I, p, order):
+    """The hypothesis of the linkage and det laws: I is a complete intersection of codim p."""
+    codim = ideal_codim(I, order)
+    if not codim == len(I.gens) == p:
+        raise InputError(f"I must be a complete intersection of codimension p = codim J = {p}; "
+                         f"I has codim {codim} and {len(I.gens)} generators")
 
 
 def _linkage_report(args, supplied=None):

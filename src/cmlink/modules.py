@@ -1077,15 +1077,18 @@ def prune_redundant_columns(columns, order=GREVLEX):
     The module order is position-over-term over the monomial order `order`.
     Zero columns go first.  When every column is homogeneous for one choice
     of row shifts (see `_column_degrees`), columns are pruned degree by
-    degree: a column of degree d is kept exactly when its normal form
-    modulo the columns kept below degree d lies outside the field span of
-    the normal forms of the degree-d columns before it.  That needs one
-    module Groebner basis per degree.  Otherwise `_greedy_prune` tests
-    every column against a basis of all the others.  Both keep the same
-    columns on graded input: a degree-d column can only be written with
-    columns of degree at most d, the degree-d ones with constant
-    coefficients, so removing the last redundant column first keeps exactly
-    the columns independent of the ones before them.
+    degree: a degree-d column is kept exactly when `_reduce` leaves it a
+    nonzero remainder by the divisors of a module basis of the columns kept
+    below degree d and the remainders of the degree-d columns kept before it,
+    and its remainder joins them.  A degree-d divisor leads at a monomial of
+    degree d, so a step by one is a row operation, and the divisors are a
+    Groebner basis in degree d.  That is one module Groebner basis per degree,
+    and no field coefficient.  Otherwise `_greedy_prune` tests every column
+    against a basis of all the others.  Both keep the same columns on graded
+    input: a degree-d column can only be written with columns of degree at
+    most d, the degree-d ones with constant coefficients, so removing the
+    last redundant column first keeps exactly the columns independent of the
+    ones before them.
     """
     cols = [c for c in columns if not _vec_is_zero(c)]
     if not cols:
@@ -1093,37 +1096,24 @@ def prune_redundant_columns(columns, order=GREVLEX):
     degrees = _column_degrees(cols)
     if degrees is None:
         return _greedy_prune(cols, order)
+    ring = cols[0][0].ring
+    nums = _numerators(ring)
     keep = [False] * len(cols)
+
+    def remainder(col, divisors):
+        work, scale = _numerator_dicts(col, nums, divisors)
+        return _reduce(work, scale, divisors, nums)[0]
+
     for d in sorted(set(degrees)):
         below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
-        divisors = _groebner(below, order, False)
-        pivots = []  # (key, row): rows in echelon form, each zero at earlier keys
+        divisors = _groebner(below, order, False) or _Divisors(_packing(order, ring.nvars))
         for j, col in enumerate(cols):
-            if degrees[j] != d:
-                continue
-            rem = _divide(col, divisors)
-            row = {(pos, e): c for pos, p in enumerate(rem) for e, c in p.terms.items()}
-            for key, prow in pivots:
-                if key in row:
-                    _row_sub(row, prow, row[key] / prow[key])
-            if row:
-                pivots.append((min(row), row))
-                keep[j] = True
+            if degrees[j] == d:
+                rem = _widening(divisors, remainder, col, divisors)
+                if any(rem):
+                    divisors.append(_divisor(rem, divisors.packing, nums))
+                    keep[j] = True
     return [c for c, k in zip(cols, keep) if k]
-
-
-def _row_sub(row, prow, factor):
-    """row -= factor * prow in place, dropping entries that cancel."""
-    for key, c in prow.items():
-        t = -(factor * c)
-        if key in row:
-            s = row[key] + t
-            if not s:
-                del row[key]
-            else:
-                row[key] = s
-        else:
-            row[key] = t
 
 
 def _column_degrees(cols):

@@ -235,15 +235,6 @@ def monomial_mul(a, b):
     return tuple(map(operator.add, a, b))
 
 
-def monomial_divides(a, b):
-    """a | b exponentwise."""
-    return all(map(operator.le, a, b))
-
-
-def monomial_div(b, a):
-    return tuple(map(operator.sub, b, a))
-
-
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 

@@ -11,16 +11,18 @@ constants gamma, C1, C2.
 Everything between the inputs and the outputs runs on dense coefficient
 lists over ZZ[others] (the remaining variables, then the parameters): a
 polynomial is cleared to such a list and a scale num/den, with num in
-ZZ[others] and den a positive integer.  Euclid runs Brown's subresultant
-recurrence there, dividing every remainder and one cofactor by the same
-beta exactly, so no gcd is taken inside the loop; the other cofactor is an
-exact division at the end, and one joint content and a sign make (g, a, b)
-canonical.  The Sylvester determinant is a Bareiss elimination over the
-same lists.  The recipe's checks stay exact and stay on the lists too:
-`unit * P == f`, the Bezout identity a*g1 + b*g2 == r2 and the Sylvester
-ratio clear each side again and cross-multiply the scales.  Field
-coefficients (QQ(params)) are made only for the polynomials a caller gets
-back.
+ZZ[others] and den a positive integer.  A changed generator is cleared
+once, in the input ring, and its working-ring polynomial is built from that
+list (`_to_work`); the pipeline goes on with the list.  Euclid runs Brown's
+subresultant recurrence there, dividing every remainder and one cofactor by
+the same beta exactly, so no gcd is taken inside the loop; the other
+cofactor is an exact division at the end, and one joint content and a sign
+make (g, a, b) canonical.  The Sylvester determinant is a Bareiss
+elimination over the same lists.  The recipe's checks stay exact and stay
+on the lists too: `unit * P == f`, the Bezout identity a*g1 + b*g2 == r2
+and the Sylvester ratio clear each side again and cross-multiply the
+scales.  Field coefficients (QQ(params)) are made only for the polynomials
+a caller gets back.
 """
 
 from __future__ import annotations
@@ -126,9 +128,13 @@ def weierstrass_ready(f, var):
     invertible at the origin, and the lower coefficients of P must vanish at
     the origin; otherwise NotRegularError asks for a coordinate change.
     """
+    return _prepared(f, var, _cleared(f, var, _euclid_domain(f.ring, var))[0])
+
+
+def _prepared(f, var, coeffs):
+    """`weierstrass_ready(f, var)`, given f's cleared list `coeffs` (see `_cleared`)."""
     n, u = _weierstrass_unit(f, var)
     ring = f.ring
-    coeffs, _, _ = _cleared(f, var, _euclid_domain(ring, var))
     # the cleared list is a multiple of f, so dividing it by its leading
     # entry (a multiple of u, free of the other variables) gives the monic P
     return WeierstrassForm(f, ring.constant(u), _from_poly_coeffs(coeffs, ring, var, coeffs[0]),
@@ -189,17 +195,6 @@ def _cleared(p, var, dom):
     pad = (0,) * len(others)
     num = dom.ring.from_dict({pad + m: int(q.numerator) * lcm for m, q in dp.items()})
     return coeffs, num, content
-
-
-def _integral_coeffs(p, var, dom):
-    """p as a primitive polynomial in `var` over dom = ZZ[others], and the
-    positive coefficient k of p's ring with that polynomial = k * p.
-
-    The polynomial is the dense list of its coefficients, highest degree
-    first; k is the scale num/den of `_cleared`.
-    """
-    coeffs, num, den = _cleared(p, var, dom)
-    return coeffs, _from_poly_coeffs([num], p.ring, var, den).constant_term()
 
 
 def _from_poly_coeffs(coeff_list, ring, var, den=1):
@@ -422,34 +417,10 @@ def _work_ring(ring):
 
 
 def _to_work(p, work):
-    """Reinterpret p in `work`, which keeps p's first `work.nvars` variables.
-
-    The work ring's parameters are p's other variables followed by p's
-    parameters, so each coefficient is rebuilt from exponent tuples.
-    """
-    ring, field, k = p.ring, work.field, work.nvars
-    if field is None:
-        return Polynomial(work, p.terms)
-    pad = (0,) * (ring.nvars - k)
-    out = {}
-    for exps, c in p.terms.items():
-        if ring.field is None:
-            numer = {(): sympy.QQ(c.numerator, c.denominator)}
-            denom = {(): sympy.QQ.one}
-        else:
-            numer, denom = c.numer, c.denom
-        coeff = field.new(
-            field.ring.from_dict({exps[k:] + m: q for m, q in numer.items()}),
-            field.ring.from_dict({pad + m: q for m, q in denom.items()}),
-        )
-        key = exps[:k]
-        if key in out:
-            coeff = out[key] + coeff
-        if not coeff:
-            out.pop(key, None)
-        else:
-            out[key] = coeff
-    return Polynomial(work, out)
+    """(p in `work`, `_cleared` of p in its first variable): p is cleared once,
+    over ZZ[others] of both rings, and its work-ring polynomial built from that."""
+    coeffs, num, den = cleared = _cleared(p, 0, _euclid_domain(work, 0))
+    return _from_poly_coeffs([c * den for c in coeffs], work, 0, num), cleared
 
 
 def _fraction_str(q):
@@ -547,12 +518,10 @@ def _run_pipeline(f1, f2, change, work):
 
     Returns g1, g2, their Weierstrass forms, r2, a, b and the Sylvester ratio.
     """
-    g1 = _to_work(apply_linear_change(f1, change), work)
-    g2 = _to_work(apply_linear_change(f2, change), work)
-    wf1 = weierstrass_ready(g1, 0)
+    g1, (p1, num_1, den_1) = _to_work(apply_linear_change(f1, change), work)
+    g2, (p2, num_2, den_2) = _to_work(apply_linear_change(f2, change), work)
+    wf1 = _prepared(g1, 0, p1)
     dom = _euclid_domain(work, 0)
-    p1, num_1, den_1 = _cleared(g1, 0, dom)
-    p2, num_2, den_2 = _cleared(g2, 0, dom)
     # P1 = g1/u is monic, so its primitive list is g1's over their content,
     # a divisor of the leading entry; Euclid on it is Euclid on P1
     content = _lead_content(p1, dom)
@@ -640,7 +609,7 @@ def current_recipe(f1, f2, seed=0, max_tries=50):
         # the first preparation is unaffected by second changes, so probe it
         # once per first change
         try:
-            _weierstrass_unit(_to_work(apply_linear_change(f1, first), work), 0)
+            _weierstrass_unit(_to_work(apply_linear_change(f1, first), work)[0], 0)
         except NotRegularError as exc:
             failures.append(f"first stage: {exc}")
             continue

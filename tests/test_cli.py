@@ -637,3 +637,44 @@ def test_member_via_det_broken_row_identity(files, capsys, tmp_path):
          "--via", "det"],
     )
     assert "row identity" in error
+
+
+# I = (x*y, x*y + y^2) = (x, y) * [[y, y], [0, y]] has codim 1 < 2 = codim J, so
+# neither law applies: both would put z in J = (x, y)
+NOT_CI = {
+    "J.id": "ring x,y,z over QQ\nx\ny\n",
+    "I.id": "ring x,y,z over QQ\nx*y\nx*y + y^2\n",
+    "A.mat": "ring x,y,z over QQ\nmatrix 2 2\ny; y\n0; y\n",
+    # codim 1 as well; its top entries are all zero
+    "I_zero_top.id": "ring x,y,z over QQ\nx^2\nx*y\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "--via", "link", "--ideal-I", "I.id"],
+    ["det-member", "--ideal-I", "I.id", "--matrix-A", "A.mat"],
+    ["member", "--via", "link", "--ideal-I", "I_zero_top.id"],
+], ids=["member-via-link", "det-member", "member-via-link-zero-top-entries"])
+def test_an_i_that_is_not_a_complete_intersection_of_codim_j_is_an_input_error(
+        argv, capsys, tmp_path):
+    for name, text in NOT_CI.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in NOT_CI else a for a in argv]
+    code, report = capture(capsys, argv + ["--g", "z", "--ideal-J", str(tmp_path / "J.id")])
+    assert code == 2
+    assert "verdict" not in report
+    assert report["error"] == ("I must be a complete intersection of codimension "
+                               "p = codim J = 2; I has codim 1 and 2 generators")
+
+
+def test_the_det_law_needs_j_with_codim_j_generators(capsys, tmp_path):
+    J = tmp_path / "J.id"
+    J.write_text("ring x,y over QQ\nx\ny\nx + y\n")
+    A = tmp_path / "A.mat"
+    A.write_text("ring x,y over QQ\nmatrix 3 3\nx; 0; 0\n0; y; 0\n0; 0; 1\n")
+    I = tmp_path / "I.id"
+    I.write_text("ring x,y over QQ\nx^2\ny^2\n")
+    code, report = capture(capsys, ["det-member", "--g", "x", "--ideal-I", str(I),
+                                    "--ideal-J", str(J), "--matrix-A", str(A)])
+    assert code == 2
+    assert report["error"] == "the det law needs J with p = codim J = 2 generators"

@@ -45,14 +45,21 @@ from cmlink.poly import (
     Polynomial,
     Ring,
     block_order,
-    monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomial_mul,
 )
 
 R = Ring(("x", "y", "z"))
 x, y, z = R.gens()
+
+
+def monomial_divides(a, b):
+    """a | b exponentwise; the field-arithmetic references divide with tuples."""
+    return all(p <= q for p, q in zip(a, b))
+
+
+def monomial_div(b, a):
+    return tuple(p - q for p, q in zip(b, a))
 
 
 def det_cofactor(M):
@@ -935,6 +942,27 @@ def test_prune_by_degree_with_two_row_blocks():
     # a1 is in the span of a0 and a0 + 2*a1 before it, so it goes instead
     kept = [cols[j] for j in (1, 2, 3, 5, 7, 8)]
     assert _as_text(_prune_matches_greedy(cols)) == _as_text(kept)
+
+
+def test_prune_widens_the_degree_d_divisors_it_holds(monkeypatch):
+    """y^200 passes the 8-bit fields after [x, 0] has become a degree-1 divisor."""
+    zero = R.zero()
+    cols = [[x, zero], [zero, y**200], [2 * x, 3 * y**200], [y, z**200]]
+    assert _column_degrees(cols) == [1, 1, 1, 1]
+    held = []
+    original = modules._Divisors.widen
+
+    def recording(divisors):
+        held.append((divisors.packing.width, len(divisors)))
+        original(divisors)
+
+    monkeypatch.setattr(modules._Divisors, "widen", recording)
+    kept = prune_redundant_columns(cols, GREVLEX)
+    # nothing lies below degree 1, so the one divisor held is [x, 0]'s
+    assert held == [(8, 1)]
+    monkeypatch.undo()
+    assert _as_text(_prune_matches_greedy(cols)) == _as_text(kept)
+    assert _as_text(kept) == _as_text([cols[0], cols[1], cols[3]])
 
 
 def test_an_empty_matrix_from_columns_needs_a_ring():

@@ -146,8 +146,8 @@ def subresultant_degrees(P, Q, var=0):
     """Degrees of sympy's subresultant PRS of P, Q, after checking that the
     last remainder of the Euclid loop is its last element."""
     dom = weier._euclid_domain(P.ring, var)
-    p1, _ = weier._integral_coeffs(P, var, dom)
-    p2, _ = weier._integral_coeffs(Q, var, dom)
+    p1 = weier._cleared(P, var, dom)[0]
+    p2 = weier._cleared(Q, var, dom)[0]
     prs, _ = dup_inner_subresultants(p1, p2, dom)
     g, s, t = weier._subresultant_euclid(p1, p2, dom)
     assert g == prs[-1]
@@ -424,6 +424,62 @@ def reference_weierstrass(f, var):
     return u, p, n
 
 
+def reference_to_work(p, work):
+    """p in `work`, which keeps p's first `work.nvars` variables: the bridge
+    before the recipe built it from a cleared list.
+
+    The work ring's parameters are p's other variables followed by p's
+    parameters, so each coefficient is rebuilt in the field from exponent
+    tuples.
+    """
+    ring, field, k = p.ring, work.field, work.nvars
+    if field is None:
+        return Polynomial(work, p.terms)
+    pad = (0,) * (ring.nvars - k)
+    out = {}
+    for exps, c in p.terms.items():
+        if ring.field is None:
+            numer = {(): sympy.QQ(c.numerator, c.denominator)}
+            denom = {(): sympy.QQ.one}
+        else:
+            numer, denom = c.numer, c.denom
+        coeff = field.new(
+            field.ring.from_dict({exps[k:] + m: q for m, q in numer.items()}),
+            field.ring.from_dict({pad + m: q for m, q in denom.items()}),
+        )
+        key = exps[:k]
+        if key in out:
+            coeff = out[key] + coeff
+        if not coeff:
+            out.pop(key, None)
+        else:
+            out[key] = coeff
+    return Polynomial(work, out)
+
+
+@pytest.mark.parametrize("ring, f1, f2", [
+    (R2, "x^2 - y^3", "3*x*y + (1/2)*y^2"),
+    (R3, "z^2 - x^2*y", "x^4 - 2*x*y*z + y^3"),
+    (RS, "(1/(1+s))*z^3 + x*y - s*x^2", "(2/(3-s^2))*y^2 + (1/5)*x*z"),
+    (Ring(("x", "y", "z", "w"), ("s",)), "x*w - (s/(1+s))*y^2 + z*w^2",
+     "(1/(1+s))*z^3 + (1/3)*x^2*y - s*w"),
+], ids=["QQ[x,y]", "QQ[x,y,z]", "QQ(s)[x,y,z]", "QQ(s)[x,y,z,w]"])
+def test_work_ring_bridge_matches_the_field_rebuild(ring, f1, f2):
+    """g1, g2 built from their cleared lists equal the field rebuild, as values and as text."""
+    work = weier._work_ring(ring)
+    n = ring.nvars
+    changes = list(weier._first_changes(n, random.Random(3), 4))
+    changes += [first.compose(second) for first in changes[:2]
+                for second in weier._second_changes(n, random.Random(5), 3)]
+    for change in changes:
+        for f in (ring.poly(f1), ring.poly(f2)):
+            g = apply_linear_change(f, change)
+            new, (coeffs, num, den) = weier._to_work(g, work)
+            old = reference_to_work(g, work)
+            assert new == old and str(new) == str(old)
+            assert coeffs == weier._cleared(new, 0, weier._euclid_domain(work, 0))[0]
+
+
 def reference_recipe(f1, f2, seed=0, max_tries=50):
     """`current_recipe` with its checks on Polynomials over the field.
 
@@ -442,7 +498,7 @@ def reference_recipe(f1, f2, seed=0, max_tries=50):
             break
         attempts += 1
         try:
-            reference_weierstrass(weier._to_work(apply_linear_change(f1, first), work), 0)
+            reference_weierstrass(reference_to_work(apply_linear_change(f1, first), work), 0)
         except NotRegularError:
             continue
         for second in weier._second_changes(n, rng, 8):
@@ -450,8 +506,8 @@ def reference_recipe(f1, f2, seed=0, max_tries=50):
                 break
             attempts += 1
             change = first.compose(second)
-            g1 = weier._to_work(apply_linear_change(f1, change), work)
-            g2 = weier._to_work(apply_linear_change(f2, change), work)
+            g1 = reference_to_work(apply_linear_change(f1, change), work)
+            g2 = reference_to_work(apply_linear_change(f2, change), work)
             try:
                 u, p1, n1 = reference_weierstrass(g1, 0)
                 r2, a_raw, b = extended_euclid(p1, g2, 0)
@@ -466,8 +522,8 @@ def reference_recipe(f1, f2, seed=0, max_tries=50):
     ratio = None
     if g2.degree_in(0) >= 1:
         rational = Ring((), work.variables + work.params)
-        res = weier._to_work(resultant_sylvester(p1, g2, 0), rational).constant_term()
-        ratio = str(res / weier._to_work(r2, rational).constant_term()).replace(" ", "")
+        res = reference_to_work(resultant_sylvester(p1, g2, 0), rational).constant_term()
+        ratio = str(res / reference_to_work(r2, rational).constant_term()).replace(" ", "")
     gamma = n2 + 1
     c1 = Fraction((-1) ** (n1 * gamma) * math.factorial(n1 * gamma))
     return CurrentRecipe(work, first, second, change, g1, g2, p1, n1, r2, p2, n2, a, b,
