@@ -329,6 +329,7 @@ def _linkage_report(args, supplied=None):
                 "target ideal is not Cohen-Macaulay: codim "
                 f"{codim}, minimal resolution length {length}",
             )
+        _check_complete_intersection(I, codim, order)
         K = KoszulComplex(list(I.gens))
         E = free_resolution(J, order=order)
         if supplied is None:

@@ -245,11 +245,9 @@ def ideal_codim(I, order=GREVLEX):
 
 def _monomial_dim(leads, n):
     """Krull dimension of k[x]/(monomials): largest independent variable set."""
-    best = 0
-    for size in range(n, -1, -1):
+    for size in range(n, 0, -1):
         for subset in combinations(range(n), size):
             inside = set(subset)
             if all(any(e[i] for i in range(n) if i not in inside) for e in leads):
                 return size
-        # no set of this size works; try smaller
-    return best
+    return 0

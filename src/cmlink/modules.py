@@ -58,6 +58,7 @@ from .poly import (
     GREVLEX,
     Polynomial,
     RingMismatchError,
+    _accumulate,
     _bareiss_det,
     monomial_lcm,
     monomial_mul,
@@ -184,13 +185,13 @@ class PolyMatrix:
 
 
 def _dot(ring, row, col):
-    """sum(a * b for a, b in zip(row, col)), summed in one term dict."""
+    """sum(a * b for a, b in zip(row, col)), summed in one term dict by `_accumulate`."""
     terms = {}
     for a, b in zip(row, col):
         if a.terms and b.terms:
             bterms = b.terms.items()
             for e, c in a.terms.items():
-                _sub_multiple(terms, bterms, e, -c)
+                _accumulate(terms, bterms, e, c)
     return Polynomial(ring, terms)
 
 
@@ -208,26 +209,6 @@ def det_bareiss(M):
 
 def _vec_is_zero(vec):
     return all(p.is_zero() for p in vec)
-
-
-def _sub_multiple(terms, row, t_exps, c=None):
-    """terms -= c * x^t_exps * row in place (c None: 1), dropping terms that cancel.
-
-    `row` is a sequence of (exponents, coefficient).
-    """
-    for e, v in row:
-        m = monomial_mul(e, t_exps)
-        if c is not None:
-            v = v * c
-        old = terms.get(m)
-        if old is None:
-            terms[m] = -v
-        else:
-            s = old - v
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
 
 
 class _IntegerNumerators:

@@ -7,6 +7,8 @@ denominator's leading coefficient positive), printed in sympy's
 fraction-field form.  Monomials are exponent tuples of fixed length.  A
 `MonomialOrder` is lex, graded-reverse-lex or block elimination on the
 ring's variables in their given order, and carries one sort key function.
+Sums, differences, products and substitution, and the `PolyMatrix`
+products of `modules`, add terms into a dict by one loop, `_accumulate`.
 No floating point anywhere.
 """
 
@@ -239,6 +241,27 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def _accumulate(terms, row, t=None, c=None):
+    """terms += c * x^t * row in place (t None: 1, c None: 1), dropping terms that cancel.
+
+    `row` is a sequence of (exponents, coefficient).
+    """
+    for e, v in row:
+        if t is not None:
+            e = monomial_mul(e, t)
+        if c is not None:
+            v = v * c
+        old = terms.get(e)
+        if old is None:
+            terms[e] = v
+        else:
+            s = old + v
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+
+
 class Polynomial:
     """Immutable sparse polynomial: map from exponent tuple to nonzero coefficient."""
 
@@ -304,18 +327,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check_ring(other)
-        ring = self.ring
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in out:
-                s = out[exps] + c
-                if not s:
-                    del out[exps]
-                else:
-                    out[exps] = s
-            else:
-                out[exps] = c
-        return Polynomial(ring, out)
+        _accumulate(out, other.terms.items())
+        return Polynomial(self.ring, out)
 
     __radd__ = __add__
 
@@ -325,7 +339,10 @@ class Polynomial:
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
-        return self + (-other)
+        self._check_ring(other)
+        out = dict(self.terms)
+        _accumulate(out, ((e, -c) for e, c in other.terms.items()))
+        return Polynomial(self.ring, out)
 
     def __rsub__(self, other):
         return self.ring.constant(other) - self
@@ -334,21 +351,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        ring = self.ring
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = monomial_mul(e1, e2)
-                prod = c1 * c2
-                if exps in out:
-                    s = out[exps] + prod
-                    if not s:
-                        del out[exps]
-                    else:
-                        out[exps] = s
-                else:
-                    out[exps] = prod
-        return Polynomial(ring, out)
+        row = other.terms.items()
+        for e, c in self.terms.items():
+            _accumulate(out, row, e, c)
+        return Polynomial(self.ring, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -397,7 +404,7 @@ class Polynomial:
                 powers[(i, e)] = mapping[i] ** e
             return powers[(i, e)]
 
-        out = ring.zero()
+        out = {}
         for exps, c in self.terms.items():
             residual = list(exps)
             piece = None
@@ -406,9 +413,11 @@ class Polynomial:
                     residual[i] = 0
                     p = power(i, exps[i])
                     piece = p if piece is None else piece * p
-            base = Polynomial(ring, {tuple(residual): c})
-            out = out + (base if piece is None else base * piece)
-        return out
+            if piece is None:
+                _accumulate(out, ((exps, c),))
+            else:
+                _accumulate(out, piece.terms.items(), tuple(residual), c)
+        return Polynomial(ring, out)
 
     # -- printing ------------------------------------------------------------
 
@@ -539,14 +548,8 @@ def apply_linear_change(p, change):
     ring = p.ring
     if change.size != ring.nvars:
         raise ValueError("linear change size must equal the variable count")
-    mapping = {}
-    for i in range(ring.nvars):
-        row = change.matrix[i]
-        q = ring.zero()
-        for j, v in enumerate(row):
-            if v:
-                q = q + ring.var(j).scale(v)
-        mapping[i] = q
+    mapping = {i: sum((ring.var(j).scale(v) for j, v in enumerate(row) if v), ring.zero())
+               for i, row in enumerate(change.matrix)}
     return p.substitute(mapping)
 
 

@@ -355,11 +355,9 @@ def _subresultant_euclid(p1, p2, dom):
 
 
 def _param_denominator_lcm(p):
-    """Least common multiple over ZZ of the coefficient denominators of p,
-    as a coefficient of its ring."""
+    """Least common multiple over ZZ of the coefficient denominators of p, a
+    polynomial over a parameter field, as a coefficient of its ring."""
     field = p.ring.field
-    if field is None:
-        return Fraction(1)
     zz = field.ring.clone(domain=sympy.ZZ)
     den = zz.one
     for d in {c.denom for c in p.terms.values()}:

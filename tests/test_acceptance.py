@@ -4,7 +4,6 @@ All checks are exact (rational arithmetic, tolerance zero).
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 

@@ -640,7 +640,7 @@ def test_member_via_det_broken_row_identity(files, capsys, tmp_path):
 
 
 # I = (x*y, x*y + y^2) = (x, y) * [[y, y], [0, y]] has codim 1 < 2 = codim J, so
-# neither law applies: both would put z in J = (x, y)
+# neither law applies (both would put z in J = (x, y)) and I links nothing to J
 NOT_CI = {
     "J.id": "ring x,y,z over QQ\nx\ny\n",
     "I.id": "ring x,y,z over QQ\nx*y\nx*y + y^2\n",
@@ -651,16 +651,19 @@ NOT_CI = {
 
 
 @pytest.mark.parametrize("argv", [
-    ["member", "--via", "link", "--ideal-I", "I.id"],
-    ["det-member", "--ideal-I", "I.id", "--matrix-A", "A.mat"],
-    ["member", "--via", "link", "--ideal-I", "I_zero_top.id"],
-], ids=["member-via-link", "det-member", "member-via-link-zero-top-entries"])
+    ["member", "--g", "z", "--via", "link", "--ideal-I", "I.id"],
+    ["det-member", "--g", "z", "--ideal-I", "I.id", "--matrix-A", "A.mat"],
+    ["member", "--g", "z", "--via", "link", "--ideal-I", "I_zero_top.id"],
+    ["link", "--ideal-I", "I.id"],
+    ["verify-linkage", "--ideal-I", "I.id"],
+], ids=["member-via-link", "det-member", "member-via-link-zero-top-entries", "link",
+        "verify-linkage"])
 def test_an_i_that_is_not_a_complete_intersection_of_codim_j_is_an_input_error(
         argv, capsys, tmp_path):
     for name, text in NOT_CI.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in NOT_CI else a for a in argv]
-    code, report = capture(capsys, argv + ["--g", "z", "--ideal-J", str(tmp_path / "J.id")])
+    code, report = capture(capsys, argv + ["--ideal-J", str(tmp_path / "J.id")])
     assert code == 2
     assert "verdict" not in report
     assert report["error"] == ("I must be a complete intersection of codimension "

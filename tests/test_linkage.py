@@ -11,7 +11,6 @@ from cmlink.groebner import Ideal, ideal_colon, ideal_member, ideal_sum
 from cmlink.linkage import (
     ComplexMorphism,
     ContainmentFailureError,
-    GenericCIError,
     MorphismError,
     comparison_morphism,
     det_transform_member,

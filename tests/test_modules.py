@@ -918,6 +918,11 @@ def test_prune_falls_back_on_an_inhomogeneous_entry():
     cols = [[x, y], [y, z], [x + y, y + z], [x * y, z**2 + x], [x**2, x * y]]
     assert _column_degrees(cols) is None
     assert len(_prune_matches_greedy(cols)) == 3
+    # every entry is homogeneous, but row 1 would sit one degree above row 0
+    # for the first column and one below it for the second: no common shifts
+    cols = [[x, y**2], [x**2, y], [x**2, x * y**2]]
+    assert _column_degrees(cols) is None
+    assert _as_text(_prune_matches_greedy(cols)) == _as_text(cols[:2])
 
 
 def test_prune_by_degree_with_two_row_blocks():

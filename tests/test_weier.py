@@ -14,6 +14,7 @@ from cmlink.poly import Polynomial, Ring, apply_linear_change
 from cmlink.weier import (
     CurrentRecipe,
     NotRegularError,
+    RecipeError,
     WeierstrassForm,
     current_recipe,
     extended_euclid,
@@ -546,14 +547,25 @@ def reference_recipe(f1, f2, seed=0, max_tries=50):
         # g1's list has a content over the parameters, which P1's has not
         (R3, "(1+z)*(x^2 - y)", "y^2 + x*z"),
         (RS, "(1+s*z)*(x^2 - y*z)", "y^2 + s*x"),
+        # under the identity r2 = y*z, whose leading coefficient in y vanishes at
+        # the origin: the search retries the second change
+        (R3, "x", "x + y*z"),
     ],
     ids=["CI_SWAPPED", "curve CI", "RECIPE_CIS[2]", "RECIPE_CIS[3]", "RECIPE_CIS[4]", "QQ(s)",
          "QQ(s) denominators", "QQ(s) unit", "QQ(s) unit denominator", "QQ(s) cubic",
-         "content 1+z", "content 1+s*z"],
+         "content 1+z", "content 1+s*z", "second-stage retry"],
 )
 def test_recipe_matches_polynomial_level_reference(ring, f1, f2):
     f1, f2 = ring.poly(f1), ring.poly(f2)
     assert current_recipe(f1, f2).to_json() == reference_recipe(f1, f2).to_json()
+
+
+def test_recipe_search_reports_the_failures_when_it_runs_out_of_tries():
+    with pytest.raises(RecipeError) as info:
+        current_recipe(R3.poly("x"), R3.poly("x + y*z"), max_tries=2)
+    assert str(info.value) == (
+        "no regular coordinates found in 2 attempts; "
+        "failures: ['second stage: leading coefficient in y vanishes at the origin']")
 
 
 def test_recipe_constant_invariants():
