@@ -71,6 +71,7 @@ class Ring:
         if params:
             self.field = sympy.QQ.frac_field(*sympy.symbols(params)).field
         self._zero_exps = (0,) * self.nvars
+        self._integer_rings = {}  # weier's, on first use: ZZ[others] by var, ZZ[params] at None
 
     def __eq__(self, other):
         return (

@@ -17,8 +17,9 @@ list (`_to_work`); the pipeline goes on with the list.  Euclid runs Brown's
 subresultant recurrence there, dividing every remainder and one cofactor by
 the same beta exactly, so no gcd is taken inside the loop; the other
 cofactor is an exact division at the end, and one joint content and a sign
-make (g, a, b) canonical.  The Sylvester determinant is a Bareiss
-elimination over the same lists.  The recipe's checks stay exact and stay
+make (g, a, b) canonical.  The Sylvester determinant over the same lists
+is the resultant of sympy's subresultant PRS, O((m+n)^2) steps against an
+elimination's O((m+n)^3).  The recipe's checks stay exact and stay
 on the lists too: `unit * P == f`, the Bezout identity a*g1 + b*g2 == r2
 and the Sylvester ratio clear each side again and cross-multiply the
 scales.  Field coefficients (QQ(params)) are made only for the polynomials
@@ -36,7 +37,7 @@ from fractions import Fraction
 import sympy
 from sympy.polys.densearith import dup_add, dup_exquo, dup_mul, dup_mul_ground, dup_pdiv, dup_sub
 from sympy.polys.densetools import dup_content
-from sympy.polys.rings import PolyElement
+from sympy.polys.euclidtools import dup_prs_resultant
 
 from .groebner import GREVLEX, Ideal, ideal_codim
 from .poly import (
@@ -46,7 +47,6 @@ from .poly import (
     Ring,
     RingMismatchError,
     SingularMatrixError,
-    _bareiss_det,
     apply_linear_change,
 )
 
@@ -142,9 +142,12 @@ def _prepared(f, var, coeffs):
 
 
 def _euclid_domain(ring, var):
-    """ZZ[others]: the other ring variables, then the parameters (or none)."""
-    names = [v for i, v in enumerate(ring.variables) if i != var] + list(ring.params)
-    return sympy.ZZ[tuple(sympy.Symbol(n) for n in names)]
+    """ZZ[others]: the other ring variables, then the parameters (or none),
+    built once per Ring object and kept on it, as its field is."""
+    if var not in ring._integer_rings:
+        names = [v for i, v in enumerate(ring.variables) if i != var] + list(ring.params)
+        ring._integer_rings[var] = sympy.ZZ[tuple(sympy.Symbol(n) for n in names)]
+    return ring._integer_rings[var]
 
 
 def _cleared(p, var, dom):
@@ -324,7 +327,7 @@ def _euclid_lists(p1, p2, dom):
     g = s*p1 + t*p2, over their joint content with g's leading coefficient
     positive."""
     g, s, t = _subresultant_euclid(p1, p2, dom)
-    cont = dom.gcd(dom.gcd(dup_content(g, dom), dup_content(s, dom)), dup_content(t, dom))
+    cont = dup_content([*g, *s, *t], dom)  # one running gcd; it stops at a unit
     if dom.is_negative(g[0]) != dom.is_negative(cont):
         cont = -cont
     return [_exquo(f, cont) for f in (g, s, t)]
@@ -358,7 +361,9 @@ def _param_denominator_lcm(p):
     """Least common multiple over ZZ of the coefficient denominators of p, a
     polynomial over a parameter field, as a coefficient of its ring."""
     field = p.ring.field
-    zz = field.ring.clone(domain=sympy.ZZ)
+    if None not in p.ring._integer_rings:  # ZZ[params], built once per Ring
+        p.ring._integer_rings[None] = field.ring.clone(domain=sympy.ZZ)
+    zz = p.ring._integer_rings[None]
     den = zz.one
     for d in {c.denom for c in p.terms.values()}:
         if d != 1:
@@ -373,10 +378,11 @@ def resultant_sylvester(P, Q, var):
 
     P and Q are scaled to primitive polynomials kP*P, kQ*Q over
     ZZ[remaining variables and parameters], as in `extended_euclid`, and
-    the determinant is taken there by fraction-free Bareiss elimination,
-    whose divisions are exact.  Scaling P scales its n rows, so the result
-    is that determinant over kP^n * kQ^m.  It is free of `var` and vanishes
-    exactly when P and Q share a factor of positive degree in `var`.
+    the determinant is taken there as the resultant of the subresultant
+    PRS (`_sylvester_det`), in O((m+n)^2) exact pseudo-division steps.
+    Scaling P scales its n rows, so the result is that determinant over
+    kP^n * kQ^m.  It is free of `var` and vanishes exactly when P and Q
+    share a factor of positive degree in `var`.
     """
     ring = P.ring
     if P.ring != Q.ring:
@@ -394,19 +400,11 @@ def resultant_sylvester(P, Q, var):
 
 
 def _sylvester_det(pc, qc, dom):
-    """Bareiss determinant of the Sylvester matrix of two dense polynomials
-    over dom, pc's rows first."""
+    """Sylvester determinant of dense pc, qc over dom, pc's rows first, by sympy's
+    PRS; it swaps them when deg pc < deg qc, a sign (-1)^(deg pc deg qc)."""
     m, n = len(pc) - 1, len(qc) - 1
-    size = m + n
-    mat = [[dom.zero for _ in range(size)] for _ in range(size)]
-    for i in range(n):
-        for k in range(m + 1):
-            mat[i][i + k] = pc[k]
-    for j in range(m):
-        for k in range(n + 1):
-            mat[n + j][j + k] = qc[k]
-    # PolyElement.exquo divides once; the domain's exquo takes a remainder first
-    return _bareiss_det(mat, dom.one, lambda c: not c, PolyElement.exquo)
+    det = dup_prs_resultant(pc, qc, dom)[0]
+    return -det if m < n and m * n % 2 else det
 
 
 def _work_ring(ring):
@@ -562,9 +560,10 @@ def _sylvester_ratio(p1, cleared_g2, r2_entry, work, dom):
     """res(P1, g2) / r2 in QQ(variables, parameters), as printed in the recipe.
 
     p1 is k * P1 with k its leading entry, because P1 is monic, and p2 is
-    (num/den) * g2; so the Sylvester determinant of p1 and p2 is
-    k^n (num/den)^m res(P1, g2) with m, n the degrees of P1 and g2.  r2 is
-    its single entry r2_entry.  The quotient is made canonical once.
+    (num/den) * g2; so the Sylvester determinant of p1 and p2 (sympy's PRS,
+    which shares no code with `_subresultant_euclid`) is k^n (num/den)^m
+    res(P1, g2) with m, n the degrees of P1 and g2.  r2 is its single entry
+    r2_entry.  The quotient is made canonical once.
     """
     p2, num, den = cleared_g2
     m, n = len(p1) - 1, len(p2) - 1

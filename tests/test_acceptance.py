@@ -34,6 +34,7 @@ from cmlink.linkage import (
 from cmlink.modules import PolyMatrix, module_groebner, module_normal_form, syzygy_matrix
 from cmlink.poly import Polynomial, Ring
 from cmlink.weier import current_recipe, extended_euclid, resultant_sylvester
+from test_weier import reference_resultant
 
 R = Ring(("x", "y", "z"))
 x, y, z = R.gens()
@@ -218,6 +219,8 @@ def test_criterion_7_resultant_cross_oracle():
         g, a, b = extended_euclid(P, Q, 0)
         assert a * P + b * Q == g
         res = resultant_sylvester(P, Q, 0)
+        # the determinant by elimination, against the subresultant PRS
+        assert res == reference_resultant(P, Q, 0)
         if g.degree_in(0) >= 1:
             # shared positive-degree factor: both oracles must vanish
             assert res.is_zero()
@@ -228,7 +231,8 @@ def test_criterion_7_resultant_cross_oracle():
     assert agreed == 100
     print(
         "PASS criterion 7: extended Euclid and the Sylvester determinant "
-        "agree on all 100 seeded pairs (vanishing iff a shared factor)"
+        "agree on all 100 seeded pairs (vanishing iff a shared factor), and "
+        "the subresultant resultant equals the Bareiss determinant on each"
     )
 
 

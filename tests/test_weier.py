@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.polys.euclidtools import dup_inner_subresultants
+from sympy.polys.rings import PolyElement, PolyRing
 
 from cmlink import weier
-from cmlink.poly import Polynomial, Ring, apply_linear_change
+from cmlink.poly import Polynomial, Ring, _bareiss_det, apply_linear_change
 from cmlink.weier import (
     CurrentRecipe,
     NotRegularError,
@@ -347,6 +348,154 @@ def test_resultant_agrees_with_euclid_sample():
         else:
             assert not res.is_zero()
             assert not g.is_zero()
+
+
+def reference_sylvester_det(pc, qc, dom):
+    """Fraction-free Bareiss determinant of the Sylvester matrix of two dense
+    polynomials over dom, pc's rows first: `weier`'s Sylvester determinant
+    before the subresultant PRS."""
+    m, n = len(pc) - 1, len(qc) - 1
+    size = m + n
+    mat = [[dom.zero for _ in range(size)] for _ in range(size)]
+    for i in range(n):
+        for k in range(m + 1):
+            mat[i][i + k] = pc[k]
+    for j in range(m):
+        for k in range(n + 1):
+            mat[n + j][j + k] = qc[k]
+    # PolyElement.exquo divides once; the domain's exquo takes a remainder first
+    return _bareiss_det(mat, dom.one, lambda c: not c, PolyElement.exquo)
+
+
+def reference_domain(ring, var):
+    """ZZ[others] built afresh, never from the Ring's memo."""
+    names = [v for i, v in enumerate(ring.variables) if i != var] + list(ring.params)
+    return sympy.ZZ[tuple(sympy.Symbol(n) for n in names)]
+
+
+def reference_resultant(P, Q, var):
+    """`resultant_sylvester(P, Q, var)` by `reference_sylvester_det` over
+    `reference_domain`: the determinant over kP^n * kQ^m, with kP, kQ the
+    scales that clear P and Q."""
+    dom = reference_domain(P.ring, var)
+    pc, num_p, den_p = weier._cleared(P, var, dom)
+    qc, num_q, den_q = weier._cleared(Q, var, dom)
+    m, n = len(pc) - 1, len(qc) - 1
+    det = reference_sylvester_det(pc, qc, dom)
+    return weier._from_poly_coeffs([det * (den_p**n * den_q**m)], P.ring, var,
+                                   num_p**n * num_q**m)
+
+
+RST = Ring(("x", "y"), ("s",))
+
+
+def resultant_pairs(ring, var, seed, count, coeffs):
+    """`count` seeded pairs of degrees 1-5 in `var`, cycling through all 25
+    degree pairs; every fifth pair shares a factor of degree 1 or 2 in var.
+    Coefficients are `coeffs(rng)`."""
+    rng = random.Random(seed)
+
+    def rand_poly(deg):
+        lead = tuple(deg if i == var else rng.randint(0, 1) for i in range(ring.nvars))
+        terms = {lead: coeffs(rng)}
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, deg - 1) if i == var else rng.randint(0, 2)
+                      for i in range(ring.nvars))
+            terms[e] = coeffs(rng)
+        return Polynomial(ring, {e: c for e, c in terms.items() if c})
+
+    pairs = []
+    for k in range(count):
+        dp, dq = 1 + k % 5, 1 + k // 5 % 5
+        if k % 5 == 4:
+            dc = rng.randint(1, min(2, dp, dq))
+            common = rand_poly(dc)
+            P = (rand_poly(dp - dc) if dp > dc else ring.one()) * common
+            Q = (rand_poly(dq - dc) if dq > dc else ring.one()) * common
+        else:
+            P, Q = rand_poly(dp), rand_poly(dq)
+        assert (P.degree_in(var), Q.degree_in(var)) == (dp, dq)
+        pairs.append((P, Q, k % 5 == 4))
+    return pairs
+
+
+def _rational(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+
+
+def _parameter_monomial(params):
+    def coeff(rng):
+        c = _rational(rng)
+        for sym in params:
+            c *= sym ** rng.randint(0, 1)
+        return c
+    return coeff
+
+
+def _parameter_denominators(rng):
+    s = sympy.Symbol("s")
+    return _rational(rng) * s ** rng.randint(0, 1) / rng.choice((1, 1, s + 1, 2 * s - 3))
+
+
+@pytest.mark.parametrize(
+    "ring, var, seed, coeffs",
+    [
+        (R2, 0, 41, _rational),
+        (R2, 1, 42, _rational),
+        (U, 0, 43, _parameter_monomial(sympy.symbols("s t"))),
+        (RST, 0, 44, _parameter_denominators),
+        (RST, 1, 45, _parameter_denominators),
+    ],
+    ids=["QQ[x,y] in x", "QQ[x,y] in y", "QQ(s,t)[x]", "QQ(s)[x,y] in x", "QQ(s)[x,y] in y"],
+)
+def test_resultant_matches_the_bareiss_reference(ring, var, seed, coeffs):
+    # 5 x 50 = 250 pairs; the determinants are compared on lists cleared
+    # over the Ring's memoized domain and over a fresh one
+    pairs = resultant_pairs(ring, var, seed, 50, lambda rng: ring.coeff(coeffs(rng)))
+    dom, ref_dom = weier._euclid_domain(ring, var), reference_domain(ring, var)
+    odd_swaps = 0
+    for P, Q, shared in pairs:
+        pc, qc = weier._cleared(P, var, dom)[0], weier._cleared(Q, var, dom)[0]
+        det = reference_sylvester_det(weier._cleared(P, var, ref_dom)[0],
+                                      weier._cleared(Q, var, ref_dom)[0], ref_dom)
+        assert weier._sylvester_det(pc, qc, dom) == det
+        res = resultant_sylvester(P, Q, var)
+        assert res == reference_resultant(P, Q, var)
+        assert res.is_zero() or not shared
+        m, n = P.degree_in(var), Q.degree_in(var)
+        odd_swaps += m < n and m * n % 2 == 1 and not res.is_zero()
+    assert odd_swaps >= 2
+
+
+def test_integer_rings_are_built_once_per_ring(monkeypatch):
+    ring = Ring(("x", "y"), ("s",))
+    assert weier._euclid_domain(ring, 0) is weier._euclid_domain(ring, 0)
+    assert weier._euclid_domain(ring, 1) is not weier._euclid_domain(ring, 0)
+    assert [str(g) for g in weier._euclid_domain(ring, 1).gens] == ["x", "s"]
+    assert [str(g) for g in weier._euclid_domain(ring, 0).gens] == ["y", "s"]
+    P = ring.poly("(1/(1+s))*x^3 - y*x + s")
+    Q = ring.poly("(s/(2-s))*x^2 + x*y - 1")
+
+    def both():
+        return extended_euclid(P, Q, 0), resultant_sylvester(P, Q, 0)
+
+    first = both()
+    built = []
+    original = PolyRing.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PolyRing, "__new__", counting)
+    assert both() == first
+    assert built == []
+    # a new Ring, equal to the first, builds its own domains
+    twin = Ring(("x", "y"), ("s",))
+    assert twin == ring and hash(twin) == hash(ring)
+    dom = weier._euclid_domain(twin, 0)
+    assert dom == weier._euclid_domain(ring, 0) and dom is not weier._euclid_domain(ring, 0)
+    assert built
 
 
 def test_recipe_linear_pair():

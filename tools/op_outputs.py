@@ -36,11 +36,13 @@ residue-current recipes (`recipe_cases`), written as workload `recipes`
 with the input in place of the seed: the JSON of `current_recipe` for
 complete intersections over QQ(s) whose units and coefficients have
 parameter denominators and for two whose first generator has a factor
-free of x and y, and `extended_euclid` and `resultant_sylvester` of a
-pair over QQ(s,t) with parameter denominators.  The four corpora call only the
-public API, so they run on any checkout.  An operation
-stopped at its budget (or at 60 s when it has none) is written as
-`<over budget>`.
+free of x and y, `extended_euclid` and `resultant_sylvester` of a pair
+over QQ(s,t) with parameter denominators, and `resultant_sylvester` of
+pairs over QQ(s) of degrees (2, 3), (3, 2), (1, 4) and (1, 3) in x, of a
+pair with a shared factor, and of a QQ[x,y] pair in y.  The four corpora
+call only the public API, so they run on any checkout; together with the
+workloads they write 805 outputs.  An operation stopped at its budget (or
+at 60 s when it has none) is written as `<over budget>`.
 Outputs of two checkouts are the same exactly when
 
     python3 tools/op_outputs.py PARENT parent.txt
@@ -178,7 +180,8 @@ def ideal_cases(cmlink):
 
 
 def recipe_cases(cmlink):
-    """(input, case) recipes over QQ and QQ(s), and a Euclid and Sylvester pair over QQ(s,t)."""
+    """(input, case) recipes over QQ and QQ(s), a Euclid and Sylvester pair
+    over QQ(s,t), and resultants of pairs over QQ(s) and QQ."""
     xyz = cmlink.Ring(("x", "y", "z"))
     xyz_s = cmlink.Ring(("x", "y", "z"), ("s",))
     cis = {
@@ -199,6 +202,22 @@ def recipe_cases(cmlink):
                           lambda: [str(p) for p in cmlink.extended_euclid(P, Q, 0)])
     yield "QQ(s,t)", Case("resultant-sylvester",
                           lambda: str(cmlink.resultant_sylvester(P, Q, 0)))
+    # resultants of degrees (deg P, deg Q) in the variable, over QQ(s) with
+    # parameter denominators, of a pair with a shared factor, and over QQ[x,y]
+    # in y, where deg P * deg Q is odd and deg P < deg Q
+    xy, xy_s = cmlink.Ring(("x", "y")), cmlink.Ring(("x", "y"), ("s",))
+    cubic, quadratic = "x^3 - s*y + 2*x*y^2", "s*x^2 + y*x - 1/(1+s)"
+    pairs = {
+        "degrees-(2,3)": (xy_s, quadratic, cubic, 0),
+        "degrees-(3,2)": (xy_s, cubic, quadratic, 0),
+        "degrees-(1,4)": (xy_s, "(2/(s-1))*x + y", "x^4 - s*x*y + y^3", 0),
+        "degrees-(1,3)": (xy_s, "x - s*y^2", "(1/s)*x^3 + x*y - 3", 0),
+        "shared-factor": (xy_s, "(x - s)*(x^2 + y)", "(x - s)*(x + y^2)", 0),
+        "QQ[x,y]-in-y": (xy, "x*y + 2", "y^3 - x^2*y + 1/2*x", 1),
+    }
+    for label, (ring, f, g, var) in pairs.items():
+        yield label, Case("resultant-sylvester", lambda r=ring, f=f, g=g, v=var: str(
+            cmlink.resultant_sylvester(r.poly(f), r.poly(g), v)))
 
 
 def _lift(cmlink, b, matrix, order):
