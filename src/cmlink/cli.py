@@ -316,6 +316,8 @@ def _linkage_report(args, supplied=None):
     J = read_ideal_file(args.ideal_J)
     _check_linking_ideal(I, J)
     order = _order(args)
+    if J.is_zero() or J.is_unit(order):
+        raise InputError("linkage needs a proper nonzero ideal J")
     report = {
         "command": args.command,
         "ring": I.ring.header(),

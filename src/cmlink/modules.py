@@ -37,8 +37,9 @@ head): column j of a matrix enters the pair loop as (col_j ; e_j), and a
 vector v is divided by the basis vectors b_k as (v ; 0) by (b_k ; e_k).
 Every step is linear and no vector leads in its tail, so the tail of each
 vector the pair loop builds holds the combination of the columns that its
-head is, and the tail of a remainder by (b_k ; e_k) holds the quotients,
-negated.
+head is, the tail of a remainder by (b_k ; e_k) holds the quotients,
+negated, and the tail of an S-vector whose head reduces to zero is a
+Schreyer syzygy, kept by the pair loop for the kernel.
 
 Monomials are packed into 8-bit fields first.  One rule meets a monomial
 that does not fit (`_widening`): the step that met it widens the divisors
@@ -401,6 +402,7 @@ class _Divisors(list):
     def __init__(self, packing, items=()):
         super().__init__(items)
         self.packing = packing
+        self.syzygies = {}  # (i, j) -> (tail, scale, packing); see `_groebner`
 
     def widen(self):
         old = self.packing
@@ -787,10 +789,13 @@ def _groebner(columns, order, track_reps):
     reduced, so the unreduced basis and every syzygy read from it stay as they are.
 
     Each S-vector is built from the two divisors as numerators over one
-    scale (`_spair`) and divided by `_reduce` directly, first on its head
-    alone; only an S-vector whose head leaves a nonzero remainder, and so
-    adds a basis vector, is built and reduced again with its tail.  The
-    remainder's numerators become its divisor, and no Polynomial is built.
+    scale (`_spair`) and divided by `_reduce` directly, once, head and tail
+    together.  A remainder whose head is nonzero adds a basis vector: its
+    numerators become its divisor, and no Polynomial is built.  With tails,
+    the tail of a remainder whose head is zero is a Schreyer syzygy, kept
+    as `divisors.syzygies[i, j]` for `_schreyer_kernel`.  The basis only
+    ever grows at its end and `_reduce` tries divisors in list order, so
+    the final basis would take the same steps on that S-vector.
     Packing an input column, the chain criterion and each S-pair reduction
     are steps of `_widening`; the pair heap holds exponent tuples, which
     widening leaves alone.
@@ -827,11 +832,11 @@ def _groebner(columns, order, track_reps):
             coprime = rank1 and lcm == monomial_mul(divisors[i][1], divisors[j][1])
             if coprime or _widening(divisors, _chain_criterion, i, j, lcm, divisors, taken):
                 continue
-        rem = _widening(divisors, _reduce_spair, divisors, i, j, nums, nrows)[0]
-        if any(rem):
-            if track_reps:
-                rem = _widening(divisors, _reduce_spair, divisors, i, j, nums)[0]
+        rem, scale = _widening(divisors, _reduce_spair, divisors, i, j, nums)
+        if any(rem[:nrows]):
             add(rem)
+        elif track_reps:
+            divisors.syzygies[i, j] = rem[nrows:], scale, divisors.packing
     return divisors
 
 
@@ -891,7 +896,7 @@ def _chain_criterion(i, j, lcm, divisors, taken):
     )
 
 
-def _spair(divisors, i, j, nums, stop=None):
+def _spair(divisors, i, j, nums):
     """S-vector of the vectors behind divisors i and j (same leading position).
 
     Returns (work, scale): the S-vector x^ti * v_i / c_i - x^tj * v_j / c_j
@@ -903,8 +908,7 @@ def _spair(divisors, i, j, nums, stop=None):
     numerators are (L_j/g) * x^ti * B_i - (L_i/g) * x^tj * B_j, built
     straight into one dict per entry, and the scale is L_i * L_j / g.  The
     value is exactly the field S-vector, so `_reduce` gives the same
-    remainder as on that vector.  Only the entries before `stop` are built
-    (all of them when it is None).  Raises `_Overflow` when the lcm or a
+    remainder as on that vector.  Raises `_Overflow` when the lcm or a
     product does not fit the packing.
     """
     pos, ei, lead_i, pi, rows_i = divisors[i]
@@ -916,7 +920,7 @@ def _spair(divisors, i, j, nums, stop=None):
     a, b, scale = nums.pair(lead_i, lead_j)
     b = -b
     work = []
-    for row_i, row_j in zip(rows_i[:stop], rows_j[:stop]):
+    for row_i, row_j in zip(rows_i, rows_j):
         terms = {}
         _add_multiple(terms, row_i, lcm - pi, a, guard)
         _add_multiple(terms, row_j, lcm - pj, b, guard)
@@ -924,9 +928,9 @@ def _spair(divisors, i, j, nums, stop=None):
     return work, scale
 
 
-def _reduce_spair(divisors, i, j, nums, stop=None):
-    """`_reduce` on the entries before `stop` of the S-vector of divisors i and j."""
-    work, scale = _spair(divisors, i, j, nums, stop)
+def _reduce_spair(divisors, i, j, nums):
+    """`_reduce` on the S-vector of divisors i and j."""
+    work, scale = _spair(divisors, i, j, nums)
     return _reduce(work, scale, divisors, nums)
 
 
@@ -982,10 +986,9 @@ def _kernel_generators(M, order):
     """Columns generating the kernel of M, before pruning; cached on M per order.
 
     Schreyer's construction on the basis of `_module_basis`: syzygies of the
-    module GB from all same-position S-pair reductions, together with the
-    columns of I - P*Q expressing the redundancy of the input columns, each
-    read off a tail.  Zero and duplicate columns are dropped.  The list is
-    shared by every caller; do not modify it.
+    module GB from all same-position S-pair reductions, each read off a
+    tail, and e_j for each zero column j.  Zero and duplicate columns are
+    dropped.  The list is shared by every caller; do not modify it.
     """
     kernel = M._kernels.get(order)
     if kernel is None:
@@ -996,11 +999,15 @@ def _kernel_generators(M, order):
 def _schreyer_kernel(M, order):
     """The kernel generators of `_kernel_generators`, computed without the cache.
 
-    Each generator is the tail of a remainder whose head is zero, by the
-    vectors (basis ; rep) of `_module_basis`: that of the S-vector of each
-    same-position pair, which reduces to zero on its head by Schreyer's
-    theorem, and that of (col_j ; e_j), the column of I - P*Q that writes
-    column j through the basis (e_j itself for a zero column).
+    Each generator is the tail of the remainder, by the vectors (basis ;
+    rep) of `_module_basis`, of the S-vector of a same-position pair, whose
+    head reduces to zero by Schreyer's theorem.  The pair loop kept that
+    tail for every pair it reduced to zero (`_groebner`), and it is popped
+    here, so the cached basis keeps none; the other pairs (those that added
+    a vector, and rank-1 pairs skipped by a criterion) are reduced here.
+    Every nonzero column is a basis vector up to scale, with tail e_j, so
+    these syzygies generate the kernel together with e_j for each zero
+    column j.
     """
     ring = M.ring
     nrows = M.nrows
@@ -1011,28 +1018,20 @@ def _schreyer_kernel(M, order):
     for i, j in combinations(range(len(divisors)), 2):
         if divisors[i][0] != divisors[j][0]:
             continue
-        rem, scale = _widening(divisors, _reduce_spair, divisors, i, j, nums)
-        if any(rem[:nrows]):
-            raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
-        syz_cols.append(_unpacked(rem[nrows:], scale, divisors.packing, nums, ring))
-    for j, col in enumerate(M.columns()):
-        rem = _divide(col + _unit(ring, M.ncols, j), divisors)
-        if not _vec_is_zero(rem[:nrows]):
-            raise AssertionError("input column failed to reduce against its own GB")
-        syz_cols.append(rem[nrows:])
-
-    # drop zero columns and duplicates, deterministically
-    seen = set()
-    kept = []
+        syzygy = divisors.syzygies.pop((i, j), None)
+        if syzygy is None:
+            rem, scale = _widening(divisors, _reduce_spair, divisors, i, j, nums)
+            if any(rem[:nrows]):
+                raise AssertionError("S-pair of a Groebner basis failed to reduce to zero")
+            syzygy = rem[nrows:], scale, divisors.packing
+        syz_cols.append(_unpacked(*syzygy, nums, ring))
+    syz_cols += [_unit(ring, M.ncols, j) for j, col in enumerate(M.columns())
+                 if _vec_is_zero(col)]
+    kept = {}  # drop zero columns and duplicates; the first of equal ones stays
     for col in syz_cols:
-        if _vec_is_zero(col):
-            continue
-        key = tuple(col)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(col)
-    return kept
+        if not _vec_is_zero(col):
+            kept.setdefault(tuple(col), col)
+    return list(kept.values())
 
 
 def syzygy_matrix(M, order=GREVLEX):

@@ -540,7 +540,7 @@ def _run_pipeline(f1, f2, change, work):
         raise ArithmeticError("Bezout identity failed on the recipe's outputs")
     ratio = None
     if len(p2) > 1:
-        ratio = _sylvester_ratio(p1, (p2, num_2, den_2), g[0], work, dom)
+        ratio = _sylvester_ratio(p1, (p2, num_2, den_2), g[0], dom)
     return g1, g2, wf1, wf2, r2, a, b, ratio
 
 
@@ -556,25 +556,20 @@ def _lead_content(coeffs, dom):
     return dom.one if c.is_ground else c
 
 
-def _sylvester_ratio(p1, cleared_g2, r2_entry, work, dom):
+def _sylvester_ratio(p1, cleared_g2, r2_entry, dom):
     """res(P1, g2) / r2 in QQ(variables, parameters), as printed in the recipe.
 
     p1 is k * P1 with k its leading entry, because P1 is monic, and p2 is
     (num/den) * g2; so the Sylvester determinant of p1 and p2 (sympy's PRS,
     which shares no code with `_subresultant_euclid`) is k^n (num/den)^m
     res(P1, g2) with m, n the degrees of P1 and g2.  r2 is its single entry
-    r2_entry.  The quotient is made canonical once.
+    r2_entry.  Both are free of the first variable, so the quotient is made
+    canonical once, in the fraction field of dom.
     """
     p2, num, den = cleared_g2
     m, n = len(p1) - 1, len(p2) - 1
     det = _sylvester_det(p1, p2, dom)
-    # both as elements of QQ(variables, parameters), a ring with no variables
-    field = Ring((), work.variables + work.params).field
-
-    def lift(c):  # dom leaves out the first variable
-        return field.ring.from_dict({(0,) + mono: q for mono, q in c.items()})
-
-    ratio = field.new(lift(det * den**m), lift(r2_entry * p1[0] ** n * num**m))
+    ratio = dom.ring.to_field().new(det * den**m, r2_entry * p1[0] ** n * num**m)
     return str(ratio).replace(" ", "")
 
 

@@ -341,6 +341,10 @@ MALFORMED = {
         {"zero.id": "ring x,y over QQ\n0\n", "J.id": "ring x,y over QQ\nx^2\nx*y\ny^2\n"},
         ["verify-linkage", "--ideal-I", "zero.id", "--ideal-J", "J.id"],
     ),
+    **{f"{command}-{name}-J": (
+        {"I.id": "ring x,y over QQ\nx^2\ny^2\n", "J.id": f"ring x,y over QQ\n{gen}\n"},
+        [command, "--ideal-I", "I.id", "--ideal-J", "J.id"])
+       for command in ("link", "verify-linkage") for name, gen in (("zero", "0"), ("unit", "1"))},
     "det-member-matrix-in-another-ring": (
         {"I.id": "ring x,y over QQ\nx^2\ny^2\n", "J.id": "ring x,y over QQ\nx\ny\n",
          "A.mat": "ring a,b over QQ\nmatrix 2 2\na; 0\n0; b\n"},

@@ -26,9 +26,12 @@ from cmlink.modules import (
     _Overflow,
     _Packing,
     _reduce,
+    _reduce_spair,
     _spair,
+    _unit,
     _unpacked,
     _vec_is_zero,
+    _widening,
     det_bareiss,
     divides_to_zero,
     image_lifter,
@@ -632,6 +635,93 @@ def test_pair_loop_matches_field_arithmetic_reference(case, monkeypatch):
         assert _vec_is_zero(M * col)
 
 
+def reference_schreyer_kernel(M, order):
+    """The kernel generators before the pair loop kept its syzygies, tagged.
+
+    `modules._schreyer_kernel` as it was: every same-position pair of a
+    module basis built afresh is reduced again, and every column (col_j ;
+    e_j) is divided by the basis, which gives the column of I - P*Q that
+    writes column j through the basis (e_j itself for a zero column).  Zero
+    and duplicate columns are dropped.  Returns (tag, column) pairs, the
+    tag "pair", "column" or "zero column".
+    """
+    ring = M.ring
+    nrows = M.nrows
+    divisors = _groebner(M.columns(), order, True)
+    nums = _numerators(ring)
+    syz_cols = []
+    for i, j in itertools.combinations(range(len(divisors)), 2):
+        if divisors[i][0] != divisors[j][0]:
+            continue
+        rem, scale = _widening(divisors, _reduce_spair, divisors, i, j, nums)
+        assert not any(rem[:nrows])
+        syz_cols.append(("pair", _unpacked(rem[nrows:], scale, divisors.packing, nums, ring)))
+    for j, col in enumerate(M.columns()):
+        rem = _divide(col + _unit(ring, M.ncols, j), divisors)
+        assert _vec_is_zero(rem[:nrows])
+        syz_cols.append(("zero column" if _vec_is_zero(col) else "column", rem[nrows:]))
+    seen = set()
+    kept = []
+    for tag, col in syz_cols:
+        if not _vec_is_zero(col) and tuple(col) not in seen:
+            seen.add(tuple(col))
+            kept.append((tag, col))
+    return kept
+
+
+WIDE_MATRIX = [["x*y", "y^2 - z", "x"], ["z", "x*z", "y + 1"]]
+
+# matrices whose columns of I - P*Q are not all zero
+IPQ_MATRICES = {
+    "repeated-columns": lambda: PolyMatrix.from_strings(
+        R, [["x", "x", "2*x", "y"], ["y", "y", "2*y", "x"]]),
+    "zero-column": lambda: PolyMatrix.from_strings(R, [["x", "x^2 + y", "0", "x*y"]]),
+    "inhomogeneous": lambda: PolyMatrix.from_strings(
+        R, [["x*y + 1", "x*y + 1", "z", "x*y + 1 + z"], ["y", "y", "x", "x + y"]]),
+    "QQ(s)-proportional": lambda: PolyMatrix.from_strings(
+        QQ_S, [["s*x", "x", "(s+1)*y"], ["y", "(1/s)*y", "x"]]),
+}
+# the wide matrix scaled by k: at k = 30 the reduction of a pair whose head
+# reduces to zero widens the fields under grevlex, at 70 and 20000 the input
+# columns do
+WIDE_MATRICES = {f"wide-{k}": lambda k=k: PolyMatrix(
+    [[_scaled(R.poly(t), k) for t in row] for row in WIDE_MATRIX], R) for k in (30, 70, 20000)}
+KERNEL_CASES = {
+    **PAIR_LOOP_CASES,
+    **{f"{case}-{kind}": (build, order) for case, build in {**IPQ_MATRICES, **WIDE_MATRICES}.items()
+       for kind, order in (("grevlex", GREVLEX), ("lex", LEX))},
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernel_reads_the_pair_loop_syzygies(case):
+    """The kernel is the reference's without the columns of I - P*Q of nonzero columns.
+
+    Each nonzero column enters the module basis as it is, up to scale, with
+    tail e_j, so those columns lie in the span of the S-pair syzygies and
+    come last: pruning drops them, and `syzygy_matrix` keeps what both
+    pruning paths keep of the reference kernel.
+    """
+    build, order = KERNEL_CASES[case]
+    M = build()
+    reference = reference_schreyer_kernel(M, order)
+    has_columns = any(tag == "column" for tag, _ in reference)
+    assert has_columns == (case.rsplit("-", 1)[0] in IPQ_MATRICES)
+    kernel = _kernel_generators(M, order)
+    assert kernel == [col for tag, col in reference if tag != "column"]
+    assert not _module_basis(M, order).syzygies
+    full = [col for _, col in reference]
+    kept = syzygy_matrix(M, order).columns()
+    assert kept == prune_redundant_columns(full, order) == _greedy_prune(full, order)
+    basis, reps = module_groebner(M.columns(), order)
+    nonzero = [j for j, col in enumerate(M.columns()) if not _vec_is_zero(col)]
+    assert len(basis) >= len(nonzero)
+    for vec, rep, j in zip(basis, reps, nonzero):
+        c = 1 / reference_leading(M.column(j), order)[2]
+        assert vec == [p.scale(c) for p in M.column(j)]
+        assert rep == [p.scale(c) for p in _unit(M.ring, M.ncols, j)]
+
+
 # -- the chain criterion on rep-free bases of higher rank ---------------------------
 
 
@@ -726,7 +816,7 @@ def test_field_coefficients_are_made_only_for_outputs(ring, monkeypatch):
     assert calls == []
     pairs = sum(1 for d, e in itertools.combinations(divisors, 2) if d[0] == e[0])
     kernel = _kernel_generators(M, GREVLEX)
-    assert len(calls) == pairs + M.ncols
+    assert len(calls) == pairs
     assert all(_vec_is_zero(M * col) for col in kernel)
     assert _column_degrees(kernel) is None
     del calls[:]

@@ -22,10 +22,12 @@ with the field in place of the seed: the module basis and reps of three
 QQ(s) columns, the quotients of divisions by a two-row basis that is not
 monic, over QQ and over QQ(s), `syzygy_matrix` and `lift_through` over
 QQ(s), the lex `buchberger` basis of a QQ(s) ideal with parameter
-denominators, and `module_groebner` and `syzygy_matrix` of a QQ matrix
-with fractional coefficients and a zero first column, each well under a
-second.  The last three clear denominators on entry, so their vectors
-enter the engine at scales other than 1.  Then come colon ideals and
+denominators, `module_groebner` and `syzygy_matrix` of a QQ matrix
+with fractional coefficients and a zero first column, and `syzygy_matrix`
+of matrices with repeated, proportional or zero columns (under grevlex and
+lex over QQ, and over QQ(s)), each well under a second.  The QQ(s) lex
+basis and the fractional QQ matrix clear denominators on entry, so their
+vectors enter the engine at scales other than 1.  Then come colon ideals and
 intersections (`ideal_cases`), written as workload `ideals` with the pair
 in place of the seed: `ideal_colon` under grevlex and lex and
 `ideal_intersect` of a zero I, a unit I, a unit J, I = J, a J of one
@@ -41,7 +43,7 @@ over QQ(s,t) with parameter denominators, and `resultant_sylvester` of
 pairs over QQ(s) of degrees (2, 3), (3, 2), (1, 4) and (1, 3) in x, of a
 pair with a shared factor, and of a QQ[x,y] pair in y.  The four corpora
 call only the public API, so they run on any checkout; together with the
-workloads they write 805 outputs.  An operation stopped at its budget (or
+workloads they write 810 outputs.  An operation stopped at its budget (or
 at 60 s when it has none) is written as `<over budget>`.
 Outputs of two checkouts are the same exactly when
 
@@ -145,6 +147,17 @@ def field_cases(cmlink):
     yield "QQ", Case("module-groebner-zero-column",
                      lambda: cmlink.module_groebner(matrix.columns(), cmlink.GREVLEX))
     yield "QQ", Case("syzygy-matrix-zero-column", lambda: cmlink.syzygy_matrix(matrix))
+    # repeated, proportional and zero columns: syzygies among the columns themselves
+    repeated = {"repeated-columns": [["x", "x", "2*x", "y"], ["y", "y", "2*y", "x"]],
+                "zero-middle-column": [["x", "x^2 + y", "0", "x*y"]]}
+    for name, rows in repeated.items():
+        for order_name, order in (("grevlex", cmlink.GREVLEX), ("lex", cmlink.LEX)):
+            yield "QQ", Case(f"syzygy-matrix-{name}-{order_name}", lambda r=rows, o=order:
+                             cmlink.syzygy_matrix(cmlink.PolyMatrix.from_strings(qq, r), o))
+    proportional = cmlink.PolyMatrix.from_strings(qq_s, [["s*x", "x", "(s+1)*y"],
+                                                         ["y", "(1/s)*y", "x"]])
+    yield "QQ(s)", Case("syzygy-matrix-proportional-columns",
+                        lambda: cmlink.syzygy_matrix(proportional))
 
 
 def ideal_cases(cmlink):
