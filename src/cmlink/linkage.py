@@ -166,26 +166,15 @@ def link_decomposition_check(I, J, morphism, order=GREVLEX):
     L = Ideal(morphism.top_entries(), I.ring)
     IK = ideal_colon(I, K, order)
     IL = ideal_sum(I, L)
-    witnesses = []
-    double_link = True
-    for g in J.gens:
-        if not IK.contains(g, order):
-            double_link = False
-            witnesses.append(g)
-    for g in IK.gens:
-        if not J.contains(g, order):
-            double_link = False
-            witnesses.append(g)
-    decomposition = True
-    for g in K.gens:
-        if not IL.contains(g, order):
-            decomposition = False
-            witnesses.append(g)
-    for g in IL.gens:
-        if not K.contains(g, order):
-            decomposition = False
-            witnesses.append(g)
-    return LinkageReport(I, J, K, L, double_link, decomposition, witnesses)
+    link_witnesses = _outside(J, IK, order) + _outside(IK, J, order)
+    decomposition_witnesses = _outside(K, IL, order) + _outside(IL, K, order)
+    return LinkageReport(I, J, K, L, not link_witnesses, not decomposition_witnesses,
+                         link_witnesses + decomposition_witnesses)
+
+
+def _outside(A, B, order):
+    """The generators of A, in order, that the ideal B does not contain."""
+    return [g for g in A.gens if not B.contains(g, order)]
 
 
 def membership_via_link(g, I, ap_entries, order=GREVLEX):

@@ -39,7 +39,9 @@ Every step is linear and no vector leads in its tail, so the tail of each
 vector the pair loop builds holds the combination of the columns that its
 head is, the tail of a remainder by (b_k ; e_k) holds the quotients,
 negated, and the tail of an S-vector whose head reduces to zero is a
-Schreyer syzygy, kept by the pair loop for the kernel.
+Schreyer syzygy.  The pair loop alone records which pairs give syzygies,
+and the kernel only reads that record (`_kernel_generators`): it reduces
+no pair at rank > 1, and at rank 1 only the pairs a criterion skipped.
 
 Monomials are packed into 8-bit fields first.  One rule meets a monomial
 that does not fit (`_widening`): the step that met it widens the divisors
@@ -53,7 +55,6 @@ import heapq
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations
 
 from .poly import (
     GREVLEX,
@@ -114,10 +115,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(
-            [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)],
-            ring,
-        )
+        return cls([_unit(ring, n, i) for i in range(n)], ring)
 
     @classmethod
     def from_strings(cls, ring, rows):
@@ -396,13 +394,15 @@ class _Divisors(list):
 
     Cached with the basis it belongs to.  `widen` repacks every divisor at
     double the width in place, so every holder of the list sees the wider
-    fields; `_widening` is its one caller.
+    fields; `_widening` is its one caller.  A basis that carries tails also
+    holds `syzygies`, the record of its S-pairs that the pair loop alone
+    writes and `_kernel_generators` pops (see `_groebner`).
     """
 
     def __init__(self, packing, items=()):
         super().__init__(items)
         self.packing = packing
-        self.syzygies = {}  # (i, j) -> (tail, scale, packing); see `_groebner`
+        self.syzygies = {}  # (i, j) -> (tail, scale, packing) or None; see `_groebner`
 
     def widen(self):
         old = self.packing
@@ -536,9 +536,10 @@ def module_normal_form(vec, basis, order):
     steps are those of taking the dict's maximum every time.  The division
     is one step of `_widening`.
 
-    This front part builds the divisors; `_divide` clears the vector's
-    denominators (`_numerator_dicts`), and the loop itself is `_reduce`,
-    which the pair loop feeds its S-vectors as numerators directly.  A
+    This front part builds the divisors; `_divide` runs `_remainder`, which
+    clears the vector's denominators (`_numerator_dicts`), and the loop
+    itself is `_reduce`, which the pair loop feeds its S-vectors as
+    numerators directly.  A
     caller that only asks whether the remainder is zero calls
     `divides_to_zero` instead, the same loop stopped at the first remainder
     term.
@@ -563,13 +564,21 @@ def _divide(vec, divisors):
     if not divisors:
         return list(vec)
     ring = vec[0].ring
-    nums = _numerators(ring)
+    rem = _widening(divisors, _remainder, vec, divisors)
+    return _unpacked(*rem, divisors.packing, _numerators(ring), ring)
 
-    def run():
-        work, scale = _numerator_dicts(vec, nums, divisors)
-        return _unpacked(*_reduce(work, scale, divisors, nums), divisors.packing, nums, ring)
 
-    return _widening(divisors, run)
+def _remainder(vec, divisors, decide=False):
+    """`_reduce` on the Polynomial vector `vec`, packed first by `_numerator_dicts`.
+
+    The one division step of `_divide`, `divides_to_zero` and
+    `prune_redundant_columns`, run by `_widening`: (remainder, scale) as
+    `_reduce` returns them, or with `decide` only whether the remainder is
+    zero.
+    """
+    nums = _numerators(vec[0].ring)
+    work, scale = _numerator_dicts(vec, nums, divisors)
+    return _reduce(work, scale, divisors, nums, decide)
 
 
 def _numerator_dicts(vec, nums, divisors):
@@ -595,13 +604,7 @@ def divides_to_zero(vec, divisors):
     """
     if not divisors:
         return _vec_is_zero(vec)
-    nums = _numerators(vec[0].ring)
-
-    def run():
-        work = _numerator_dicts(vec, nums, divisors)[0]
-        return _reduce(work, None, divisors, nums, decide=True)
-
-    return _widening(divisors, run)
+    return _widening(divisors, _remainder, vec, divisors, True)
 
 
 def products_divide_to_zero(f, factors, divisors):
@@ -791,11 +794,20 @@ def _groebner(columns, order, track_reps):
     Each S-vector is built from the two divisors as numerators over one
     scale (`_spair`) and divided by `_reduce` directly, once, head and tail
     together.  A remainder whose head is nonzero adds a basis vector: its
-    numerators become its divisor, and no Polynomial is built.  With tails,
-    the tail of a remainder whose head is zero is a Schreyer syzygy, kept
-    as `divisors.syzygies[i, j]` for `_schreyer_kernel`.  The basis only
-    ever grows at its end and `_reduce` tries divisors in list order, so
-    the final basis would take the same steps on that S-vector.
+    numerators become its divisor, and no Polynomial is built.
+
+    With tails the loop alone keeps the record of the Schreyer syzygies,
+    `divisors.syzygies[i, j]` for a same-position pair, that
+    `_kernel_generators` reads: the tail of the remainder of a pair whose
+    head reduces to zero; None for a pair that a criterion skips (at rank
+    1 only), which the kernel reduces by the final basis; nothing for a
+    pair that added a vector, whose syzygy is zero.  The basis only ever
+    grows at its end and `_reduce` tries divisors in list order, so on an
+    S-vector the final basis takes the same steps as the basis of its time,
+    up to the leading term of its remainder r.  A recorded tail is thus what
+    the final basis leaves.  When r added a vector, the working vector W at
+    that term loses r by one step by r's own divisor, and W - r repeats the
+    earlier steps and leaves nothing, head or tail.
     Packing an input column, the chain criterion and each S-pair reduction
     are steps of `_widening`; the pair heap holds exponent tuples, which
     widening leaves alone.
@@ -831,6 +843,8 @@ def _groebner(columns, order, track_reps):
             taken.add((i, j))
             coprime = rank1 and lcm == monomial_mul(divisors[i][1], divisors[j][1])
             if coprime or _widening(divisors, _chain_criterion, i, j, lcm, divisors, taken):
+                if track_reps:
+                    divisors.syzygies[i, j] = None
                 continue
         rem, scale = _widening(divisors, _reduce_spair, divisors, i, j, nums)
         if any(rem[:nrows]):
@@ -985,40 +999,28 @@ def _quotient_ideal(vec, bases):
 def _kernel_generators(M, order):
     """Columns generating the kernel of M, before pruning; cached on M per order.
 
-    Schreyer's construction on the basis of `_module_basis`: syzygies of the
-    module GB from all same-position S-pair reductions, each read off a
-    tail, and e_j for each zero column j.  Zero and duplicate columns are
-    dropped.  The list is shared by every caller; do not modify it.
+    Schreyer's construction on the basis of `_module_basis`: the syzygies
+    of its same-position S-pairs, read in (i, j) order off the record the
+    pair loop left in `divisors.syzygies` (`_groebner`), and e_j for each
+    zero column j.  A recorded tail is taken as it is; a pair recorded
+    without one, skipped at rank 1 by a criterion, is reduced here by the
+    final basis, its head to zero by Schreyer's theorem; a pair that added
+    a vector has the zero syzygy and no record.  The record is popped, so
+    the cached basis keeps none.  Every nonzero column is a basis vector up
+    to scale, with tail e_j, so these syzygies generate the kernel together
+    with the e_j.  Zero and duplicate columns are dropped.  The list is
+    shared by every caller; do not modify it.
     """
     kernel = M._kernels.get(order)
-    if kernel is None:
-        kernel = M._kernels[order] = _schreyer_kernel(M, order)
-    return kernel
-
-
-def _schreyer_kernel(M, order):
-    """The kernel generators of `_kernel_generators`, computed without the cache.
-
-    Each generator is the tail of the remainder, by the vectors (basis ;
-    rep) of `_module_basis`, of the S-vector of a same-position pair, whose
-    head reduces to zero by Schreyer's theorem.  The pair loop kept that
-    tail for every pair it reduced to zero (`_groebner`), and it is popped
-    here, so the cached basis keeps none; the other pairs (those that added
-    a vector, and rank-1 pairs skipped by a criterion) are reduced here.
-    Every nonzero column is a basis vector up to scale, with tail e_j, so
-    these syzygies generate the kernel together with e_j for each zero
-    column j.
-    """
+    if kernel is not None:
+        return kernel
     ring = M.ring
     nrows = M.nrows
     divisors = _module_basis(M, order)
     nums = _numerators(ring)
-
     syz_cols = []
-    for i, j in combinations(range(len(divisors)), 2):
-        if divisors[i][0] != divisors[j][0]:
-            continue
-        syzygy = divisors.syzygies.pop((i, j), None)
+    for i, j in sorted(divisors.syzygies):
+        syzygy = divisors.syzygies.pop((i, j))
         if syzygy is None:
             rem, scale = _widening(divisors, _reduce_spair, divisors, i, j, nums)
             if any(rem[:nrows]):
@@ -1031,7 +1033,8 @@ def _schreyer_kernel(M, order):
     for col in syz_cols:
         if not _vec_is_zero(col):
             kept.setdefault(tuple(col), col)
-    return list(kept.values())
+    kernel = M._kernels[order] = list(kept.values())
+    return kernel
 
 
 def syzygy_matrix(M, order=GREVLEX):
@@ -1079,17 +1082,12 @@ def prune_redundant_columns(columns, order=GREVLEX):
     ring = cols[0][0].ring
     nums = _numerators(ring)
     keep = [False] * len(cols)
-
-    def remainder(col, divisors):
-        work, scale = _numerator_dicts(col, nums, divisors)
-        return _reduce(work, scale, divisors, nums)[0]
-
     for d in sorted(set(degrees)):
         below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
         divisors = _groebner(below, order, False) or _Divisors(_packing(order, ring.nvars))
         for j, col in enumerate(cols):
             if degrees[j] == d:
-                rem = _widening(divisors, remainder, col, divisors)
+                rem = _widening(divisors, _remainder, col, divisors)[0]
                 if any(rem):
                     divisors.append(_divisor(rem, divisors.packing, nums))
                     keep[j] = True

@@ -388,7 +388,18 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        # a polynomial equal to a number, as `__eq__` has it, hashes as that
+        # number; the ring is left out, since equal polynomials share it
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and self.ring._zero_exps in terms:
+            c = terms[self.ring._zero_exps]
+            if isinstance(c, Fraction):
+                return hash(c)
+            if c.numer.is_ground and c.denom.is_ground:  # a rational, in sympy's QQ,
+                return hash(c.numer.LC / c.denom.LC)  # which hashes as Fraction does
+        return hash(frozenset(terms.items()))
 
     # -- substitution --------------------------------------------------------
 

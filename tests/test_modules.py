@@ -556,6 +556,15 @@ RNC4_D3 = [
 ]
 
 
+# one-row lex cases in which a pair that a criterion skips leaves a nonzero
+# remainder by the basis of the moment it is popped
+SKIPPED_PAIR_ROWS = {
+    "skip-4-lex": ["-2*y*z^2", "2*y^2 - 3*y*z + 1", "-x*y*z^2 + 3*x^2*y + 3*x*z",
+                   "-x + 3*z + 4"],
+    "skip-3-lex": ["-3*y^2 + z^2 - 1", "2*y*z^2 + 3", "3*x*z^2 - x*y - 3*y^2 + 3*y"],
+}
+
+
 PAIR_LOOP_CASES = {
     **{f"QQ-{k}-{name}": (lambda k=k: _seeded_matrix(R, k), order)
        for k in range(3) for name, order in (("grevlex", GREVLEX), ("lex", LEX))},
@@ -566,6 +575,8 @@ PAIR_LOOP_CASES = {
         [f"x{i}" for i in range(4)], [f"x{i + 1}" for i in range(4)])]), GREVLEX),
     "rnc(4)-d2": (lambda: PolyMatrix.from_strings(P5, RNC4_D2), GREVLEX),
     "rnc(4)-d3": (lambda: PolyMatrix.from_strings(P5, RNC4_D3), GREVLEX),
+    **{name: (lambda row=row: PolyMatrix.from_strings(R, [row]), LEX)
+       for name, row in SKIPPED_PAIR_ROWS.items()},
 }
 
 
@@ -635,27 +646,39 @@ def test_pair_loop_matches_field_arithmetic_reference(case, monkeypatch):
         assert _vec_is_zero(M * col)
 
 
-def reference_schreyer_kernel(M, order):
-    """The kernel generators before the pair loop kept its syzygies, tagged.
+def reference_pair_syzygies(M, divisors):
+    """{(i, j): syzygy} for every same-position pair of the divisors of a module basis of M.
 
-    `modules._schreyer_kernel` as it was: every same-position pair of a
-    module basis built afresh is reduced again, and every column (col_j ;
-    e_j) is divided by the basis, which gives the column of I - P*Q that
-    writes column j through the basis (e_j itself for a zero column).  Zero
-    and duplicate columns are dropped.  Returns (tag, column) pairs, the
-    tag "pair", "column" or "zero column".
+    Each pair is reduced again by the final basis, whether or not the pair
+    loop recorded it, and its head must reduce to zero.
     """
     ring = M.ring
     nrows = M.nrows
-    divisors = _groebner(M.columns(), order, True)
     nums = _numerators(ring)
-    syz_cols = []
+    syzygies = {}
     for i, j in itertools.combinations(range(len(divisors)), 2):
         if divisors[i][0] != divisors[j][0]:
             continue
         rem, scale = _widening(divisors, _reduce_spair, divisors, i, j, nums)
         assert not any(rem[:nrows])
-        syz_cols.append(("pair", _unpacked(rem[nrows:], scale, divisors.packing, nums, ring)))
+        syzygies[i, j] = _unpacked(rem[nrows:], scale, divisors.packing, nums, ring)
+    return syzygies
+
+
+def reference_schreyer_kernel(M, order):
+    """The kernel generators before the pair loop kept its syzygies, tagged.
+
+    The Schreyer kernel as it was: every same-position pair of a module
+    basis built afresh is reduced again (`reference_pair_syzygies`), and
+    every column (col_j ; e_j) is divided by the basis, which gives the
+    column of I - P*Q that writes column j through the basis (e_j itself
+    for a zero column).  Zero and duplicate columns are dropped.  Returns
+    (tag, column) pairs, the tag "pair", "column" or "zero column".
+    """
+    ring = M.ring
+    nrows = M.nrows
+    divisors = _groebner(M.columns(), order, True)
+    syz_cols = [("pair", col) for _, col in sorted(reference_pair_syzygies(M, divisors).items())]
     for j, col in enumerate(M.columns()):
         rem = _divide(col + _unit(ring, M.ncols, j), divisors)
         assert _vec_is_zero(rem[:nrows])
@@ -720,6 +743,51 @@ def test_kernel_reads_the_pair_loop_syzygies(case):
         c = 1 / reference_leading(M.column(j), order)[2]
         assert vec == [p.scale(c) for p in M.column(j)]
         assert rep == [p.scale(c) for p in _unit(M.ring, M.ncols, j)]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_the_kernel_reduces_only_the_pairs_recorded_without_a_tail(case, monkeypatch):
+    """One `_reduce_spair` call per pair that a criterion skipped, and none at rank > 1.
+
+    The pair loop records such a pair without a tail, and it is the only
+    kind of pair the kernel reduces.  Criteria skip pairs only at rank 1,
+    and every rank-1 case here has such pairs.
+    """
+    build, order = KERNEL_CASES[case]
+    M = build()
+    record = _module_basis(M, order).syzygies
+    skipped = sorted(pair for pair, syzygy in record.items() if syzygy is None)
+    assert bool(skipped) == (M.nrows == 1)
+    calls = []
+    original = modules._reduce_spair
+
+    def counting(divisors, i, j, nums):
+        calls.append((i, j))
+        return original(divisors, i, j, nums)
+
+    monkeypatch.setattr(modules, "_reduce_spair", counting)
+    _kernel_generators(M, order)
+    assert calls == skipped
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_every_pair_missing_from_the_record_has_the_zero_syzygy(case):
+    """A same-position pair that the pair loop did not record added a basis vector.
+
+    Reduced again by the final basis (`reference_pair_syzygies`, as
+    `reference_schreyer_kernel` does), its syzygy is the zero column.  The
+    minors of rnc(4) are a Groebner basis already, so none of their pairs
+    adds a vector; every other case has such a pair.
+    """
+    build, order = KERNEL_CASES[case]
+    M = build()
+    divisors = _groebner(M.columns(), order, True)
+    syzygies = reference_pair_syzygies(M, divisors)
+    assert set(divisors.syzygies) <= set(syzygies)
+    missing = set(syzygies) - set(divisors.syzygies)
+    assert bool(missing) == (case != "rnc(4)-d1")
+    for pair in missing:
+        assert _vec_is_zero(syzygies[pair])
 
 
 # -- the chain criterion on rep-free bases of higher rank ---------------------------
@@ -791,7 +859,7 @@ def test_field_coefficients_are_made_only_for_outputs(ring, monkeypatch):
 
     A reduced ideal basis unpacks each of its elements once; the pair loop
     and the module basis cached on a matrix unpack nothing; the Schreyer
-    kernel unpacks each generator it reads off a tail once, and that is all
+    kernel unpacks each pair the pair loop recorded once, and that is all
     `syzygy_matrix` of an inhomogeneous matrix unpacks: its pruning decides
     each membership without a remainder.
     """
@@ -814,9 +882,9 @@ def test_field_coefficients_are_made_only_for_outputs(ring, monkeypatch):
     _groebner(M.columns(), GREVLEX, True)
     divisors = _module_basis(M, GREVLEX)
     assert calls == []
-    pairs = sum(1 for d, e in itertools.combinations(divisors, 2) if d[0] == e[0])
+    recorded = len(divisors.syzygies)
     kernel = _kernel_generators(M, GREVLEX)
-    assert len(calls) == pairs
+    assert len(calls) == recorded
     assert all(_vec_is_zero(M * col) for col in kernel)
     assert _column_degrees(kernel) is None
     del calls[:]

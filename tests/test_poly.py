@@ -166,12 +166,22 @@ def test_param_ring_coefficients():
 
 
 def test_param_ring_hash_agrees_with_equality():
+    """Equal values hash alike: polynomials built two ways, and a constant and its number."""
     U = Ring(("x",), ("s",))
     a = U.constant("(s+1)**2")
     b = U.constant("s**2+2*s+1")
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    for ring in (R, U):
+        for c in (0, 1, -2, Fraction(1, 2)):
+            p = ring.constant(c)
+            assert p == c
+            assert hash(p) == hash(c)
+            assert len({p, c}) == 1
+        assert hash(ring.poly("2*x + 1")) == hash(ring.poly("1 + x*2"))
+        assert len({hash(ring.poly(t)) for t in ("0", "1", "x", "2*x", "x^2")}) == 5
+    assert U.constant("s") != 0 and U.constant("s") != 1
 
 
 def test_param_ring_coefficients_are_canonical():

@@ -25,7 +25,10 @@ QQ(s), the lex `buchberger` basis of a QQ(s) ideal with parameter
 denominators, `module_groebner` and `syzygy_matrix` of a QQ matrix
 with fractional coefficients and a zero first column, and `syzygy_matrix`
 of matrices with repeated, proportional or zero columns (under grevlex and
-lex over QQ, and over QQ(s)), each well under a second.  The QQ(s) lex
+lex over QQ, and over QQ(s)), and `module_groebner` and `syzygy_matrix`
+under lex of three one-row QQ matrices in which a pair that a criterion
+skips leaves a nonzero remainder when it is popped, each well under a
+second.  The QQ(s) lex
 basis and the fractional QQ matrix clear denominators on entry, so their
 vectors enter the engine at scales other than 1.  Then come colon ideals and
 intersections (`ideal_cases`), written as workload `ideals` with the pair
@@ -43,7 +46,7 @@ over QQ(s,t) with parameter denominators, and `resultant_sylvester` of
 pairs over QQ(s) of degrees (2, 3), (3, 2), (1, 4) and (1, 3) in x, of a
 pair with a shared factor, and of a QQ[x,y] pair in y.  The four corpora
 call only the public API, so they run on any checkout; together with the
-workloads they write 810 outputs.  An operation stopped at its budget (or
+workloads they write 816 outputs.  An operation stopped at its budget (or
 at 60 s when it has none) is written as `<over budget>`.
 Outputs of two checkouts are the same exactly when
 
@@ -158,6 +161,18 @@ def field_cases(cmlink):
                                                          ["y", "(1/s)*y", "x"]])
     yield "QQ(s)", Case("syzygy-matrix-proportional-columns",
                         lambda: cmlink.syzygy_matrix(proportional))
+    # one-row lex bases in which a pair that a criterion skips leaves a
+    # nonzero remainder by the basis of the moment the pair is popped
+    skipped = {"skip-4": ["-2*y*z^2", "2*y^2 - 3*y*z + 1", "-x*y*z^2 + 3*x^2*y + 3*x*z",
+                          "-x + 3*z + 4"],
+               "skip-3": ["-3*y^2 + z^2 - 1", "2*y*z^2 + 3", "3*x*z^2 - x*y - 3*y^2 + 3*y"],
+               "skip-3b": ["-3*x^2*y - 2*x*z^2 + z - 2", "-x^2*y*z - x*y - 5",
+                           "3*x*y - y - 2*z - 2"]}
+    for name, row in skipped.items():
+        yield "QQ", Case(f"module-groebner-{name}-lex", lambda r=row: cmlink.module_groebner(
+            cmlink.PolyMatrix.from_strings(qq, [r]).columns(), cmlink.LEX))
+        yield "QQ", Case(f"syzygy-matrix-{name}-lex", lambda r=row: cmlink.syzygy_matrix(
+            cmlink.PolyMatrix.from_strings(qq, [r]), cmlink.LEX))
 
 
 def ideal_cases(cmlink):
