@@ -38,7 +38,7 @@ from .linkage import (
     membership_via_link,
 )
 from .modules import NotInImageError, PolyMatrix, lift_through
-from .poly import LEX, ParseError, parse_ring_header
+from .poly import LEX, OriginPoleError, ParseError, parse_ring_header
 from .weier import (
     RecipeError,
     bezout_holds,
@@ -342,6 +342,8 @@ def _linkage_report(args, supplied=None):
             except MorphismError as exc:
                 return _failed(report, f"morphism invalid: {exc}")
         link = link_decomposition_check(I, J, morphism, order)
+    except OriginPoleError:
+        raise  # an input error, as in every command; see `run`
     except ValueError as exc:
         return _failed(report, exc)
     report.update(json.loads(link.to_json()))
@@ -536,7 +538,9 @@ def run(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         code, report = args.func(args)
-    except (InputError, ParseError, GenericCIError) as exc:
+    # a coefficient whose denominator vanishes at the origin, met where a
+    # command evaluates at the origin (the minimality test of a resolution)
+    except (InputError, ParseError, GenericCIError, OriginPoleError) as exc:
         report = {"error": str(exc)}
         code = EXIT_USAGE
     text = json.dumps(report, indent=2) + "\n"

@@ -11,9 +11,11 @@ minimal one from the unpruned one.
 
 Each syzygy step keeps a generating set of the kernel free of redundant
 columns (`modules.syzygy_matrix`).  For a homogeneous ideal every step is
-graded, and the columns are chosen degree by degree, with one module
-Groebner basis per degree; otherwise each column is tested against a basis
-of all the others.  Both rules keep the same columns on graded input.
+graded, and the columns are chosen degree by degree, dividing by the module
+basis of the columns kept below each degree: the basis the next step reads,
+so a graded step builds one module Groebner basis per differential.
+Otherwise each column is tested against a basis of all the others.  Both
+rules keep the same columns on graded input.
 """
 
 from __future__ import annotations

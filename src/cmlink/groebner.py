@@ -191,12 +191,13 @@ def ideal_intersect(I, J):
 
     The ideal of h with h·1 ∈ I and h·1 ∈ J, read off one module basis
     (`modules._quotient_ideal`, SCA Lemma 2.8.2) with no extra variable.
+    The ideal returned holds that basis (`_reduced_ideal`).
     """
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
     one = I.ring.one()
     gens = _quotient_ideal([one, one], [I.groebner_basis(GREVLEX), J.groebner_basis(GREVLEX)])
-    return Ideal(buchberger(gens, GREVLEX), I.ring)
+    return _reduced_ideal(gens, GREVLEX, I.ring)
 
 
 def divide_exact(p, d, order=GREVLEX):
@@ -212,13 +213,27 @@ def ideal_colon(I, J, order=GREVLEX):
 
     The ideal of h with h·g ∈ I for every generator g of J, read off one
     module basis for all of J (`modules._quotient_ideal`, SCA Lemma 2.8.4).
+    The ideal returned holds that basis (`_reduced_ideal`).
     """
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
     if J.is_zero():
         raise ValueError("colon by the zero ideal")
     gens = _quotient_ideal(J.gens, [I.groebner_basis(GREVLEX)] * len(J.gens))
-    return Ideal(buchberger(gens, order), I.ring)
+    return _reduced_ideal(gens, order, I.ring)
+
+
+def _reduced_ideal(gens, order, ring):
+    """The Ideal generated by its reduced basis of `gens` under `order`.
+
+    The basis and its divisors, as `modules._reduced_basis` built them, are
+    cached on the ideal for `order`, so its first membership test runs no
+    pair loop.
+    """
+    cached = _reduced_basis(gens, order)
+    ideal = Ideal(cached[0], ring)
+    ideal._gb[order] = cached
+    return ideal
 
 
 def ideal_sum(I, J):

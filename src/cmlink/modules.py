@@ -965,7 +965,9 @@ def _module_basis(M, order):
 
     They are the divisors of the vectors (basis ; rep) of `module_groebner`
     (see `_divisor`), built by the pair loop as each vector entered the
-    basis.  The syzygies of M (`_kernel_generators`), its exactness check
+    basis.  The graded pruning that chose the columns of M
+    (`prune_redundant_columns`, on heads alone, with more divisors in a
+    copy), the syzygies of M (`_kernel_generators`), its exactness check
     (`verify_exactness`, on heads alone) and lifts through it
     (`image_lifter`) all divide by this one basis.
     """
@@ -1044,54 +1046,68 @@ def syzygy_matrix(M, order=GREVLEX):
     the submodule spanned by the others pruned away by
     `prune_redundant_columns`: degree by degree when the generators are
     homogeneous (as the Schreyer syzygies of a homogeneous matrix are), by
-    the greedy one-basis-per-column loop otherwise.
+    the greedy one-basis-per-column loop otherwise.  A graded step builds
+    one module basis per differential: pruning divides by the basis that
+    the next step reads.
     """
     if M.is_zero():
         return PolyMatrix.identity(M.ring, M.ncols)
-    kept = prune_redundant_columns(_kernel_generators(M, order), order)
-    if not kept:
+    kernel = _kernel_generators(M, order)
+    if not kernel:
         return PolyMatrix.zero(M.ring, M.ncols, 0)
-    return PolyMatrix.from_columns(kept, M.ring)
+    return prune_redundant_columns(kernel, order)
 
 
 def prune_redundant_columns(columns, order=GREVLEX):
-    """Drop columns lying in the submodule generated by the remaining ones.
+    """The PolyMatrix of the columns left after dropping those in the span of the rest.
 
-    The module order is position-over-term over the monomial order `order`.
-    Zero columns go first.  When every column is homogeneous for one choice
-    of row shifts (see `_column_degrees`), columns are pruned degree by
+    `columns` is a nonempty list of vectors of one length.  The module
+    order is position-over-term over the monomial order `order`.  Zero
+    columns go first.  When every column is homogeneous for one choice of
+    row shifts (see `_column_degrees`), columns are pruned degree by
     degree: a degree-d column is kept exactly when `_reduce` leaves it a
-    nonzero remainder by the divisors of a module basis of the columns kept
-    below degree d and the remainders of the degree-d columns kept before it,
-    and its remainder joins them.  A degree-d divisor leads at a monomial of
-    degree d, so a step by one is a row operation, and the divisors are a
-    Groebner basis in degree d.  That is one module Groebner basis per degree,
-    and no field coefficient.  Otherwise `_greedy_prune` tests every column
-    against a basis of all the others.  Both keep the same columns on graded
-    input: a degree-d column can only be written with columns of degree at
-    most d, the degree-d ones with constant coefficients, so removing the
-    last redundant column first keeps exactly the columns independent of the
-    ones before them.
+    nonzero remainder by the divisors of the module basis of the columns
+    kept below degree d and the remainders of the degree-d columns kept
+    before it, and its remainder joins them.  A degree-d divisor leads at a
+    monomial of degree d, so a step by one is a row operation, and the
+    divisors are a Groebner basis in degree d, whose full remainders are
+    the same for every such basis.  That basis is `_module_basis` of the
+    matrix of the columns kept so far, rebuilt only after a degree keeps a
+    column; the remainders join a copy of its divisors, so the cached basis
+    never changes.  When the last degree keeps nothing, that matrix is
+    returned with its basis, the one the next syzygy step reads: one module
+    Groebner basis per differential, and no field coefficient.  Otherwise
+    `_greedy_prune` tests every column against a basis of all the others.
+    Both keep the same columns on graded input: a degree-d column can only
+    be written with columns of degree at most d, the degree-d ones with
+    constant coefficients, so removing the last redundant column first
+    keeps exactly the columns independent of the ones before them.
     """
+    ring = columns[0][0].ring
     cols = [c for c in columns if not _vec_is_zero(c)]
     if not cols:
-        return cols
+        return PolyMatrix.zero(ring, len(columns[0]), 0)
     degrees = _column_degrees(cols)
     if degrees is None:
-        return _greedy_prune(cols, order)
-    ring = cols[0][0].ring
+        return PolyMatrix.from_columns(_greedy_prune(cols, order), ring)
     nums = _numerators(ring)
     keep = [False] * len(cols)
+    kept = None  # the PolyMatrix of the columns kept below degree d
     for d in sorted(set(degrees)):
-        below = [c for c, e, k in zip(cols, degrees, keep) if k and e < d]
-        divisors = _groebner(below, order, False) or _Divisors(_packing(order, ring.nvars))
+        if kept is None:
+            basis = _Divisors(_packing(order, ring.nvars))
+        else:
+            basis = _module_basis(kept, order)
+        divisors = _Divisors(basis.packing, basis)
         for j, col in enumerate(cols):
             if degrees[j] == d:
                 rem = _widening(divisors, _remainder, col, divisors)[0]
                 if any(rem):
                     divisors.append(_divisor(rem, divisors.packing, nums))
                     keep[j] = True
-    return [c for c, k in zip(cols, keep) if k]
+        if len(divisors) > len(basis):
+            kept = PolyMatrix.from_columns([c for c, k in zip(cols, keep) if k], ring)
+    return kept
 
 
 def _column_degrees(cols):

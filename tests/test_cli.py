@@ -357,6 +357,16 @@ MALFORMED = {
         ["member", "--g", "x", "--ideal-J", "J.id", "--via", "det", "--ideal-I", "I.id",
          "--matrix-A", "A.mat"],
     ),
+    # J's resolution has the entry x + 1/s, whose constant term has a pole
+    # at params = 0, where the minimality test evaluates it
+    **{f"{name}-pole-at-origin": (
+        {"I.id": "ring x,y over QQ(s)\n(x + 1/s)^2\ny^2\n",
+         "J.id": "ring x,y over QQ(s)\nx + 1/s\ny\n"}, argv)
+       for name, argv in (
+           ("resolve", ["resolve", "--ideal", "J.id"]),
+           ("member-via-link", ["member", "--g", "x", "--ideal-J", "J.id", "--via", "link"]),
+           ("link", ["link", "--ideal-I", "I.id", "--ideal-J", "J.id"]),
+           ("verify-linkage", ["verify-linkage", "--ideal-I", "I.id", "--ideal-J", "J.id"]))},
     "verify-linkage-a-in-another-ring": (
         {"I.id": "ring x,y over QQ\nx^2\ny^2\n", "J.id": "ring x,y over QQ\nx\ny\n",
          "a0.mat": "ring a,b over QQ\nmatrix 1 1\n1\n"},
@@ -379,6 +389,12 @@ def test_parse_error_is_usage_error(case, capsys, tmp_path):
     code, report = capture(capsys, _malformed_argv(case, tmp_path))
     assert code == 2
     assert "error" in report
+
+
+@pytest.mark.parametrize("case", [case for case in MALFORMED if case.endswith("-pole-at-origin")])
+def test_a_pole_at_the_origin_is_reported_as_recipe_reports_it(case, capsys, tmp_path):
+    code, report = capture(capsys, _malformed_argv(case, tmp_path))
+    assert (code, report) == (2, {"error": "denominator of 1/s vanishes at the origin"})
 
 
 def test_main_reports_usage_error_without_traceback(tmp_path):

@@ -25,6 +25,7 @@ from cmlink.groebner import (
     ideal_colon,
     ideal_intersect,
 )
+from cmlink import modules
 from cmlink.linkage import generic_ci
 from cmlink.poly import LEX, Polynomial, Ring
 
@@ -207,6 +208,31 @@ def test_edge_cases_give_the_expected_ideals():
     assert ideal_intersect(I, I).equals(I)
     with pytest.raises(ValueError):
         ideal_colon(I, Ideal([], ring))
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["grevlex", "lex"])
+def test_a_colon_and_an_intersection_hold_their_reduced_bases(order, monkeypatch):
+    """The first membership test of either result runs no pair loop: the
+    reduced basis it was computed as is cached on it, with its divisors."""
+    curve = ["y^2 - x*z", "x^3 - y*z", "x^2*y - z^2"]
+    I = Ideal.from_strings(R, ["z^2 - x^2*y", "x^4 + y^3 - 2*x*y*z"])
+    J = Ideal.from_strings(R, curve)
+    results = [(ideal_colon(I, J, order), order), (ideal_intersect(I, J), GREVLEX)]
+    calls = []
+    original = modules._groebner
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modules, "_groebner", counting)
+    for K, cached in results:
+        assert K.contains(K.gens[-1] * R.poly("x - z"), cached)
+        assert not K.contains(R.poly("x"), cached)
+        assert K.contains_products(K.gens[0], [R.poly("y"), R.poly("z^2")], cached)
+    assert calls == []
+    monkeypatch.undo()
+    assert _strings(results[0][0]) == _strings(reference_colon(I, J, order))
 
 
 # -- sympy's ideals as a third oracle ------------------------------------------------

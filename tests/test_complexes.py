@@ -179,6 +179,77 @@ def test_exactness_and_lifts_reuse_the_resolution_bases(monkeypatch):
     assert built == []
 
 
+def _minors_ideal(top, bottom):
+    """The 2x2 minors of the 2 x m matrix [top; bottom], in x0..xm."""
+    m = len(top)
+    S = Ring(tuple(f"x{i}" for i in range(m + 1)))
+    return Ideal.from_strings(S, [f"({top[i]})*({bottom[j]}) - ({top[j]})*({bottom[i]})"
+                                  for i in range(m) for j in range(i + 1, m)])
+
+
+def _rnc_ideal(n):
+    return _minors_ideal([f"x{i}" for i in range(n)], [f"x{i + 1}" for i in range(n)])
+
+
+def _seeded_hankel_ideal(m, seed):
+    """rnc(m)'s minors with each matrix entry scaled by a seeded nonzero integer."""
+    rng = random.Random(seed)
+
+    def scaled(i):
+        return f"{rng.choice((-3, -2, -1, 1, 2, 3))}*x{i}"
+
+    return _minors_ideal([scaled(i) for i in range(m)], [scaled(i + 1) for i in range(m)])
+
+
+# ideal and ranks; the first syzygy step of the last two keeps columns in two
+# and in three degrees
+GRADED_RESOLUTIONS = {
+    "rnc(4)": (lambda: _rnc_ideal(4), [1, 6, 8, 3]),
+    "rnc(5)": (lambda: _rnc_ideal(5), [1, 10, 20, 15, 4]),
+    "hankel(4)-seed-3": (lambda: _seeded_hankel_ideal(4, 3), [1, 6, 8, 3]),
+    "(x,y,z)^2": (lambda: Ideal.from_strings(R, ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]),
+                  [1, 6, 8, 3]),
+    "two-degrees": (lambda: Ideal.from_strings(
+        R, ["x^2*y - z^3", "x*y^2", "y^4", "x^3 - y*z^2", "z^5"]), [1, 5, 9, 5]),
+    "three-degrees": (lambda: Ideal.from_strings(
+        Ring(("x", "y", "z", "w")),
+        ["x^2 - y*z", "x*y*w", "y^3 - z^2*w", "z^3", "x*w^2 + y^2*z"]), [1, 5, 10, 8, 2]),
+}
+
+
+@pytest.mark.parametrize("case", GRADED_RESOLUTIONS)
+def test_a_graded_syzygy_step_builds_one_module_basis_per_differential(case, monkeypatch):
+    """Pruning divides by the module basis of the columns it keeps, which
+    the next step reads; no basis is built without tails at rank > 1.
+
+    Over the resolution and its exactness check, each differential's basis
+    is built exactly once, no set of columns gets two, and every basis is
+    still as the pair loop built it: pruning adds the remainders of a
+    degree to a copy.  Where columns are kept in more than one degree,
+    pruning also builds the bases of the columns kept below a degree.
+    """
+    built = []  # (columns as text, with tails, divisors, a copy as built)
+    original = modules._groebner
+
+    def recording(columns, order, track_reps):
+        divisors = original(columns, order, track_reps)
+        text = tuple(tuple(str(p) for p in col) for col in columns)
+        built.append((text, track_reps, divisors, list(divisors)))
+        return divisors
+
+    monkeypatch.setattr(modules, "_groebner", recording)
+    build, ranks = GRADED_RESOLUTIONS[case]
+    res = free_resolution(build())
+    assert res.ranks() == ranks and res.minimal
+    assert verify_exactness(res).exact
+    assert all(reps for cols, reps, _, _ in built if cols and len(cols[0]) > 1)
+    with_tails = [cols for cols, reps, _, _ in built if reps]
+    assert len(set(with_tails)) == len(with_tails)
+    for d in res.differentials:
+        assert tuple(tuple(str(p) for p in col) for col in d.columns()) in with_tails
+    assert all(divisors == as_built for _, _, divisors, as_built in built)
+
+
 def test_prune_units_keeps_graded_differentials():
     for J in (_rnc4_ideal(), Ideal.from_strings(R, CURVE)):
         diffs = free_resolution(J, minimalize=False).differentials

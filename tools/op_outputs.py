@@ -27,8 +27,10 @@ with fractional coefficients and a zero first column, and `syzygy_matrix`
 of matrices with repeated, proportional or zero columns (under grevlex and
 lex over QQ, and over QQ(s)), and `module_groebner` and `syzygy_matrix`
 under lex of three one-row QQ matrices in which a pair that a criterion
-skips leaves a nonzero remainder when it is popped, each well under a
-second.  The QQ(s) lex
+skips leaves a nonzero remainder when it is popped, and the JSON of the
+minimal free resolution and its exactness check of two QQ ideals whose
+first syzygy step keeps columns in two and in three degrees, each well
+under a second.  The QQ(s) lex
 basis and the fractional QQ matrix clear denominators on entry, so their
 vectors enter the engine at scales other than 1.  Then come colon ideals and
 intersections (`ideal_cases`), written as workload `ideals` with the pair
@@ -46,7 +48,7 @@ over QQ(s,t) with parameter denominators, and `resultant_sylvester` of
 pairs over QQ(s) of degrees (2, 3), (3, 2), (1, 4) and (1, 3) in x, of a
 pair with a shared factor, and of a QQ[x,y] pair in y.  The four corpora
 call only the public API, so they run on any checkout; together with the
-workloads they write 816 outputs.  An operation stopped at its budget (or
+workloads they write 818 outputs.  An operation stopped at its budget (or
 at 60 s when it has none) is written as `<over budget>`.
 Outputs of two checkouts are the same exactly when
 
@@ -173,6 +175,12 @@ def field_cases(cmlink):
             cmlink.PolyMatrix.from_strings(qq, [r]).columns(), cmlink.LEX))
         yield "QQ", Case(f"syzygy-matrix-{name}-lex", lambda r=row: cmlink.syzygy_matrix(
             cmlink.PolyMatrix.from_strings(qq, [r]), cmlink.LEX))
+    # resolutions whose first syzygy step keeps columns in two and in three degrees
+    mixed = {"two-degrees": (qq, ["x^2*y - z^3", "x*y^2", "y^4", "x^3 - y*z^2", "z^5"]),
+             "three-degrees": (cmlink.Ring(("x", "y", "z", "w")),
+                               ["x^2 - y*z", "x*y*w", "y^3 - z^2*w", "z^3", "x*w^2 + y^2*z"])}
+    for name, (ring, gens) in mixed.items():
+        yield "QQ", Case(f"free-resolution-{name}", lambda r=ring, g=gens: _resolve(cmlink, r, g))
 
 
 def ideal_cases(cmlink):
@@ -246,6 +254,12 @@ def recipe_cases(cmlink):
     for label, (ring, f, g, var) in pairs.items():
         yield label, Case("resultant-sylvester", lambda r=ring, f=f, g=g, v=var: str(
             cmlink.resultant_sylvester(r.poly(f), r.poly(g), v)))
+
+
+def _resolve(cmlink, ring, gens):
+    """The JSON of the minimal free resolution of the ideal of `gens`, and of its exactness check."""
+    res = cmlink.free_resolution(cmlink.Ideal([ring.poly(t) for t in gens], ring))
+    return res.to_json(), res.minimal, cmlink.verify_exactness(res).to_json()
 
 
 def _lift(cmlink, b, matrix, order):
