@@ -64,13 +64,28 @@ def _read_lines(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _numbered_lines(path):
+    """(line number, text) of each line of the file that is not blank."""
+    return [(k, ln) for k, ln in enumerate(_read_lines(path), 1) if ln.strip()]
+
+
+def _parsed(path, number, text, parse, offset=0):
+    """parse(text) for the text at column offset + 1 of line `number` of the
+    file; a ParseError names the file and that line and column."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc.message}", number + exc.line - 1,
+                         exc.column + (offset if exc.line == 1 else 0)) from exc
+
+
 def read_ideal_file(path):
     """`ring ...` header followed by one generator per line."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    lines = _numbered_lines(path)
     if not lines:
         raise InputError(f"{path}: empty ideal file")
-    ring = parse_ring_header(lines[0])
-    gens = [ring.poly(ln) for ln in lines[1:]]
+    ring = _parsed(path, *lines[0], parse_ring_header)
+    gens = [_parsed(path, k, ln, ring.poly) for k, ln in lines[1:]]
     return Ideal(gens, ring)
 
 
@@ -80,12 +95,12 @@ def read_matrix_file(path, ring=None):
     Given `ring`, the header may be left out, and a header naming another
     ring is an input error.
     """
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    lines = _numbered_lines(path)
     if not lines:
         raise InputError(f"{path}: empty matrix file")
     pos = 0
-    if lines[0].lstrip().startswith("ring"):
-        header = parse_ring_header(lines[0])
+    if lines[0][1].lstrip().startswith("ring"):
+        header = _parsed(path, *lines[0], parse_ring_header)
         if ring is not None and header != ring:
             raise InputError(f"{path}: matrix over {header.header()!r}, "
                              f"the other inputs over {ring.header()!r}")
@@ -93,7 +108,7 @@ def read_matrix_file(path, ring=None):
         pos = 1
     if ring is None:
         raise InputError(f"{path}: matrix file needs a ring header")
-    head = lines[pos].split() if pos < len(lines) else []
+    head = lines[pos][1].split() if pos < len(lines) else []
     if len(head) != 3 or head[0] != "matrix":
         raise InputError(f"{path}: expected 'matrix r c' header")
     try:
@@ -104,11 +119,18 @@ def read_matrix_file(path, ring=None):
     if len(rows) != nrows:
         raise InputError(f"{path}: expected {nrows} rows, found {len(rows)}")
     out = []
-    for ln in rows:
-        entries = [e.strip() for e in ln.split(";")]
+    for k, ln in rows:
+        entries = ln.split(";")
         if len(entries) != ncols:
             raise InputError(f"{path}: expected {ncols} entries per row")
-        out.append([ring.poly(e) for e in entries])
+        row, start = [], 0
+        for e in entries:
+            # columns count from the line's start; the entry's text starts
+            # after the spaces that `strip` drops
+            offset = start + len(e) - len(e.lstrip())
+            row.append(_parsed(path, k, e.strip(), ring.poly, offset))
+            start += len(e) + 1
+        out.append(row)
     return PolyMatrix(out, ring)
 
 

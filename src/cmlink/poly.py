@@ -34,6 +34,7 @@ class SingularMatrixError(ValueError):
 class ParseError(ValueError):
     def __init__(self, message, line, column):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -132,12 +133,14 @@ class Ring:
         origin = self.field.ring.zero_monom
         d0 = c.denom.get(origin)
         if not d0:
-            raise OriginPoleError(f"denominator of {c} vanishes at the origin")
+            text = _frac_str(c, self.params, " + ", " - ")
+            raise OriginPoleError(f"denominator of {text} vanishes at the origin")
         val = c.numer.get(origin, sympy.QQ.zero) / d0
         return Fraction(int(val.numerator), int(val.denominator))
 
     def coeff_str(self, c):
-        return str(c).replace(" ", "")
+        """A QQ(params) coefficient as sympy's `sstr` prints it, spaces dropped."""
+        return _frac_str(c, self.params)
 
     def coeff_to_sympy(self, c):
         """The coefficient as a sympy expression."""
@@ -176,6 +179,58 @@ class Ring:
 
     def poly(self, text):
         return parse_poly(text, self)
+
+
+def _poly_str(p, names, plus="+", minus="-"):
+    """A sympy `PolyElement` over ZZ or QQ, in sympy's `sstr` format with
+    `plus` and `minus` (" + " and " - " there) between terms.
+
+    Terms come in lex-descending order, as `PolyElement.terms()` gives them
+    in the lex rings of fields and of `weier`'s integer domains; a power is
+    `s**2`, a product `3*s*t`, a rational `-3/2`, and a coefficient 1 is
+    left out of a term that is not constant.
+    """
+    if not p:
+        return "0"
+    pieces = []
+    for monom, v in sorted(p.items(), reverse=True):
+        n, d = v.numerator, v.denominator
+        if n < 0:
+            n = -n
+            pieces.append(minus if pieces else "-")
+        elif pieces:
+            pieces.append(plus)
+        mono = "*".join([name if e == 1 else f"{name}**{e}"
+                         for name, e in zip(names, monom) if e])
+        if d != 1:
+            pieces.append(f"{n}/{d}*{mono}" if mono else f"{n}/{d}")
+        elif not mono:
+            pieces.append(str(n))
+        else:
+            pieces.append(mono if n == 1 else f"{n}*{mono}")
+    return "".join(pieces)
+
+
+def _frac_str(c, names, plus="+", minus="-"):
+    """A sympy `FracElement` in sympy's `sstr` format (see `_poly_str`).
+
+    A denominator 1 is left out.  Otherwise the numerator is parenthesized
+    when it has more than one term, and the denominator unless it is a
+    constant or a bare symbol: `3*s/2`, `-1/(s**2)`, `1/(2*s)`,
+    `(-s-t)/(2*s*t+1)`, `-2/(z-1)`, `s**2/t`.
+    """
+    numer, denom = c.numer, c.denom
+    text = _poly_str(numer, names, plus, minus)
+    if denom == 1:
+        return text
+    if len(numer) > 1:
+        text = f"({text})"
+    under = _poly_str(denom, names, plus, minus)
+    if len(denom) == 1:
+        [(monom, v)] = denom.items()
+        if sum(monom) == 0 or (sum(monom) == 1 and v == 1):
+            return f"{text}/{under}"
+    return f"{text}/({under})"
 
 
 @dataclass(frozen=True)
@@ -594,7 +649,92 @@ def _tokenize(text):
     return tokens
 
 
+def _monomial_coeff(ring, c, pexps):
+    """c * params^pexps in the coefficient field, for a nonzero int or Fraction c.
+
+    Over QQ(params) the element is an integer monomial over a positive
+    integer, coprime: already canonical, so it is made without a gcd.
+    """
+    field = ring.field
+    if field is None:
+        return c if isinstance(c, Fraction) else Fraction(c)
+    new, ground = field.ring.dtype, field.ring.domain.dtype
+    numer = new({tuple(pexps): ground(c.numerator)})
+    if c.denominator == 1:
+        return field.raw_new(numer)
+    return field.raw_new(numer, new({field.ring.zero_monom: ground(c.denominator)}))
+
+
+class _Product:
+    """A product read by `_Parser.term`: c * vars^exps * params^pexps * poly.
+
+    c is an int or a Fraction, exps and pexps are exponent lists, and poly
+    is None or the Polynomial product of the factors that are not monomials
+    (sums, powers of sums, quotients of variable-free operands).
+    """
+
+    __slots__ = ("c", "exps", "pexps", "poly")
+
+    def __init__(self, c, exps, pexps, poly=None):
+        self.c = c
+        self.exps = exps
+        self.pexps = pexps
+        self.poly = poly
+
+    def mul(self, other):
+        self.c *= other.c
+        if any(other.exps):
+            self.exps = list(map(operator.add, self.exps, other.exps))
+        if any(other.pexps):
+            self.pexps = list(map(operator.add, self.pexps, other.pexps))
+        if other.poly is not None:
+            self.poly = other.poly if self.poly is None else self.poly * other.poly
+
+    def power(self, k):
+        self.c **= k
+        self.exps = [e * k for e in self.exps]
+        self.pexps = [e * k for e in self.pexps]
+        if self.poly is not None:
+            self.poly **= k
+
+    def is_zero(self):
+        return not self.c or (self.poly is not None and not self.poly.terms)
+
+    def is_constant(self):
+        return self.is_zero() or not any(self.exps) and (
+            self.poly is None or self.poly.is_constant())
+
+    def constant(self, ring):
+        """The value of a constant product, in the coefficient field."""
+        if self.is_zero():
+            return ring.coeff(0)
+        c = _monomial_coeff(ring, self.c, self.pexps)
+        return c if self.poly is None else c * self.poly.constant_term()
+
+    def add_to(self, terms, ring):
+        """terms += the product, by `_accumulate`; returns terms."""
+        if not self.c:
+            return terms
+        exps = tuple(self.exps)
+        if self.poly is None:
+            _accumulate(terms, ((exps, _monomial_coeff(ring, self.c, self.pexps)),))
+            return terms
+        scale = None
+        if self.c != 1 or any(self.pexps):
+            scale = _monomial_coeff(ring, self.c, self.pexps)
+        _accumulate(terms, self.poly.terms.items(), exps if any(exps) else None, scale)
+        return terms
+
+
 class _Parser:
+    """Recursive descent over the tokens of one expression.
+
+    A product of literals, variables, parameters, their powers and
+    parenthesized products is read into one `_Product`, and the terms of a
+    sum are added into one dict; sums inside parentheses, powers of them
+    and quotients of variable-free operands become Polynomials.
+    """
+
     def __init__(self, tokens, ring):
         self.tokens = tokens
         self.pos = 0
@@ -620,17 +760,29 @@ class _Parser:
         return p
 
     def expr(self):
-        sign = 1
+        s = self.sum()
+        terms = s if isinstance(s, dict) else s.add_to({}, self.ring)
+        return Polynomial(self.ring, terms)
+
+    def sum(self):
+        """A signed sum of terms: its one `_Product` when it has one term,
+        else the dict of its terms."""
+        negative = False
         if self.peek()[1] in ("+", "-"):
-            sign = -1 if self.next()[1] == "-" else 1
+            negative = self.next()[1] == "-"
         p = self.term()
-        if sign < 0:
-            p = -p
+        if negative:
+            p.c = -p.c
+        if self.peek()[1] not in ("+", "-"):
+            return p
+        terms = p.add_to({}, self.ring)
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+            negative = self.next()[1] == "-"
             q = self.term()
-            p = p - q if op == "-" else p + q
-        return p
+            if negative:
+                q.c = -q.c
+            q.add_to(terms, self.ring)
+        return terms
 
     def term(self):
         p = self.factor()
@@ -638,7 +790,7 @@ class _Parser:
             op = self.next()
             q = self.factor()
             if op[1] == "*":
-                p = p * q
+                p.mul(q)
                 continue
             # a quotient of variable-free operands, such as a printed
             # coefficient (-1/(s-1)); literal fractions are read by factor()
@@ -646,8 +798,12 @@ class _Parser:
                 self.error("'/' is only allowed between variable-free operands", op)
             if q.is_zero():
                 self.error("zero denominator", op)
-            p = self.ring.constant(p.constant_term() / q.constant_term())
+            quotient = self.ring.constant(p.constant(self.ring) / q.constant(self.ring))
+            p = self.product(poly=quotient)
         return p
+
+    def product(self, c=1, poly=None):
+        return _Product(c, [0] * self.ring.nvars, [0] * len(self.ring.params), poly)
 
     def factor(self):
         kind, lexeme, line, col = self.peek()
@@ -659,36 +815,43 @@ class _Parser:
                 _, dlex, dline, dcol = self.next()
                 if int(dlex) == 0:
                     raise ParseError("zero denominator", dline, dcol)
-                return self.ring.constant(Fraction(num, int(dlex)))
-            return self.ring.constant(num)
+                return self.product(Fraction(num, int(dlex)))
+            return self.product(num)
         if kind == "name":
             self.next()
+            p = self.product()
             if lexeme in self.ring.variables:
-                base = self.ring.var(lexeme)
+                p.exps[self.ring.variables.index(lexeme)] = self.exponent()
             elif lexeme in self.ring.params:
-                base = self.ring.param(lexeme)
+                p.pexps[self.ring.params.index(lexeme)] = self.exponent()
             else:
                 raise ParseError(f"unknown variable {lexeme!r}", line, col)
-            return self.maybe_power(base)
+            return p
         if lexeme == "(":
             self.next()
-            p = self.expr()
+            s = self.sum()
             ck, clex, cline, ccol = self.next()
             if clex != ")":
                 raise ParseError("expected ')'", cline, ccol)
-            return self.maybe_power(p)
+            k = self.exponent()
+            if isinstance(s, dict):
+                return self.product(poly=Polynomial(self.ring, s) ** k)
+            if k != 1:
+                s.power(k)
+            return s
         if lexeme == "/":
             raise ParseError("'/' is only allowed between variable-free operands", line, col)
         self.error(f"unexpected token {lexeme!r}")
 
-    def maybe_power(self, base):
+    def exponent(self):
+        """The exponent after '^' or '**', or 1 when there is none."""
         if self.peek()[1] in ("^", "**"):
             self.next()
             kind, lexeme, line, col = self.next()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", line, col)
-            return base ** int(lexeme)
-        return base
+            return int(lexeme)
+        return 1
 
 
 def parse_poly(text, ring):

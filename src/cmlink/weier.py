@@ -47,6 +47,7 @@ from .poly import (
     Ring,
     RingMismatchError,
     SingularMatrixError,
+    _frac_str,
     apply_linear_change,
 )
 
@@ -570,7 +571,7 @@ def _sylvester_ratio(p1, cleared_g2, r2_entry, dom):
     m, n = len(p1) - 1, len(p2) - 1
     det = _sylvester_det(p1, p2, dom)
     ratio = dom.ring.to_field().new(det * den**m, r2_entry * p1[0] ** n * num**m)
-    return str(ratio).replace(" ", "")
+    return _frac_str(ratio, [x.name for x in dom.symbols])
 
 
 def current_recipe(f1, f2, seed=0, max_tries=50):

@@ -397,6 +397,29 @@ def test_a_pole_at_the_origin_is_reported_as_recipe_reports_it(case, capsys, tmp
     assert (code, report) == (2, {"error": "denominator of 1/s vanishes at the origin"})
 
 
+# a parse error in a file: (file text, argv after the file, the error after "<path>: ")
+FILE_PARSE_ERRORS = {
+    "ideal-line-5": ("ring x,y over QQ\n\nx^2\n\nx*y + $\n", ["gb", "--ideal"],
+                     "unexpected character '$' (line 5, column 7)"),
+    "ideal-generator-ends-early": ("ring x over QQ\nx\n  x +\n", ["gb", "--ideal"],
+                                   "unexpected token '' (line 3, column 6)"),
+    "ideal-header-line-2": ("\nring x,y over Q\nx\n", ["gb", "--ideal"],
+                            "bad ring header 'ring x,y over Q' (line 2, column 1)"),
+    "matrix-second-entry": ("ring x,y over QQ\nmatrix 2 2\nx; y\n\n0;  x^2 + w\n",
+                            ["lift", "--target", "{path}", "--matrix"],
+                            "unknown variable 'w' (line 5, column 11)"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_PARSE_ERRORS)
+def test_a_parse_error_in_a_file_names_the_file_line_and_column(case, capsys, tmp_path):
+    text, argv, error = FILE_PARSE_ERRORS[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [a.format(path=path) for a in argv] + [str(path)]
+    assert capture(capsys, argv) == (2, {"error": f"{path}: {error}"})
+
+
 def test_main_reports_usage_error_without_traceback(tmp_path):
     argv = _malformed_argv("repeated-name", tmp_path)
     proc = subprocess.run(

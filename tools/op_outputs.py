@@ -46,9 +46,16 @@ parameter denominators and for two whose first generator has a factor
 free of x and y, `extended_euclid` and `resultant_sylvester` of a pair
 over QQ(s,t) with parameter denominators, and `resultant_sylvester` of
 pairs over QQ(s) of degrees (2, 3), (3, 2), (1, 4) and (1, 3) in x, of a
-pair with a shared factor, and of a QQ[x,y] pair in y.  The four corpora
-call only the public API, so they run on any checkout; together with the
-workloads they write 818 outputs.  An operation stopped at its budget (or
+pair with a shared factor, and of a QQ[x,y] pair in y.  Last come the
+text formats (`text_cases`), written as workload `texts` with the input in
+place of the seed: the exit code and JSON report of `cmlink gb` on ideal
+files over QQ(s,t) and QQ(z) whose reports print a coefficient of every
+shape of sympy's fraction-field form (`3*s/2`, `-1/(s**2)`, `1/(2*s)`,
+`(-s-t)/(2*s*t+1)`, `-2/(z-1)`, `s**2/t`), and on ideal files written with
+`**`, `s^0`, nested parenthesized products, rational literals and
+`(-1/(s-1))*x`.  The five corpora call only the public API and the CLI's
+`run`, so they run on any checkout; together with the workloads they
+write 823 outputs.  An operation stopped at its budget (or
 at 60 s when it has none) is written as `<over budget>`.
 Outputs of two checkouts are the same exactly when
 
@@ -62,6 +69,9 @@ program is imported once per process.
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+import io
 import os
 import shutil
 import signal
@@ -256,6 +266,46 @@ def recipe_cases(cmlink):
             cmlink.resultant_sylvester(r.poly(f), r.poly(g), v)))
 
 
+# ideal files: (header, generators); gb prints each reduced basis
+TEXT_FILES = {
+    "shapes-QQ(s,t)": ("ring x,y,z over QQ(s,t)", [
+        "x^3 + (3*s/2)*x^2*y - 1/(s**2)*x*y^2 + (1/(2*s))*y^3"
+        " + ((-s-t)/(2*s*t+1))*x*z^2 + (s**2/t)*z^3",
+        "y^2*z - (s/t)*z^3"]),
+    "shapes-QQ(z)": ("ring x,y over QQ(z)", [
+        "x^2 + (-2/(z-1))*x*y + (z**2/(3*z+1))*y^2", "(1/z)*x*y - 2/3*y^2"]),
+    "powers-QQ(s)": ("ring x,y,z over QQ(s)", [
+        "x**2*y - s^0*z**3 + (s^2)**2*x*z",
+        "((2*x)*(3/4*y))*((s*z)*x) - ((s^2)*x)**2*z",
+        "(x*(y*(s*z)))^2 + s^0*y^5"]),
+    "quotients-QQ(s)": ("ring x,y over QQ(s)", [
+        "(-1/(s-1))*x + 2/3*y - 5/7*s",
+        "x^2*1/2 - ((s+1)/(2*s))*y^2 + (-1/(s-1))*x*y"]),
+    "literals-QQ": ("ring x,y,z over QQ", [
+        "2/4*x**2 - ((3/5*y)*(5/3*z))^2 + x*1/2",
+        "-(x)^2*y + (((y)))^0*z^3 - 7/21", "x*y*z"]),
+}
+
+
+def text_cases(cmlink, workdir):
+    """(input, case) `cmlink gb` runs on the ideal files of `TEXT_FILES`,
+    written to workdir."""
+    for label, (header, gens) in TEXT_FILES.items():
+        path = os.path.join(workdir, f"{label}.id")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n" + "".join(f"{g}\n" for g in gens))
+        yield label, Case("gb", lambda p=path: _cli(cmlink, ["gb", "--ideal", p]))
+
+
+def _cli(cmlink, argv):
+    """`cmlink.cli.run(argv)` in process: (exit code, stdout text)."""
+    cli = importlib.import_module(f"{cmlink.__name__}.cli")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv)
+    return code, buf.getvalue()
+
+
 def _resolve(cmlink, ring, gens):
     """The JSON of the minimal free resolution of the ideal of `gens`, and of its exactness check."""
     res = cmlink.free_resolution(cmlink.Ideal([ring.poly(t) for t in gens], ring))
@@ -320,6 +370,8 @@ def main(argv=None):
             lines.append(f"ideals\t{pair}\t{case.name}\t{_run(case)}\n")
         for label, case in recipe_cases(cmlink):
             lines.append(f"recipes\t{label}\t{case.name}\t{_run(case)}\n")
+        for label, case in text_cases(cmlink, tempfile.mkdtemp(dir=workdir)):
+            lines.append(f"texts\t{label}\t{case.name}\t{_run(case)}\n")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     with open(out, "w", encoding="utf-8") as fh:
