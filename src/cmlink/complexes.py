@@ -133,8 +133,9 @@ def free_resolution(J, minimalize=True, order=GREVLEX):
 
     Both resolutions are cached in `J._resolutions[(order, minimalize)]`.
     The minimal one is derived from the cached unpruned one, and is that
-    same object when nothing is pruned (graded input), so the syzygy loop
-    runs once per ideal and order whichever is asked for first.
+    same object when nothing is pruned (graded input with a minimal set of
+    generators), so the syzygy loop runs once per ideal and order whichever
+    is asked for first.
     """
     cache = J._resolutions
     full = cache.get((order, False))
@@ -182,10 +183,12 @@ def _prune_units(diffs):
     """Remove rank-trivial summands by pivoting on constant entries.
 
     Pivoting is restricted to entries that are nonzero constants (units of the
-    polynomial ring); row/column operations stay exact and the complex
-    property is preserved.  With no such entry (always the case on graded
-    input) the input list itself is returned, so the differentials keep the
-    bases and kernels cached on them.
+    polynomial ring).  A unit u at (i, j) of d_k splits off a trivial summand
+    (the elimination lemma): d_k becomes d_k - col_j * row_i / u without row
+    i and column j, d_{k+1} loses row j and d_{k-1} loses column i, and the
+    complex property is preserved.  With no such entry (the case on graded
+    input with a minimal set of generators) the input list itself is
+    returned, so the differentials keep the bases and kernels cached on them.
     """
     ring = diffs[0].ring
     mats = [[list(r) for r in d.rows] for d in diffs]
@@ -204,42 +207,20 @@ def _prune_units(diffs):
     while hit is not None:
         k, i, j = hit
         m = mats[k]
-        u = m[i][j]
-        uinv = 1 / u.constant_term()
-        ncols = len(m[0])
-        nrows = len(m)
-        # column operations clearing row i (basis change in source module)
-        for j2 in range(ncols):
-            if j2 != j and not m[i][j2].is_zero():
-                factor = m[i][j2].scale(uinv)
-                for r in range(nrows):
-                    m[r][j2] = m[r][j2] - m[r][j] * factor
-                if k + 1 < len(mats):
-                    nxt = mats[k + 1]
-                    for c in range(len(nxt[0]) if nxt else 0):
-                        nxt[j][c] = nxt[j][c] + factor * nxt[j2][c]
-        # row operations clearing column j (basis change in target module)
-        for i2 in range(nrows):
-            if i2 != i and not m[i2][j].is_zero():
-                factor = m[i2][j].scale(uinv)
-                for c in range(ncols):
-                    m[i2][c] = m[i2][c] - factor * m[i][c]
-                if k > 0:
-                    prev = mats[k - 1]
-                    for r in range(len(prev)):
-                        prev[r][i] = prev[r][i] + prev[r][i2] * factor
-        # delete row i and column j; shrink neighbours accordingly
-        mats[k] = [
-            [p for j2, p in enumerate(row) if j2 != j]
-            for i2, row in enumerate(m)
-            if i2 != i
-        ]
+        uinv = 1 / m[i][j].constant_term()
+        # row i over u, indexed as the rows are once column j is gone
+        pivot_row = [(c - (c > j), p.scale(uinv)) for c, p in enumerate(m.pop(i))
+                     if c != j and not p.is_zero()]
+        for row in m:
+            a = row.pop(j)
+            if not a.is_zero():
+                for c, factor in pivot_row:
+                    row[c] = row[c] - a * factor
         if k + 1 < len(mats):
-            mats[k + 1] = [row for r, row in enumerate(mats[k + 1]) if r != j]
+            del mats[k + 1][j]
         if k > 0:
-            mats[k - 1] = [
-                [p for c, p in enumerate(row) if c != i] for row in mats[k - 1]
-            ]
+            for row in mats[k - 1]:
+                del row[i]
         # drop empty trailing differentials
         while mats and (not mats[-1] or not mats[-1][0]):
             mats.pop()

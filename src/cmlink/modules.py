@@ -206,6 +206,12 @@ def det_bareiss(M):
 # -- module term order and division -------------------------------------------
 
 
+def _check_ring(vectors, ring):
+    """Raise RingMismatchError when an entry of one of the vectors lies outside `ring`."""
+    if any(p.ring != ring for vec in vectors for p in vec):
+        raise RingMismatchError(f"vector entry outside {ring!r}")
+
+
 def _vec_is_zero(vec):
     return all(p.is_zero() for p in vec)
 
@@ -496,10 +502,11 @@ def module_normal_form(vec, basis, order):
     """Divide a vector by module basis vectors; returns (quotients, remainder).
 
     The module order is position-over-term over the monomial order `order`.
-    A zero basis vector raises ValueError.  The quotients are read off a
-    tail: (vec ; 0) is divided by the vectors (b_k ; e_k), whose leading
-    terms are those of the b_k, and the tail of the remainder is
-    -sum(q_k * e_k), the quotients negated.
+    A zero basis vector raises ValueError, and an entry outside the basis's
+    ring RingMismatchError.  The quotients are read off a tail: (vec ; 0) is
+    divided by the vectors (b_k ; e_k), whose leading terms are those of the
+    b_k, and the tail of the remainder is -sum(q_k * e_k), the quotients
+    negated.
 
     The loop is fraction-free.  The working vector is held as numerators,
     one dict per entry, over one scale for the whole vector: ints over QQ,
@@ -549,6 +556,7 @@ def module_normal_form(vec, basis, order):
     if not basis:
         return [], list(vec)
     ring = basis[0][0].ring
+    _check_ring([vec, *basis], ring)
     n = len(basis)
     divisors = _divisors([list(b) + _unit(ring, n, k) for k, b in enumerate(basis)], order)
     rem = _divide(list(vec) + [ring.zero()] * n, divisors)
@@ -754,8 +762,10 @@ def module_groebner(columns, order=GREVLEX):
     sum(reps[k][j] * columns[j]).  The pair loop is `_groebner`, the one
     Buchberger loop of the package; `groebner.buchberger` runs it on
     vectors of one entry.  A basis vector and its rep are the numerator
-    copy of a divisor of the loop over its leading numerator.
+    copy of a divisor of the loop over its leading numerator.  Entries in
+    different rings raise RingMismatchError.
     """
+    _check_ring(columns, next((p.ring for col in columns for p in col), None))
     divisors = _groebner(columns, order, True)
     if not divisors:
         return [], []
@@ -821,11 +831,12 @@ def _groebner(columns, order, track_reps):
     nums = _numerators(ring)
     divisors = _Divisors(_packing(order, ring.nvars))
     pairs = []  # heap of (sum(lcm), lcm, i, j) over same-position i < j
-    taken = set()
+    taken = []  # taken[k]: the partners of basis element k in the pairs taken so far
 
     def add(values):  # values[r]: the packed numerators of entry r
         j = len(divisors)
         divisors.append(_divisor(values, divisors.packing, nums))
+        taken.append(set())
         pos, exps = divisors[j][:2]
         for i in range(j):
             if divisors[i][0] == pos:
@@ -840,9 +851,11 @@ def _groebner(columns, order, track_reps):
     while pairs:
         _, lcm, i, j = heapq.heappop(pairs)
         if rank1 or not track_reps:
-            taken.add((i, j))
+            taken[i].add(j)
+            taken[j].add(i)
             coprime = rank1 and lcm == monomial_mul(divisors[i][1], divisors[j][1])
-            if coprime or _widening(divisors, _chain_criterion, i, j, lcm, divisors, taken):
+            if coprime or _widening(divisors, _chain_criterion, taken[i] & taken[j], lcm,
+                                    divisors):
                 if track_reps:
                     divisors.syzygies[i, j] = None
                 continue
@@ -894,20 +907,19 @@ def _reduced_basis(gens, order):
     return basis, reduced
 
 
-def _chain_criterion(i, j, lcm, divisors, taken):
-    """Some k, with a leading monomial dividing lcm, has had its pairs with i and j taken.
+def _chain_criterion(partners, lcm, divisors):
+    """Some k in `partners`, taken with both elements of the pair, has a lead dividing lcm.
 
     divisors[k][3] is the packed leading monomial of basis element k; `lcm`
-    is an exponent tuple, packed here (`_Overflow` when it does not fit).
+    is an exponent tuple, packed here when there is a partner to test
+    (`_Overflow` when it does not fit).
     """
+    if not partners:
+        return False
     packing = divisors.packing
-    const, guard = packing.const, packing.guard
-    lcm = packing.pack(lcm) + const
-    return any(
-        k not in (i, j) and not (lcm - d[3]) & guard
-        and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
-        for k, d in enumerate(divisors)
-    )
+    lcm = packing.pack(lcm) + packing.const
+    guard = packing.guard
+    return any(not (lcm - divisors[k][3]) & guard for k in partners)
 
 
 def _spair(divisors, i, j, nums):
@@ -1179,8 +1191,9 @@ def image_lifter(M, order=GREVLEX):
     """A function lift(b) that solves M x = b exactly.
 
     lift(b) raises NotInImageError with the remainder if b is not in the
-    image.  All calls divide by the module Groebner basis of the columns of
-    M that `_module_basis` caches on M, fetched at the first nonzero b: a
+    image, and RingMismatchError if an entry of b lies outside M's ring.
+    All calls divide by the module Groebner basis of the columns of M that
+    `_module_basis` caches on M, fetched at the first nonzero b: a
     differential whose syzygies were computed (every differential of a
     resolution) is lifted through with no new basis, and any other matrix
     costs one basis however many vectors are lifted.  (b ; 0) is divided by
@@ -1191,6 +1204,7 @@ def image_lifter(M, order=GREVLEX):
     def lift(b):
         if len(b) != M.nrows:
             raise ValueError("vector length must equal the row count")
+        _check_ring([b], ring)
         if _vec_is_zero(b):
             return [ring.zero()] * M.ncols
         divisors = _module_basis(M, order)

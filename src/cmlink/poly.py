@@ -624,29 +624,31 @@ def apply_linear_change(p, change):
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\*\*|[-+*/^()])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(text):
+    """The (kind, lexeme, offset) tokens of `text`, whitespace dropped, then an end token.
+
+    Raises ParseError at the first character that starts no token.
+    """
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if not m.lastgroup == "ws":
-            tokens.append((m.lastgroup, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(("end", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _parse_error(f"unexpected character {m.group()!r}", text, m.start())
+        if kind != "ws":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _parse_error(message, text, offset):
+    """The ParseError at `offset` of `text`, with its line and column counted from 1."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _monomial_coeff(ring, c, pexps):
@@ -735,8 +737,9 @@ class _Parser:
     and quotients of variable-free operands become Polynomials.
     """
 
-    def __init__(self, tokens, ring):
-        self.tokens = tokens
+    def __init__(self, text, ring):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.ring = ring
 
@@ -750,11 +753,11 @@ class _Parser:
 
     def error(self, message, tok=None):
         tok = tok or self.peek()
-        raise ParseError(message, tok[2], tok[3])
+        raise _parse_error(message, self.text, tok[2])
 
     def parse(self):
         p = self.expr()
-        kind, lexeme, _, _ = self.peek()
+        kind, lexeme, _ = self.peek()
         if kind != "end":
             self.error(f"unexpected token {lexeme!r}")
         return p
@@ -806,16 +809,16 @@ class _Parser:
         return _Product(c, [0] * self.ring.nvars, [0] * len(self.ring.params), poly)
 
     def factor(self):
-        kind, lexeme, line, col = self.peek()
+        kind, lexeme, offset = self.peek()
         if kind == "int":
             self.next()
             num = int(lexeme)
             if self.peek()[1] == "/" and self.tokens[self.pos + 1][0] == "int":
                 self.next()
-                _, dlex, dline, dcol = self.next()
-                if int(dlex) == 0:
-                    raise ParseError("zero denominator", dline, dcol)
-                return self.product(Fraction(num, int(dlex)))
+                denominator = self.next()
+                if int(denominator[1]) == 0:
+                    self.error("zero denominator", denominator)
+                return self.product(Fraction(num, int(denominator[1])))
             return self.product(num)
         if kind == "name":
             self.next()
@@ -825,14 +828,14 @@ class _Parser:
             elif lexeme in self.ring.params:
                 p.pexps[self.ring.params.index(lexeme)] = self.exponent()
             else:
-                raise ParseError(f"unknown variable {lexeme!r}", line, col)
+                raise _parse_error(f"unknown variable {lexeme!r}", self.text, offset)
             return p
         if lexeme == "(":
             self.next()
             s = self.sum()
-            ck, clex, cline, ccol = self.next()
-            if clex != ")":
-                raise ParseError("expected ')'", cline, ccol)
+            close = self.next()
+            if close[1] != ")":
+                self.error("expected ')'", close)
             k = self.exponent()
             if isinstance(s, dict):
                 return self.product(poly=Polynomial(self.ring, s) ** k)
@@ -840,17 +843,17 @@ class _Parser:
                 s.power(k)
             return s
         if lexeme == "/":
-            raise ParseError("'/' is only allowed between variable-free operands", line, col)
+            self.error("'/' is only allowed between variable-free operands")
         self.error(f"unexpected token {lexeme!r}")
 
     def exponent(self):
         """The exponent after '^' or '**', or 1 when there is none."""
         if self.peek()[1] in ("^", "**"):
             self.next()
-            kind, lexeme, line, col = self.next()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", line, col)
-            return int(lexeme)
+            tok = self.next()
+            if tok[0] != "int":
+                self.error("exponent must be a nonnegative integer", tok)
+            return int(tok[1])
         return 1
 
 
@@ -865,7 +868,7 @@ def parse_poly(text, ring):
     `(-1/(s-1))` that `str` prints over QQ(params); `x/2` and `(x+1)/2` are
     errors.
     """
-    return _Parser(_tokenize(text), ring).parse()
+    return _Parser(text, ring).parse()
 
 
 _RING_HEADER_RE = re.compile(

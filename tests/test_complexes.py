@@ -18,11 +18,12 @@ from cmlink.complexes import (
 from cmlink import complexes, groebner, modules
 from cmlink.linkage import comparison_morphism
 from cmlink.groebner import Ideal
-from cmlink.poly import LEX
+from cmlink.poly import GREVLEX, LEX
 from cmlink.modules import PolyMatrix
 from cmlink.poly import Polynomial, Ring
 
 R = Ring(("x", "y", "z"))
+RS = Ring(("x", "y", "z"), ("s",))
 x, y, z = R.gens()
 
 CURVE = ["y^2 - x*z", "x^3 - y*z", "x^2*y - z^2"]
@@ -248,6 +249,126 @@ def test_a_graded_syzygy_step_builds_one_module_basis_per_differential(case, mon
     for d in res.differentials:
         assert tuple(tuple(str(p) for p in col) for col in d.columns()) in with_tails
     assert all(divisors == as_built for _, _, divisors, as_built in built)
+
+
+def reference_prune_units(diffs):
+    """The pivots `complexes._prune_units` made before the elimination lemma.
+
+    Column operations clear row i of d_k and rewrite row j of d_{k+1}, row
+    operations clear column j of d_k and rewrite column i of d_{k-1}, and
+    then row i and column j go.  The result is the same; the rewritten
+    rows and columns are deleted.
+    """
+    ring = diffs[0].ring
+    mats = [[list(r) for r in d.rows] for d in diffs]
+
+    def find_pivot():
+        for k, m in enumerate(mats):
+            for i, row in enumerate(m):
+                for j, p in enumerate(row):
+                    if not p.is_zero() and p.is_constant():
+                        return k, i, j
+        return None
+
+    hit = find_pivot()
+    if hit is None:
+        return diffs
+    while hit is not None:
+        k, i, j = hit
+        m = mats[k]
+        u = m[i][j]
+        uinv = 1 / u.constant_term()
+        ncols = len(m[0])
+        nrows = len(m)
+        # column operations clearing row i (basis change in source module)
+        for j2 in range(ncols):
+            if j2 != j and not m[i][j2].is_zero():
+                factor = m[i][j2].scale(uinv)
+                for r in range(nrows):
+                    m[r][j2] = m[r][j2] - m[r][j] * factor
+                if k + 1 < len(mats):
+                    nxt = mats[k + 1]
+                    for c in range(len(nxt[0]) if nxt else 0):
+                        nxt[j][c] = nxt[j][c] + factor * nxt[j2][c]
+        # row operations clearing column j (basis change in target module)
+        for i2 in range(nrows):
+            if i2 != i and not m[i2][j].is_zero():
+                factor = m[i2][j].scale(uinv)
+                for c in range(ncols):
+                    m[i2][c] = m[i2][c] - factor * m[i][c]
+                if k > 0:
+                    prev = mats[k - 1]
+                    for r in range(len(prev)):
+                        prev[r][i] = prev[r][i] + prev[r][i2] * factor
+        # delete row i and column j; shrink neighbours accordingly
+        mats[k] = [
+            [p for j2, p in enumerate(row) if j2 != j]
+            for i2, row in enumerate(m)
+            if i2 != i
+        ]
+        if k + 1 < len(mats):
+            mats[k + 1] = [row for r, row in enumerate(mats[k + 1]) if r != j]
+        if k > 0:
+            mats[k - 1] = [
+                [p for c, p in enumerate(row) if c != i] for row in mats[k - 1]
+            ]
+        # drop empty trailing differentials
+        while mats and (not mats[-1] or not mats[-1][0]):
+            mats.pop()
+        hit = find_pivot()
+    out = []
+    for m in mats:
+        if not m or not m[0]:
+            break
+        out.append(PolyMatrix(m, ring))
+    return out
+
+
+def _prune_ideals():
+    """(name, ideal) of the pruning test: seeded inhomogeneous ideals over QQ
+    and QQ(s), every other one with a redundant generator, and graded ideals
+    with a redundant generator."""
+    for field, ring in (("QQ", R), ("QQ(s)", RS)):
+        choices = [1, -1, 2, -3] if ring.field is None else [1, -2, "s", "s+1"]
+        for k in range(10):
+            rng = random.Random(f"prune:{field}:{k}")
+            gens = []
+            for _ in range(3):
+                terms = {}
+                while len(terms) < 2:  # squarefree terms of degree 1 to 3
+                    e = tuple(rng.randint(0, 1) for _ in range(3))
+                    if any(e):
+                        terms[e] = ring.coeff(rng.choice(choices))
+                gens.append(Polynomial(ring, terms))
+            if k % 2:
+                gens.append(gens[0] * ring.var(rng.randrange(3)) + gens[1].scale(ring.coeff(2)))
+            yield f"{field}:{k}", Ideal(gens, ring)
+    yield "(x,y,x+y)", Ideal.from_strings(R, ["x", "y", "x + y"])
+    yield "(x^2,xy,y^2,x^2+2xy)", Ideal.from_strings(R, ["x^2", "x*y", "y^2", "x^2 + 2*x*y"])
+    rnc3 = _rnc_ideal(3)
+    yield "rnc(3)+sum", Ideal(rnc3.gens + [rnc3.gens[0] - rnc3.gens[2]], rnc3.ring)
+    yield "(x,y,s*x+y,z^2)", Ideal.from_strings(RS, ["x", "y", "s*x + y", "z^2"])
+
+
+def test_unit_pruning_by_rank_one_updates_matches_the_reference_pivots():
+    """`_prune_units` gives the reference's differentials, and they resolve.
+
+    Both prune the same unpruned differentials of J's syzygy resolution; the
+    JSON of the two complexes must be equal and the pruned complex exact.
+    Pivots occur: the ranks drop on seeded ideals over both fields and on
+    every graded one here.  (The complexes are built without the minimal
+    flag of `free_resolution`, which evaluates constant terms at s = 0.)
+    """
+    dropped = set()
+    for name, J in _prune_ideals():
+        diffs = complexes._syzygy_differentials(J, GREVLEX)
+        pruned = ChainComplex(complexes._prune_units(diffs))
+        assert pruned.to_json() == ChainComplex(reference_prune_units(diffs)).to_json(), name
+        assert verify_exactness(pruned).exact, name
+        if pruned.ranks() != ChainComplex(diffs).ranks():
+            dropped.add(name.split(":")[0])
+    assert dropped == {"QQ", "QQ(s)", "(x,y,x+y)", "(x^2,xy,y^2,x^2+2xy)", "rnc(3)+sum",
+                       "(x,y,s*x+y,z^2)"}, dropped
 
 
 def test_prune_units_keeps_graded_differentials():

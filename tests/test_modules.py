@@ -14,7 +14,6 @@ from cmlink.groebner import Ideal, buchberger, normal_form, s_polynomial
 from cmlink.modules import (
     NotInImageError,
     PolyMatrix,
-    _chain_criterion,
     _column_degrees,
     _divide,
     _divisors,
@@ -47,6 +46,7 @@ from cmlink.poly import (
     LEX,
     Polynomial,
     Ring,
+    RingMismatchError,
     block_order,
     monomial_lcm,
     monomial_mul,
@@ -447,6 +447,25 @@ def reference_combine(vec, coeffs, vectors):
     return vec
 
 
+def reference_chain_criterion(i, j, lcm, divisors, taken):
+    """The scan `modules._chain_criterion` replaced: over every basis element k.
+
+    Some k, with a leading monomial dividing lcm, has had its pairs with i
+    and j taken; `taken` is the set of the (min, max) index pairs taken so
+    far.  divisors[k][3] is the packed leading monomial of basis element k;
+    `lcm` is an exponent tuple, packed here (`_Overflow` when it does not
+    fit).
+    """
+    packing = divisors.packing
+    const, guard = packing.const, packing.guard
+    lcm = packing.pack(lcm) + const
+    return any(
+        k not in (i, j) and not (lcm - d[3]) & guard
+        and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
+        for k, d in enumerate(divisors)
+    )
+
+
 def reference_groebner(columns, order):
     """(basis, reps, leads): the pair loop with field-arithmetic S-vectors and reps.
 
@@ -484,7 +503,7 @@ def reference_groebner(columns, order):
         _, lcm, i, j = heapq.heappop(pairs)
         if rank1:
             taken.add((i, j))
-            if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _chain_criterion(
+            if lcm == monomial_mul(divisors[i][1], divisors[j][1]) or reference_chain_criterion(
                     i, j, lcm, divisors, taken):
                 continue
         svec, srep = reference_spair(basis, reps, leads, i, j)
@@ -854,6 +873,118 @@ def test_a_rep_free_basis_of_higher_rank_skips_pairs_by_the_chain_criterion(
     assert any(verdicts)
 
 
+def reference_skipped_pairs(columns, order, track_reps):
+    """(the pairs skipped, in pop order; the divisors) of the former pair loop.
+
+    `modules._groebner` as it was before the chain criterion read partner
+    sets: one set of the taken (i, j) and the scan over every basis element
+    of `reference_chain_criterion`.  The divisors and the S-pair reductions
+    are the production steps, so only the pair decisions differ.
+    """
+    nonzero = [j for j, col in enumerate(columns) if not _vec_is_zero(col)]
+    ring = columns[nonzero[0]][0].ring
+    nrows = len(columns[nonzero[0]])
+    rank1 = nrows == 1
+    nums = _numerators(ring)
+    divisors = modules._Divisors(modules._packing(order, ring.nvars))
+    pairs, taken, skipped = [], set(), []
+
+    def add(values):
+        j = len(divisors)
+        divisors.append(modules._divisor(values, divisors.packing, nums))
+        pos, exps = divisors[j][:2]
+        for i in range(j):
+            if divisors[i][0] == pos:
+                lcm = monomial_lcm(divisors[i][1], exps)
+                heapq.heappush(pairs, (sum(lcm), lcm, i, j))
+
+    for j in nonzero:
+        col = list(columns[j])
+        if track_reps:
+            col += _unit(ring, len(columns), j)
+        add(_widening(divisors, modules._numerator_dicts, col, nums, divisors)[0])
+    while pairs:
+        _, lcm, i, j = heapq.heappop(pairs)
+        if rank1 or not track_reps:
+            taken.add((i, j))
+            if rank1 and lcm == monomial_mul(divisors[i][1], divisors[j][1]) or _widening(
+                    divisors, reference_chain_criterion, i, j, lcm, divisors, taken):
+                skipped.append((i, j))
+                continue
+        rem, _ = _widening(divisors, _reduce_spair, divisors, i, j, nums)
+        if any(rem[:nrows]):
+            add(rem)
+    return skipped, divisors
+
+
+def _unpacked_divisors(divisors):
+    """The divisors with their monomials as exponent tuples, whatever the packing width."""
+    unpack = divisors.packing.unpack
+    return [(pos, exps, lead, [[(unpack(m), c) for m, c in row] for row in rows])
+            for pos, exps, lead, _, rows in divisors]
+
+
+def _skip_cases():
+    """(name, columns, order, track_reps) of the pair-decision test.
+
+    The CHAIN_CASES columns without tails, as the chain-criterion test draws
+    them, and rank-1 inputs with and without tails: the lex rows whose
+    skipped pairs leave remainders when popped, the 2x2 minors of rnc(4),
+    and seeded ideals over QQ and QQ(s) under grevlex and lex.
+    """
+    for order, rank, homogeneous in CHAIN_CASES:
+        rng = random.Random(f"chain:{rank}:{homogeneous}:{order.kind}")
+        for k in range(3):
+            yield (f"{order.kind}-rank{rank}-{homogeneous}-{k}",
+                   _chain_columns(rng, rank, homogeneous), order, False)
+    rows = [(name, [R.poly(t) for t in row], LEX) for name, row in SKIPPED_PAIR_ROWS.items()]
+    rows.append(("rnc(4)", [P5.poly(t) for t in _minors(
+        [f"x{i}" for i in range(4)], [f"x{i + 1}" for i in range(4)])], GREVLEX))
+    for ring in (R, QQ_S):
+        rng = random.Random(f"skips:{ring}")
+        for k in range(3):
+            gens = [_random_field_poly(ring, rng, 2, 2) for _ in range(4)]
+            for order in (GREVLEX, LEX):
+                rows.append((f"{ring}-{k}-{order.kind}", gens, order))
+    for name, gens, order in rows:
+        for track_reps in (False, True):
+            yield f"rank1-{name}-{track_reps}", [[g] for g in gens], order, track_reps
+
+
+def test_the_pair_loop_skips_exactly_the_pairs_of_the_reference_scan(monkeypatch):
+    """Partner sets make the decisions of the scan over every basis element.
+
+    Every same-position pair of the final basis is popped once, so the
+    pairs the production loop skips are those it never reduces.  They must
+    be the pairs the former loop skips, and both loops must build the same
+    divisors.  Some case skips a pair by the chain criterion at rank > 1,
+    and some at rank 1 by it alone (its leading monomials not coprime).
+    """
+    reduced = set()
+    original = modules._reduce_spair
+
+    def recording(divisors, i, j, nums):
+        reduced.add((i, j))
+        return original(divisors, i, j, nums)
+
+    chain_skips = {"rank1": 0, "higher": 0}
+    for name, cols, order, track_reps in _skip_cases():
+        skipped, expected = reference_skipped_pairs(cols, order, track_reps)
+        reduced.clear()
+        monkeypatch.setattr(modules, "_reduce_spair", recording)
+        divisors = _groebner(cols, order, track_reps)
+        monkeypatch.setattr(modules, "_reduce_spair", original)
+        same_position = {(i, j) for i, j in itertools.combinations(range(len(divisors)), 2)
+                         if divisors[i][0] == divisors[j][0]}
+        assert same_position - reduced == set(skipped), name
+        assert _unpacked_divisors(divisors) == _unpacked_divisors(expected), name
+        for i, j in skipped:
+            if monomial_lcm(divisors[i][1], divisors[j][1]) != monomial_mul(
+                    divisors[i][1], divisors[j][1]) or len(cols[0]) > 1:
+                chain_skips["rank1" if len(cols[0]) == 1 else "higher"] += 1
+    assert all(chain_skips.values()), chain_skips
+
+
 @pytest.mark.parametrize("ring", [R, QQ_S], ids=["QQ", "QQ(s)"])
 def test_field_coefficients_are_made_only_for_outputs(ring, monkeypatch):
     """`_unpacked`, the one maker of field coefficients, runs once per output vector.
@@ -984,6 +1115,28 @@ def test_lift_failure_reports_remainder():
 def test_lift_zero_vector():
     M = PolyMatrix.from_strings(R, [["x", "y"]])
     assert lift_through([R.zero()], M) == [R.zero(), R.zero()]
+
+
+def test_vector_entry_points_refuse_an_entry_from_another_ring():
+    """`lift_through`, `image_lifter`'s lift, `module_normal_form` and
+    `module_groebner` raise RingMismatchError, as `normal_form` and
+    `PolyMatrix.__mul__` do, rather than pack a foreign entry's exponents
+    (which made z of QQ[x,y,z] the remainder 1 by (x, y) over QQ[x,y])."""
+    S = Ring(("x", "y"))
+    sx, sy = S.gens()
+    M = PolyMatrix([[sx, sy]], S)
+    for foreign in (z, R.zero(), Ring(("a", "b")).gens()[0]):
+        with pytest.raises(RingMismatchError):
+            lift_through([foreign], M)
+        with pytest.raises(RingMismatchError):
+            image_lifter(M)([foreign])
+        with pytest.raises(RingMismatchError):
+            module_normal_form([foreign], [[sx], [sy]], GREVLEX)
+        with pytest.raises(RingMismatchError):
+            module_normal_form([sx, sy], [[sx, foreign]], GREVLEX)
+        with pytest.raises(RingMismatchError):
+            module_groebner([[sx, sy], [foreign, sx]])
+    assert lift_through([sx], M) == [S.one(), S.zero()]
 
 
 def test_lift_through_no_columns():
@@ -1315,6 +1468,33 @@ def test_a_wide_ideal_reduces_the_same_spairs_as_the_narrow_one(order, monkeypat
     divisors = _groebner([[_scaled(g, 20000)] for g in gens], order, False)
     assert divisors.packing.width == 32
     assert done == narrow
+
+
+def test_a_chain_criterion_lcm_too_wide_for_the_fields_widens_them(monkeypatch):
+    """The criterion packs the lcm only when the pair has a partner, and widens then.
+
+    Under grevlex the 8-bit fields hold degrees up to 127.  The leading
+    monomials x^64*y and y*z^64 fit, and their pairs with y are reduced
+    first (degree 65, no partner).  Their own lcm has degree 129, so
+    packing it for the partner y overflows; the fields widen, and y, whose
+    leading monomial divides the lcm, skips the pair.
+    """
+    overflows = []
+    original = modules._chain_criterion
+
+    def recording(*args):
+        try:
+            return original(*args)
+        except _Overflow:
+            overflows.append(args[0])
+            raise
+
+    monkeypatch.setattr(modules, "_chain_criterion", recording)
+    done = _completed_spair_reductions(monkeypatch)
+    divisors = _groebner([[R.poly(t)] for t in ("x^64*y", "y*z^64", "y")], GREVLEX, False)
+    assert overflows == [{2}] and divisors.packing.width == 16
+    assert sorted(done) == [(0, 2), (1, 2)]
+    assert buchberger([R.poly(t) for t in ("x^64*y", "y*z^64", "y")], GREVLEX) == [y]
 
 
 @pytest.mark.parametrize("k", [70, 20000])

@@ -22,7 +22,7 @@ import pytest
 
 import cmlink
 from cmlink import poly, weier
-from cmlink.poly import OriginPoleError, ParseError, Ring, _tokenize, parse_poly, parse_ring_header
+from cmlink.poly import OriginPoleError, ParseError, Ring, parse_poly, parse_ring_header
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -30,6 +30,34 @@ TOOLS = os.path.join(ROOT, "tools")
 
 
 # -- the reference parser ----------------------------------------------------------
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>\*\*|[-+*/^()])"
+)
+
+
+def reference_tokenize(text):
+    """The former tokenizer: one match per token, each with its line and column."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if not m.lastgroup == "ws":
+            tokens.append((m.lastgroup, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(("end", "", line, col))
+    return tokens
 
 
 class ReferenceParser:
@@ -130,7 +158,7 @@ class ReferenceParser:
 
 
 def reference_parse(text, ring):
-    return ReferenceParser(_tokenize(text), ring).parse()
+    return ReferenceParser(reference_tokenize(text), ring).parse()
 
 
 def _outcome(parse, text, ring):

@@ -15,8 +15,8 @@ inputs fit), `Ideal.contains`, `Ideal.contains_products` with wide factors,
 `lift_through` of wide targets through the module basis the syzygies
 cached, under grevlex, lex and a block order, with exponents 127, 128, 255
 and 40000.  These pass the engine's smallest monomial fields and make it
-widen them while it packs inputs, checks the chain criterion, reduces
-S-pairs, reduces a basis, divides and decides.  Last come the cases over
+widen them while it packs inputs, reduces S-pairs, reduces a basis,
+divides and decides.  Last come the cases over
 both coefficient fields (`field_cases`), written as workload `fields`
 with the field in place of the seed: the module basis and reps of three
 QQ(s) columns, the quotients of divisions by a two-row basis that is not
