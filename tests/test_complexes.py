@@ -252,12 +252,12 @@ def test_a_graded_syzygy_step_builds_one_module_basis_per_differential(case, mon
 
 
 def reference_prune_units(diffs):
-    """The pivots `complexes._prune_units` made before the elimination lemma.
+    """The former `complexes._prune_units`, which pivots by row and column operations.
 
     Column operations clear row i of d_k and rewrite row j of d_{k+1}, row
     operations clear column j of d_k and rewrite column i of d_{k-1}, and
-    then row i and column j go.  The result is the same; the rewritten
-    rows and columns are deleted.
+    then row i and column j go.  Every rewritten row and column outside d_k's
+    update is deleted, so the result is the rank-one update's.
     """
     ring = diffs[0].ring
     mats = [[list(r) for r in d.rows] for d in diffs]
