@@ -212,6 +212,7 @@ def cmd_member(args):
         try:
             K = KoszulComplex(list(I.gens))
             E = free_resolution(J, order=order)
+            E.minimal  # OriginPoleError on a pole at the origin: exit 2, as `run` says
             ap = comparison_morphism(K, E, order).top_entries()
         except (ContainmentFailureError, MorphismError) as exc:
             return _failed(report, exc)
@@ -263,6 +264,7 @@ def cmd_resolve(args):
     if J.is_zero() or J.is_unit(order):
         raise InputError("resolve needs a proper nonzero ideal")
     res = free_resolution(J, minimalize=args.minimal, order=order)
+    minimal = res.minimal
     exact = verify_exactness(res, order)
     cm, codim, length = is_cohen_macaulay(J, order)
     report = {
@@ -270,7 +272,7 @@ def cmd_resolve(args):
         "ring": J.ring.header(),
         "order": args.order,
         "generators": _gens(J),
-        "minimal": res.minimal,
+        "minimal": minimal,
         "ranks": res.ranks(),
         "differentials": [d.to_text() for d in res.differentials],
         "exact": exact.exact,
@@ -345,6 +347,8 @@ def _linkage_report(args, supplied=None):
         "ring": I.ring.header(),
         "order": args.order,
     }
+    E = free_resolution(J, order=order)
+    E.minimal  # OriginPoleError on a pole at the origin: exit 2, as `run` says
     try:
         cm, codim, length = is_cohen_macaulay(J, order)
         if not cm:
@@ -355,7 +359,6 @@ def _linkage_report(args, supplied=None):
             )
         _check_complete_intersection(I, codim, order)
         K = KoszulComplex(list(I.gens))
-        E = free_resolution(J, order=order)
         if supplied is None:
             morphism = comparison_morphism(K, E, order)
         else:
@@ -364,8 +367,6 @@ def _linkage_report(args, supplied=None):
             except MorphismError as exc:
                 return _failed(report, f"morphism invalid: {exc}")
         link = link_decomposition_check(I, J, morphism, order)
-    except OriginPoleError:
-        raise  # an input error, as in every command; see `run`
     except ValueError as exc:
         return _failed(report, exc)
     report.update(json.loads(link.to_json()))
@@ -561,7 +562,7 @@ def run(argv=None):
     try:
         code, report = args.func(args)
     # a coefficient whose denominator vanishes at the origin, met where a
-    # command evaluates at the origin (the minimality test of a resolution)
+    # command evaluates there (`recipe`, or reading a resolution's `minimal`)
     except (InputError, ParseError, GenericCIError, OriginPoleError) as exc:
         report = {"error": str(exc)}
         code = EXIT_USAGE

@@ -21,6 +21,7 @@ rules keep the same columns on graded input.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import combinations
 
 from .groebner import GREVLEX, ideal_codim
@@ -101,35 +102,36 @@ class KoszulComplex(ChainComplex):
             for cj, subset in enumerate(cols_idx):
                 for j, elem in enumerate(subset):
                     rest = subset[:j] + subset[j + 1 :]
-                    sign = -1 if j % 2 else 1
-                    entry = f[elem] if sign > 0 else -f[elem]
-                    mat[row_pos[rest]][cj] = mat[row_pos[rest]][cj] + entry
+                    mat[row_pos[rest]][cj] = -f[elem] if j % 2 else f[elem]
             diffs.append(PolyMatrix(mat, ring))
         super().__init__(diffs)
         self.tuple_f = f
 
-    @property
-    def p(self):
-        return len(self.tuple_f)
-
 
 class FreeResolution(ChainComplex):
-    def __init__(self, differentials, ideal, minimal):
+    def __init__(self, differentials, ideal):
         super().__init__(differentials)
         if self.differentials[0].nrows != 1:
             raise ComplexError("rank of the augmentation module must be 1")
         self.ideal = ideal
-        self.minimal = minimal
+
+    @cached_property
+    def minimal(self):
+        """No entry has a nonzero constant term at the origin (parameters set to
+        0 too); computed on first read, which raises OriginPoleError at a pole."""
+        return all(
+            p.constant_term_at_origin() == 0 for d in self.differentials for p in d.entries()
+        )
 
 
 def free_resolution(J, minimalize=True, order=GREVLEX):
     """Free resolution of the cyclic quotient by J, cached on J.
 
     d_1 is the row of generators; each next differential generates the kernel
-    of the previous one.  Length is capped at the variable count.  With
-    `minimalize`, constant (hence invertible) entries are pivoted away
-    (`_prune_units`) until no differential entry has a nonzero constant
-    term.
+    of the previous one.  At most nvars + 1 differentials are built, and
+    ComplexError is raised past that.  With `minimalize`, constant (hence
+    invertible) entries are pivoted away (`_prune_units`) until no
+    differential entry has a nonzero constant term.
 
     Both resolutions are cached in `J._resolutions[(order, minimalize)]`.
     The minimal one is derived from the cached unpruned one, and is that
@@ -140,13 +142,13 @@ def free_resolution(J, minimalize=True, order=GREVLEX):
     cache = J._resolutions
     full = cache.get((order, False))
     if full is None:
-        full = cache[(order, False)] = _resolution(_syzygy_differentials(J, order), J)
+        full = cache[(order, False)] = FreeResolution(_syzygy_differentials(J, order), J)
     if not minimalize:
         return full
     res = cache.get((order, True))
     if res is None:
         diffs = _prune_units(full.differentials)
-        res = full if diffs is full.differentials else _resolution(diffs, J)
+        res = full if diffs is full.differentials else FreeResolution(diffs, J)
         cache[(order, True)] = res
     return res
 
@@ -168,15 +170,6 @@ def _syzygy_differentials(J, order):
             raise ComplexError(
                 "resolution exceeded the Hilbert syzygy bound; this is a bug"
             )
-
-
-def _resolution(diffs, J):
-    """FreeResolution of J with differentials `diffs`, flagged minimal when no
-    entry has a nonzero constant term at the origin."""
-    minimal = all(
-        p.constant_term_at_origin() == 0 for d in diffs for p in d.entries()
-    )
-    return FreeResolution(diffs, J, minimal)
 
 
 def _prune_units(diffs):

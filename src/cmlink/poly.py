@@ -101,30 +101,33 @@ class Ring:
     # whose results are already canonical.
 
     def coeff(self, value):
-        """Canonicalize `value` into the coefficient field."""
+        """Canonicalize into the coefficient field an int, a Fraction, a field
+        element, a sympy number or (over QQ(params)) expression in the
+        parameters, or variable-free text in the grammar of `parse_poly`."""
         field = self.field
         if field is None:
             if isinstance(value, Fraction):
                 return value
             if isinstance(value, int):
                 return Fraction(value)
-            if isinstance(value, str):
-                return Fraction(value)
-            if isinstance(value, sympy.Expr) and value.is_Rational:
-                return Fraction(int(value.p), int(value.q))
-            raise ValueError(f"cannot coerce {value!r} into QQ")
-        if isinstance(value, FracElement) and value.field == field:
+        elif isinstance(value, FracElement) and value.field == field:
             return value
-        if isinstance(value, (int, Fraction)):
+        elif isinstance(value, (int, Fraction)):
             return field.ground_new(sympy.QQ(value.numerator, value.denominator))
-        expr = sympy.sympify(value)
-        bad = expr.free_symbols - set(field.symbols)
-        if bad:
-            raise ValueError(f"coefficient uses non-parameter symbols {bad}")
-        # from_expr can leave the signs of numerator and denominator
-        # unnormalized (1/(1-s) against -1/(s-1)); new() makes them canonical
-        element = field.from_expr(expr)
-        return field.new(element.numer, element.denom)
+        if isinstance(value, str):
+            p = parse_poly(value, self)
+            if not p.is_constant():
+                raise ValueError(f"coefficient {value!r} involves a ring variable")
+            return p.constant_term()
+        if isinstance(value, sympy.Expr):
+            if field is not None:
+                # from_expr can leave the signs of numerator and denominator
+                # unnormalized (1/(1-s) against -1/(s-1)); new() makes them canonical
+                element = field.from_expr(value)
+                return field.new(element.numer, element.denom)
+            if value.is_Rational:
+                return Fraction(int(value.p), int(value.q))
+        raise ValueError(f"cannot coerce {value!r} into the coefficients of {self!r}")
 
     def coeff_at_origin(self, c):
         """Value of a coefficient at params = 0, as a Fraction."""
@@ -336,7 +339,8 @@ class Polynomial:
         return all(e == self.ring._zero_exps for e in self.terms)
 
     def constant_term(self):
-        return self.terms.get(self.ring._zero_exps, self.ring.coeff(0))
+        c = self.terms.get(self.ring._zero_exps)
+        return self.ring.coeff(0) if c is None else c
 
     def constant_term_at_origin(self):
         """Constant term with parameters also set to zero."""

@@ -91,7 +91,7 @@ def test_criterion_2_golden_matrices():
 
     phi1 = PolyMatrix.from_strings(R, [["y^2 - x*z", "x^3 - y*z", "x^2*y - z^2"]])
     phi2 = PolyMatrix.from_strings(R, [["-z", "-x^2"], ["-y", "-z"], ["x", "y"]])
-    E = FreeResolution([phi1, phi2], Ideal.from_strings(R, CURVE), minimal=True)
+    E = FreeResolution([phi1, phi2], Ideal.from_strings(R, CURVE))
     assert verify_exactness(E).exact
     K = KoszulComplex([R.poly(t) for t in CI])
     a0 = PolyMatrix.from_strings(R, [["1"]])

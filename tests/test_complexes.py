@@ -20,7 +20,7 @@ from cmlink.linkage import comparison_morphism
 from cmlink.groebner import Ideal
 from cmlink.poly import GREVLEX, LEX
 from cmlink.modules import PolyMatrix
-from cmlink.poly import Polynomial, Ring
+from cmlink.poly import OriginPoleError, Polynomial, Ring
 
 R = Ring(("x", "y", "z"))
 RS = Ring(("x", "y", "z"), ("s",))
@@ -392,6 +392,19 @@ def test_minimal_resolution_derived_from_the_syzygy_resolution(syzygy_steps):
     fresh = free_resolution(Ideal.from_strings(R, gens), minimalize=True)
     assert res.to_json() == fresh.to_json()
     assert verify_exactness(res).exact
+
+
+def test_minimal_is_computed_when_read_so_a_pole_at_the_origin_refuses_only_the_read():
+    """A syzygy of this QQ(s) ideal has the coefficient 2/(s^2+s), whose
+    pole at s = 0 leaves the `minimal` flag undefined; the resolution is
+    still built and exact."""
+    J = Ideal.from_strings(RS, ["s*y*z - 2*z", "(s+1)*x*z + y", "(s+1)*y*z + s*y",
+                                "s*y*z^2 + (2*s+2)*x*z - 2*z^2 + 2*y"])
+    res = free_resolution(J, minimalize=False)
+    assert res.ranks() == [1, 4, 4, 1]
+    assert verify_exactness(res).exact
+    with pytest.raises(OriginPoleError, match=r"denominator of 2/\(s\*\*2 \+ s\) vanishes"):
+        res.minimal
 
 
 def test_complete_intersection_resolution_is_koszul_shaped():

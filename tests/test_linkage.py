@@ -42,7 +42,7 @@ def test_golden_morphism_matrices_pass_verbatim():
     phi2 = PolyMatrix.from_strings(R, [["-z", "-x^2"], ["-y", "-z"], ["x", "y"]])
     from cmlink.complexes import FreeResolution, verify_exactness
 
-    E = FreeResolution([phi1, phi2], curve_ideal(), minimal=True)
+    E = FreeResolution([phi1, phi2], curve_ideal())
     assert verify_exactness(E).exact
 
     K = KoszulComplex([R.poly(t) for t in CI])

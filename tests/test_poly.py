@@ -216,6 +216,26 @@ def test_coefficient_division_by_zero_raises_in_both_fields():
             a / (a + -a)
 
 
+def test_coefficient_text_is_parsed_not_evaluated():
+    """Text reaches the field through the ideal-file grammar, free of ring
+    variables; a Python expression or a decimal is a ParseError."""
+    U = Ring(("x",), ("s",))
+    x_ = U.var("x")
+    with pytest.raises(ParseError):
+        U.coeff("(lambda: 7)()")
+    with pytest.raises(ParseError):
+        R.coeff("1.5")
+    for ring, text in ((U, "s*x"), (U, "s + x^2"), (R, "y^0*x")):
+        with pytest.raises(ValueError, match="involves a ring variable"):
+            ring.coeff(text)
+    with pytest.raises(ValueError, match="involves a ring variable"):
+        x_ - "x"
+    assert x_ + "1/(1-s)" == x_ + U.constant(U.coeff(1 / (1 - sympy.Symbol("s"))))
+    assert R.constant(" -3/6 ") == R.constant(Fraction(-1, 2))
+    with pytest.raises(ValueError, match="cannot coerce"):
+        U.coeff(1.5)
+
+
 def test_origin_pole_detection():
     S = Ring(("X",), ("Y",))
     c = 1 / S.coeff("Y")

@@ -1,6 +1,9 @@
 """The text layer against sympy-era references: the one-pass term parser
-against the recursive parser it replaced, and the native printer of
-QQ(params) coefficients against sympy's `sstr`.
+against the recursive parser it replaced, the native printer of
+QQ(params) coefficients against sympy's `sstr`, and `Ring.coeff`'s reading
+of coefficient text against the `sympify` reader it replaced
+(`conftest.former_coeff`, which also checks every coefficient text the
+suite passes).
 
 The reference parser builds a Polynomial for every factor and multiplies
 them, with sympy's field arithmetic for parameter coefficients; the
@@ -22,6 +25,7 @@ import pytest
 
 import cmlink
 from cmlink import poly, weier
+from conftest import former_coeff
 from cmlink.poly import OriginPoleError, ParseError, Ring, parse_poly, parse_ring_header
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -325,6 +329,36 @@ def test_the_parser_matches_the_reference_on_seeded_expressions(ring):
     texts = random_texts(ring, 1, 250)
     parsed = sum(assert_parsers_agree(text, ring) for text in texts)
     assert parsed > len(texts) * 2 // 3  # the others divide by zero, and must fail alike
+
+
+def _coefficient_text(rng):
+    """A variable-free text over QQ(s,t): an operand, or a product or quotient
+    of two, the second parenthesized so that `s/3/4` reads the same to both
+    readers."""
+    a = _constant(rng, PARAM_RING, 0)
+    roll = rng.random()
+    if roll < 0.3:
+        return a
+    return f"{rng.choice(['', '-'])}{a}{'*' if roll < 0.6 else '/'}({_constant(rng, PARAM_RING, 0)})"
+
+
+def test_coefficient_texts_read_as_the_sympify_reader_read_them():
+    """`Ring.coeff` parses text; the former reader evaluated it with sympy.
+    Both give equal elements, and both refuse a zero denominator."""
+    rng = random.Random("coefficients")
+    read = 0
+    for _ in range(250):
+        text = _coefficient_text(rng)
+        try:
+            c = PARAM_RING.coeff(text)
+        except ParseError as exc:
+            assert exc.message == "zero denominator", text
+            with pytest.raises(ValueError):
+                former_coeff(PARAM_RING, text)
+            continue
+        assert c == former_coeff(PARAM_RING, text), text
+        read += 1
+    assert read >= 200
 
 
 MALFORMED = [
