@@ -136,8 +136,7 @@ class Ring:
         origin = self.field.ring.zero_monom
         d0 = c.denom.get(origin)
         if not d0:
-            text = _frac_str(c, self.params, " + ", " - ")
-            raise OriginPoleError(f"denominator of {text} vanishes at the origin")
+            raise OriginPoleError(f"denominator of {self.coeff_str(c)} vanishes at the origin")
         val = c.numer.get(origin, sympy.QQ.zero) / d0
         return Fraction(int(val.numerator), int(val.denominator))
 
@@ -184,9 +183,9 @@ class Ring:
         return parse_poly(text, self)
 
 
-def _poly_str(p, names, plus="+", minus="-"):
-    """A sympy `PolyElement` over ZZ or QQ, in sympy's `sstr` format with
-    `plus` and `minus` (" + " and " - " there) between terms.
+def _poly_str(p, names):
+    """A sympy `PolyElement` over ZZ or QQ, in sympy's `sstr` format with the
+    spaces around `+` and `-` dropped.
 
     Terms come in lex-descending order, as `PolyElement.terms()` gives them
     in the lex rings of fields and of `weier`'s integer domains; a power is
@@ -200,9 +199,9 @@ def _poly_str(p, names, plus="+", minus="-"):
         n, d = v.numerator, v.denominator
         if n < 0:
             n = -n
-            pieces.append(minus if pieces else "-")
+            pieces.append("-")
         elif pieces:
-            pieces.append(plus)
+            pieces.append("+")
         mono = "*".join([name if e == 1 else f"{name}**{e}"
                          for name, e in zip(names, monom) if e])
         if d != 1:
@@ -214,7 +213,7 @@ def _poly_str(p, names, plus="+", minus="-"):
     return "".join(pieces)
 
 
-def _frac_str(c, names, plus="+", minus="-"):
+def _frac_str(c, names):
     """A sympy `FracElement` in sympy's `sstr` format (see `_poly_str`).
 
     A denominator 1 is left out.  Otherwise the numerator is parenthesized
@@ -223,12 +222,12 @@ def _frac_str(c, names, plus="+", minus="-"):
     `(-s-t)/(2*s*t+1)`, `-2/(z-1)`, `s**2/t`.
     """
     numer, denom = c.numer, c.denom
-    text = _poly_str(numer, names, plus, minus)
+    text = _poly_str(numer, names)
     if denom == 1:
         return text
     if len(numer) > 1:
         text = f"({text})"
-    under = _poly_str(denom, names, plus, minus)
+    under = _poly_str(denom, names)
     if len(denom) == 1:
         [(monom, v)] = denom.items()
         if sum(monom) == 0 or (sum(monom) == 1 and v == 1):
@@ -344,7 +343,8 @@ class Polynomial:
 
     def constant_term_at_origin(self):
         """Constant term with parameters also set to zero."""
-        return self.ring.coeff_at_origin(self.constant_term())
+        c = self.terms.get(self.ring._zero_exps)
+        return Fraction(0) if c is None else self.ring.coeff_at_origin(c)
 
     def degree_in(self, i):
         if not self.terms:

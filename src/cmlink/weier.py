@@ -104,11 +104,15 @@ def _weierstrass_unit(f, var):
             "origin",
             witness=lead,
         )
+    exps = list(ring._zero_exps)
     for k in range(n):
         # P's coefficient of var^k is f's over u, and u has neither a zero
-        # nor a pole at the origin: it vanishes there exactly when f's does
-        low = f.coefficient_in(var, k)
-        c = low.constant_term()
+        # nor a pole at the origin: it vanishes there exactly when f's does.
+        # The constant term of f's is f's term var^k, zero when f has none
+        exps[var] = k
+        c = f.terms.get(tuple(exps))
+        if c is None:
+            continue
         try:
             at_origin = ring.coeff_at_origin(c)
         except OriginPoleError:
@@ -117,7 +121,7 @@ def _weierstrass_unit(f, var):
             raise NotRegularError(
                 f"coefficient of {ring.variables[var]}^{k} does not vanish "
                 "at the origin",
-                witness=low.scale(1 / u),
+                witness=f.coefficient_in(var, k).scale(1 / u),
             )
     return n, u
 
@@ -173,7 +177,7 @@ def _cleared(p, var, dom):
     else:
         # multiply each numerator by dp / its denominator, a polynomial of
         # ZZ[params] because dp is their lcm there: no gcd is taken
-        dp = _param_denominator_lcm(p).numer
+        dp = _param_denominator_lcm(p)
         quotients = {dp: None}
         for exps, c in p.terms.items():
             numer = c.numer
@@ -360,7 +364,7 @@ def _subresultant_euclid(p1, p2, dom):
 
 def _param_denominator_lcm(p):
     """Least common multiple over ZZ of the coefficient denominators of p, a
-    polynomial over a parameter field, as a coefficient of its ring."""
+    polynomial over a parameter field, as an element of QQ[params]."""
     field = p.ring.field
     if None not in p.ring._integer_rings:  # ZZ[params], built once per Ring
         p.ring._integer_rings[None] = field.ring.clone(domain=sympy.ZZ)
@@ -369,9 +373,7 @@ def _param_denominator_lcm(p):
     for d in {c.denom for c in p.terms.values()}:
         if d != 1:
             den = den.lcm(d.set_ring(zz))
-    # canonical denominators have integer coefficients, so den is an integer
-    # polynomial over 1, already canonical: skip field.new's cancel
-    return field.raw_new(den.set_ring(field.ring))
+    return den.set_ring(field.ring)
 
 
 def resultant_sylvester(P, Q, var):
@@ -510,11 +512,10 @@ def _second_changes(n, rng, limit):
             continue
 
 
-def _run_pipeline(f1, f2, change, work):
-    """One attempt at the full preparation; raises NotRegularError on failure.
-
-    Returns g1, g2, their Weierstrass forms, r2, a, b and the Sylvester ratio.
-    """
+def _run_pipeline(f1, f2, first, second, work):
+    """The recipe in the coordinates of first, then second; raises
+    NotRegularError when they are not regular."""
+    change = first.compose(second)
     g1, (p1, num_1, den_1) = _to_work(apply_linear_change(f1, change), work)
     g2, (p2, num_2, den_2) = _to_work(apply_linear_change(f2, change), work)
     wf1 = _prepared(g1, 0, p1)
@@ -542,7 +543,13 @@ def _run_pipeline(f1, f2, change, work):
     ratio = None
     if len(p2) > 1:
         ratio = _sylvester_ratio(p1, (p2, num_2, den_2), g[0], dom)
-    return g1, g2, wf1, wf2, r2, a, b, ratio
+    n1, n2 = wf1.degree, wf2.degree
+    gamma = n2 + 1
+    c1 = Fraction((-1) ** (n1 * gamma) * math.factorial(n1 * gamma))
+    c2 = -Fraction((-1) ** n2) * c1 / math.factorial(n2)
+    return CurrentRecipe(ring=work, first_change=first, second_change=second, change=change,
+                         g1=g1, g2=g2, p1=wf1.weierstrass, n1=n1, r2=r2, p2=wf2.weierstrass,
+                         n2=n2, a=a, b=b, gamma=gamma, c1=c1, c2=c2, sylvester_ratio=ratio)
 
 
 def _lead_content(coeffs, dom):
@@ -594,9 +601,8 @@ def current_recipe(f1, f2, seed=0, max_tries=50):
     rng = random.Random(seed)
     attempts = 0
     failures = []
-    result = None
     for first in _first_changes(n, rng, max_tries):
-        if attempts >= max_tries or result is not None:
+        if attempts >= max_tries:
             break
         attempts += 1
         # the first preparation is unaffected by second changes, so probe it
@@ -610,40 +616,11 @@ def current_recipe(f1, f2, seed=0, max_tries=50):
             if attempts >= max_tries:
                 break
             attempts += 1
-            change = first.compose(second)
             try:
-                g1, g2, wf1, wf2, r2, a, b, ratio = _run_pipeline(f1, f2, change, work)
+                return _run_pipeline(f1, f2, first, second, work)
             except NotRegularError as exc:
                 failures.append(f"second stage: {exc}")
-                continue
-            result = (first, second, change, g1, g2, wf1, wf2, r2, a, b, ratio)
-            break
-    if result is None:
-        raise RecipeError(
-            f"no regular coordinates found in {attempts} attempts; "
-            f"failures: {failures[-3:]}"
-        )
-    first, second, change, g1, g2, wf1, wf2, r2, a, b, ratio = result
-    n1, n2 = wf1.degree, wf2.degree
-    gamma = n2 + 1
-    c1 = Fraction((-1) ** (n1 * gamma) * math.factorial(n1 * gamma))
-    c2 = -Fraction((-1) ** n2) * c1 / math.factorial(n2)
-    return CurrentRecipe(
-        ring=work,
-        first_change=first,
-        second_change=second,
-        change=change,
-        g1=g1,
-        g2=g2,
-        p1=wf1.weierstrass,
-        n1=n1,
-        r2=r2,
-        p2=wf2.weierstrass,
-        n2=n2,
-        a=a,
-        b=b,
-        gamma=gamma,
-        c1=c1,
-        c2=c2,
-        sylvester_ratio=ratio,
+    raise RecipeError(
+        f"no regular coordinates found in {attempts} attempts; "
+        f"failures: {failures[-3:]}"
     )

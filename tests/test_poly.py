@@ -243,6 +243,40 @@ def test_origin_pole_detection():
         S.coeff_at_origin(c)
 
 
+def test_a_pole_at_the_origin_is_named_as_reports_print_the_coefficient():
+    ring = Ring(("x",), ("s", "t"))
+    with pytest.raises(OriginPoleError) as exc:
+        ring.coeff_at_origin(ring.coeff("1/(s-t)"))
+    assert str(exc.value) == "denominator of 1/(s-t) vanishes at the origin"
+
+
+def test_a_missing_constant_term_is_zero_at_the_origin_without_a_coefficient(monkeypatch):
+    S = Ring(("x", "y"), ("s",))
+    read = ["coeff_at_origin"]  # the one call for a constant term that is there
+    cases = [(R.poly("x*y - 3*z^2"), Fraction(0), []),
+             (R.poly("x - 2/3"), Fraction(-2, 3), read),
+             (S.poly("(1/s)*x + y^2"), Fraction(0), []),
+             (S.poly("x + (s-5)/(s+2)"), Fraction(-5, 2), read),
+             (S.poly("x + s"), Fraction(0), read)]
+    calls = []
+
+    def recording(name):
+        original = getattr(Ring, name)
+
+        def call(ring, c):
+            calls.append(name)
+            return original(ring, c)
+
+        return call
+
+    for name in ("coeff", "coeff_at_origin"):
+        monkeypatch.setattr(Ring, name, recording(name))
+    for p, value, expected in cases:
+        del calls[:]
+        at_origin = p.constant_term_at_origin()
+        assert (type(at_origin), at_origin, calls) == (Fraction, value, expected)
+
+
 def test_substitute():
     p = x**2 + y
     q = p.substitute({0: y + z})

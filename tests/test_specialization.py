@@ -7,6 +7,13 @@ coefficient's numerator met, the reduced basis over QQ(s) specialized must be
 the reduced basis over QQ of the specialized generators, element by element,
 and each probe's membership verdict must be the verdict over QQ.
 
+The same holds for `ideal_colon` (under grevlex) and `ideal_intersect` of
+the three pairs of consecutive ideals (the third with the first): at three
+seeded values of s, off every denominator and every leading coefficient's
+numerator of the inputs and of both answers, the reduced generators over
+QQ(s) specialized must be those that the same operation gives over QQ on the
+specialized ideals.
+
 Specialization goes through sympy on printed text, so it shares none of
 cmlink's QQ(params) numerator arithmetic.  An answer must agree at two of the
 three values.  One disagreement marks a special value of s (where the basis
@@ -23,7 +30,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from cmlink import GREVLEX, LEX, Ideal, Polynomial, Ring
+from cmlink import GREVLEX, LEX, Ideal, Polynomial, Ring, ideal_colon, ideal_intersect
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -128,6 +135,29 @@ def test_answers_over_qq_s_specialize_to_the_answers_over_qq(k, order, request):
         for i, (e, verdict) in enumerate(zip(probe_exprs, verdicts)):
             if Jv.contains(_poly_qq(_at(e, v)), order) != verdict:
                 disagree[f"probe {i}"].append(v)
+    for answer, where in disagree.items():
+        assert len(where) <= 1, (answer, where, values)
+        if where:
+            request.node.user_properties.append(("special value", f"{answer} at s = {where[0]}"))
+
+
+OPERATIONS = {"colon": lambda I, J: ideal_colon(I, J, GREVLEX), "intersect": ideal_intersect}
+
+
+@pytest.mark.parametrize("k", range(len(inputs.PARAM_IDEALS)))
+def test_colons_and_intersections_over_qq_s_specialize_to_those_over_qq(k, request):
+    pair = inputs.PARAM_IDEALS[k], inputs.PARAM_IDEALS[(k + 1) % len(inputs.PARAM_IDEALS)]
+    I, J = (Ideal.from_strings(RS, gens) for gens in pair)
+    answers = {name: [str(g) for g in run(I, J).gens] for name, run in OPERATIONS.items()}
+    texts = [t for gens in (*pair, *answers.values()) for t in gens]
+    values = _values(_poles_and_zeros(texts, GREVLEX), f"values:{k}:colon-intersect")
+    disagree = {name: [] for name in answers}
+    for v in values:
+        Iv, Jv = (Ideal([_poly_qq(_at(_expr(g), v)) for g in gens], RQ) for gens in pair)
+        for name, answer in answers.items():
+            over_qq = [_as_sympy(g) for g in OPERATIONS[name](Iv, Jv).gens]
+            if [_at(_expr(g), v) for g in answer] != over_qq:
+                disagree[name].append(v)
     for answer, where in disagree.items():
         assert len(where) <= 1, (answer, where, values)
         if where:

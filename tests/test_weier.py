@@ -11,7 +11,7 @@ from sympy.polys.euclidtools import dup_inner_subresultants
 from sympy.polys.rings import PolyElement, PolyRing
 
 from cmlink import weier
-from cmlink.poly import Polynomial, Ring, _bareiss_det, apply_linear_change
+from cmlink.poly import LinearChange, Polynomial, Ring, _bareiss_det, apply_linear_change
 from cmlink.weier import (
     CurrentRecipe,
     NotRegularError,
@@ -64,6 +64,28 @@ def test_weierstrass_rejections():
     assert exc.value.witness is not None
     with pytest.raises(NotRegularError):
         weierstrass_ready(R3.poly("x^2 + x"), 0)  # lower coeff is a unit
+
+
+def test_the_weierstrass_test_builds_only_the_leading_coefficient(monkeypatch):
+    """Lower coefficients are read off f's terms; a coefficient polynomial is
+    built only for the leading one, and for the witness of a failure."""
+    built = []
+    original = Polynomial.coefficient_in
+
+    def recording(p, i, k):
+        built.append((i, k))
+        return original(p, i, k)
+
+    monkeypatch.setattr(Polynomial, "coefficient_in", recording)
+    f = RS.poly("(2+s)*x^3 + s*x^2 + x^2*y + (1/(1-s))*x*z^2 + y*z - s*y^2")
+    assert weier._weierstrass_unit(f, 0) == (3, RS.coeff("2+s"))
+    assert built == [(0, 3)]
+    del built[:]
+    f = RS.poly("(2+s)*x^3 + x^2*y + (3 + s)*x + y*z")
+    with pytest.raises(NotRegularError, match="coefficient of x\\^1 does not vanish") as exc:
+        weier._weierstrass_unit(f, 0)
+    assert exc.value.witness == RS.poly("(3+s)/(2+s)")
+    assert built == [(0, 3), (0, 1)]
 
 
 def test_euclid_coprime_linear():
@@ -283,9 +305,10 @@ def _pairs_with_parameter_denominators():
 
 
 def test_euclid_and_resultant_coefficients_are_canonical():
-    # the Euclid and Sylvester outputs and the denominator lcm are built as
-    # integer numerators over 1 without field.new's cancel; each must be the
-    # canonical element that field.new gives
+    # the Euclid and Sylvester outputs are built as integer numerators over 1
+    # without field.new's cancel; each must be the canonical element that
+    # field.new gives.  The denominator lcm is the QQ[params] element that
+    # clearing multiplies by: every coefficient denominator divides it
     field = U.field
 
     def assert_canonical(c):
@@ -297,7 +320,13 @@ def test_euclid_and_resultant_coefficients_are_canonical():
             for c in p.terms.values():
                 assert_canonical(c)
         for p in (P, Q):
-            assert_canonical(weier._param_denominator_lcm(p))
+            lcm = weier._param_denominator_lcm(p)
+            assert lcm.ring == field.ring
+            for c in p.terms.values():
+                assert lcm.rem(c.denom) == 0, (lcm, c)
+    p = U.poly("1/(2*s+2)*x + (t-2)/(3*s*t+1) + 1/(4*s^2+4*s)*x^2")
+    s, t = field.ring.gens
+    assert weier._param_denominator_lcm(p) == (4*s**2 + 4*s) * (3*s*t + 1)
 
 
 def test_list_level_checks_reject_wrong_identities():
@@ -707,6 +736,19 @@ def reference_recipe(f1, f2, seed=0, max_tries=50):
 def test_recipe_matches_polynomial_level_reference(ring, f1, f2):
     f1, f2 = ring.poly(f1), ring.poly(f2)
     assert current_recipe(f1, f2).to_json() == reference_recipe(f1, f2).to_json()
+
+
+def test_a_recipe_found_after_two_changes_applies_the_first_one_first():
+    """y^2 + z^2 has no x, so the search takes the paper's shear first, and
+    under it alone r2 is not regular in the second variable, so a second
+    change mixes the last two.  The two changes do not commute."""
+    f1, f2 = R3.poly("y^2 + z^2"), R3.poly("x*y + z^2")
+    rec = current_recipe(f1, f2)
+    first, second = rec.first_change, rec.second_change
+    assert first == LinearChange(weier._PAPER_SHEAR)
+    assert second == LinearChange([[1, 0, 0], [0, 1, 1], [0, -2, 0]])
+    assert rec.change == first.compose(second) != second.compose(first)
+    assert rec.to_json() == reference_recipe(f1, f2).to_json()
 
 
 def test_recipe_search_reports_the_failures_when_it_runs_out_of_tries():

@@ -16,7 +16,7 @@ inputs fit), `Ideal.contains`, `Ideal.contains_products` with wide factors,
 cached, under grevlex, lex and a block order, with exponents 127, 128, 255
 and 40000.  These pass the engine's smallest monomial fields and make it
 widen them while it packs inputs, reduces S-pairs, reduces a basis,
-divides and decides.  Last come the cases over
+divides and decides.  Then come the cases over
 both coefficient fields (`field_cases`), written as workload `fields`
 with the field in place of the seed: the module basis and reps of three
 QQ(s) columns, the quotients of divisions by a two-row basis that is not
@@ -46,17 +46,23 @@ parameter denominators and for two whose first generator has a factor
 free of x and y, `extended_euclid` and `resultant_sylvester` of a pair
 over QQ(s,t) with parameter denominators, and `resultant_sylvester` of
 pairs over QQ(s) of degrees (2, 3), (3, 2), (1, 4) and (1, 3) in x, of a
-pair with a shared factor, and of a QQ[x,y] pair in y.  Last come the
+pair with a shared factor, and of a QQ[x,y] pair in y.  Then come the
 text formats (`text_cases`), written as workload `texts` with the input in
 place of the seed: the exit code and JSON report of `cmlink gb` on ideal
 files over QQ(s,t) and QQ(z) whose reports print a coefficient of every
 shape of sympy's fraction-field form (`3*s/2`, `-1/(s**2)`, `1/(2*s)`,
 `(-s-t)/(2*s*t+1)`, `-2/(z-1)`, `s**2/t`), and on ideal files written with
 `**`, `s^0`, nested parenthesized products, rational literals and
-`(-1/(s-1))*x`.  The five corpora call only the public API and the CLI's
-`run`, so they run on any checkout; together with the workloads they
-write 823 outputs.  An operation stopped at its budget (or
-at 60 s when it has none) is written as `<over budget>`.
+`(-1/(s-1))*x`.  Last come free resolutions whose syzygy steps leave
+unit entries (`pruning_cases`), written as workload `pruning` with the
+input in place of the seed: the ranks and JSON, unpruned and minimal, of
+`(x*y, x*z, y*z, x*y + x*z)` and `(x, y, x + y)` over QQ and of a QQ(s)
+ideal whose `minimal` flag raises `OriginPoleError` (so it is not read),
+and `det_bareiss` of a 3x3 matrix whose Bareiss step divides exactly.
+The six corpora call only the public API and the CLI's `run`, so they
+run on any checkout; together with the workloads they write 830 outputs.
+An operation stopped at its budget (or at 60 s when it has none) is
+written as `<over budget>`.
 Outputs of two checkouts are the same exactly when
 
     python3 tools/op_outputs.py PARENT parent.txt
@@ -297,6 +303,27 @@ def text_cases(cmlink, workdir):
         yield label, Case("gb", lambda p=path: _cli(cmlink, ["gb", "--ideal", p]))
 
 
+def pruning_cases(cmlink):
+    """(input, case) free resolutions whose syzygy steps leave unit entries,
+    unpruned and minimal, and a determinant whose Bareiss step divides."""
+    xyz = cmlink.Ring(("x", "y", "z"))
+    ideals = {
+        "redundant-generator": (xyz, ["x*y", "x*z", "y*z", "x*y + x*z"]),
+        "linear-generators": (xyz, ["x", "y", "x + y"]),
+        # a syzygy coefficient has a pole at s = 0, so `minimal` is not read
+        "QQ(s)-pole": (cmlink.Ring(("x", "y", "z"), ("s",)),
+                       ["s*y*z - 2*z", "(s+1)*x*z + y", "(s+1)*y*z + s*y",
+                        "s*y*z^2 + (2*s+2)*x*z - 2*z^2 + 2*y"]),
+    }
+    for label, (ring, gens) in ideals.items():
+        for name, minimalize in (("unpruned", False), ("minimal", True)):
+            yield label, Case(f"free-resolution-{name}", lambda r=ring, g=gens, m=minimalize:
+                              _ranks_and_json(cmlink, r, g, m))
+    matrix = cmlink.PolyMatrix.from_strings(xyz, [["x", "y", "z"], ["y", "z", "x"],
+                                                  ["z", "x", "y + 1"]])
+    yield "3x3", Case("det-bareiss", lambda: cmlink.det_bareiss(matrix))
+
+
 def _cli(cmlink, argv):
     """`cmlink.cli.run(argv)` in process: (exit code, stdout text)."""
     cli = importlib.import_module(f"{cmlink.__name__}.cli")
@@ -310,6 +337,12 @@ def _resolve(cmlink, ring, gens):
     """The JSON of the minimal free resolution of the ideal of `gens`, and of its exactness check."""
     res = cmlink.free_resolution(cmlink.Ideal([ring.poly(t) for t in gens], ring))
     return res.to_json(), res.minimal, cmlink.verify_exactness(res).to_json()
+
+
+def _ranks_and_json(cmlink, ring, gens, minimalize):
+    """The ranks and JSON of a free resolution of the ideal of `gens`, without reading `minimal`."""
+    res = cmlink.free_resolution(cmlink.Ideal([ring.poly(t) for t in gens], ring), minimalize)
+    return res.ranks(), res.to_json()
 
 
 def _lift(cmlink, b, matrix, order):
@@ -372,6 +405,8 @@ def main(argv=None):
             lines.append(f"recipes\t{label}\t{case.name}\t{_run(case)}\n")
         for label, case in text_cases(cmlink, tempfile.mkdtemp(dir=workdir)):
             lines.append(f"texts\t{label}\t{case.name}\t{_run(case)}\n")
+        for label, case in pruning_cases(cmlink):
+            lines.append(f"pruning\t{label}\t{case.name}\t{_run(case)}\n")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     with open(out, "w", encoding="utf-8") as fh:
